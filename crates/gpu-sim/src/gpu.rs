@@ -652,6 +652,42 @@ mod tests {
     }
 
     #[test]
+    fn fully_predicated_off_wide_and_fpu_instructions_complete_and_write_nothing() {
+        // Every lane's guard is false, so the warp-wide ALU/FPU paths have
+        // no lane to compute, check or write: each instruction still
+        // issues and advances pc. The marked IADD64 would poison the
+        // pointer (p += 256 on a 256 B buffer) had any lane executed it.
+        let cfg = PtrConfig::default();
+        let addr = layout::GLOBAL_BASE + 0x18000;
+        let buf = lmi_core::DevicePtr::encode(addr, 256, &cfg).unwrap().raw();
+        let off = lmi_isa::Predicate::when(PredReg(0));
+        let mut b = ProgramBuilder::new("predoff");
+        b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+        b.push(Instruction::mov(Reg(2), 0x40E0_0000)); // 7.0f32
+        b.push(Instruction::isetp(PredReg(0), Reg(2), CmpOp::Ne, Reg(2)));
+        b.push(
+            Instruction::iadd64(Reg(4), Reg(4), 256)
+                .with_hints(HintBits::check_operand(0))
+                .with_pred(off),
+        );
+        b.push(Instruction::lea64(Reg(4), Reg(4), Reg(2), 3).with_pred(off));
+        b.push(Instruction::mov64(Reg(4), Reg(6)).with_pred(off));
+        b.push(Instruction::ffma(Reg(2), Reg(2), Reg(2), Reg(2)).with_pred(off));
+        b.push(Instruction::float2(lmi_isa::Opcode::Mufu, Reg(2), Reg(2), 0).with_pred(off));
+        b.push(Instruction::iadd3(Reg(2), Reg(2), 1).with_pred(off));
+        b.push(Instruction::stg(MemRef::new(Reg(4), 0, 4), Reg(2)));
+        b.push(Instruction::exit());
+        let launch = Launch::new(b.build()).grid(2).block(48).param(buf);
+        let mut gpu = Gpu::new(GpuConfig::small());
+        let mut mech = LmiMechanism::default_config();
+        let stats = gpu.run(&launch, &mut mech);
+        assert_eq!(stats.issued, 11 * 4, "every instruction issues on all four warps");
+        assert!(!stats.violated());
+        assert_eq!(mech.poisoned_count, 0, "no lane reached the OCU");
+        assert_eq!(gpu.memory.read(addr, 4), 0x40E0_0000, "R2 and R4 kept their values");
+    }
+
+    #[test]
     fn telemetry_counters_agree_with_sim_stats() {
         use lmi_telemetry::Scope;
         let base = layout::GLOBAL_BASE + 0x40000;

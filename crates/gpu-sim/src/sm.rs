@@ -39,12 +39,24 @@
 //! lane sets walk the execution mask bit-by-bit, and every deferred-op
 //! payload (`SharedOp`/`OpResult` lane and line lists) is drawn from the
 //! per-SM `EventPool` and returned to it after application.
+//!
+//! ## Warp-wide execution
+//!
+//! Phase A resolves each source operand once into a 32-lane column of the
+//! register-major register file and dispatches on the opcode once per
+//! warp-instruction (`exec::*_lanes`), writing results back through the
+//! exec mask. Scheduler readiness is memoized per warp
+//! (`Warp::ready_memo`) and cleared wherever the warp's state changes: its
+//! issue here and its results in `Sm::apply_results`.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use lmi_core::ptr::ADDR_MASK;
-use lmi_isa::{abi, DecodedInstr, DecodedStream, MemSpace, Opcode, OpcodeClass, Operand, Reg};
+use lmi_isa::op::SpecialReg;
+use lmi_isa::{
+    abi, DecodedInstr, DecodedStream, MemSpace, Opcode, OpcodeClass, Operand, PredReg, Reg,
+};
 use lmi_mem::{layout, BankRouter, Cache};
 use lmi_telemetry::{SmSample, WarpState};
 
@@ -52,7 +64,7 @@ use crate::config::{GpuConfig, WARP_SIZE};
 use crate::exec;
 use crate::launch::Launch;
 use crate::lsu::coalesce_into;
-use crate::warp::{LaneMask, Warp};
+use crate::warp::{Column, Column64, LaneMask, Warp};
 
 /// Per-launch context needed to resolve constant-bank reads.
 #[derive(Debug, Clone)]
@@ -89,6 +101,31 @@ impl LaunchCtx {
             value & 0xFFFF_FFFF
         } else {
             value
+        }
+    }
+
+    /// Resolves a 32-bit source operand for all 32 lanes of `warp`.
+    fn gather32(&self, warp: &Warp, src: &Operand) -> Column {
+        match *src {
+            Operand::None => [0; WARP_SIZE],
+            Operand::Reg(r) => *warp.column(r),
+            Operand::Imm(v) => [v as u32; WARP_SIZE],
+            Operand::Const { offset, .. } => std::array::from_fn(|l| {
+                self.const_read(warp.block, warp.base_tid + l as u64, offset, 4) as u32
+            }),
+        }
+    }
+
+    /// Resolves a 64-bit source operand (register pair, sign-extended
+    /// immediate) for all 32 lanes of `warp`.
+    fn gather64(&self, warp: &Warp, src: &Operand) -> Column64 {
+        match *src {
+            Operand::None => [0; WARP_SIZE],
+            Operand::Reg(r) => warp.column64(r),
+            Operand::Imm(v) => [v as i64 as u64; WARP_SIZE],
+            Operand::Const { offset, .. } => std::array::from_fn(|l| {
+                self.const_read(warp.block, warp.base_tid + l as u64, offset, 8)
+            }),
         }
     }
 }
@@ -452,20 +489,21 @@ impl Sm {
         if self.greedy.len() != cfg.schedulers_per_sm {
             self.greedy = vec![None; cfg.schedulers_per_sm];
         }
-        // One atomic refcount bump per SM-cycle buys `&DecodedStream`
-        // borrows inside `&mut self` methods.
-        let stream = Arc::clone(&self.stream);
+        // Disjoint field borrows: the decoded stream and launch context
+        // are read while the warps are mutated.
+        let Sm { stream, launch, warps, greedy, .. } = self;
+        let overlap = cfg.lsu_verdict_overlap;
         let mut issued_any = false;
         let mut next_ready = u64::MAX;
-        let nwarps = self.warps.len();
+        let nwarps = warps.len();
 
-        for sched in 0..cfg.schedulers_per_sm {
+        for (sched, greedy_slot) in greedy.iter_mut().enumerate() {
             // GTO: greedy warp first, then oldest — examined in place, in
             // exactly the order the old candidate-list walk used, stopping
             // at the first ready warp (later candidates are never probed,
             // so they feed neither `next_ready` nor stall attribution).
-            let greedy = self.greedy[sched].filter(|&g| {
-                let w = &self.warps[g];
+            let greedy_w = greedy_slot.filter(|&g| {
+                let w = &warps[g];
                 !w.done && !w.at_barrier
             });
             let mut any_candidate = false;
@@ -473,9 +511,9 @@ impl Sm {
             // Stall attribution: the binding constraint of the candidate
             // that would issue soonest.
             let mut soonest: Option<(u64, StallReason)> = None;
-            if let Some(g) = greedy {
+            if let Some(g) = greedy_w {
                 any_candidate = true;
-                let (r, reason) = self.ready_info(g, cfg.lsu_verdict_overlap);
+                let (r, reason) = ready_memo(stream, &mut warps[g], overlap);
                 if r <= now {
                     picked = Some(g);
                 } else {
@@ -486,11 +524,11 @@ impl Sm {
             if picked.is_none() {
                 let mut w = sched;
                 while w < nwarps {
-                    if Some(w) != greedy {
-                        let warp = &self.warps[w];
+                    if Some(w) != greedy_w {
+                        let warp = &mut warps[w];
                         if !warp.done && !warp.at_barrier {
                             any_candidate = true;
-                            let (r, reason) = self.ready_info(w, cfg.lsu_verdict_overlap);
+                            let (r, reason) = ready_memo(stream, warp, overlap);
                             if r <= now {
                                 picked = Some(w);
                                 break;
@@ -510,7 +548,7 @@ impl Sm {
                 let mut w = sched;
                 let mut any_live = false;
                 while w < nwarps {
-                    if !self.warps[w].done {
+                    if !warps[w].done {
                         any_live = true;
                         break;
                     }
@@ -524,11 +562,20 @@ impl Sm {
             match picked {
                 Some(w) => {
                     let CycleEvents { issues, pool, bank_q, .. } = out;
-                    let op_idx = issues.len() as u32;
-                    let ev =
-                        self.issue_phase_a(&stream, w, now, cfg, pool, bank_q, op_idx, l1, router);
-                    issues.push(ev);
-                    self.greedy[sched] = Some(w);
+                    let warp = &mut warps[w];
+                    let di = stream.get(warp.pc);
+                    let mut ctx = IssueCtx {
+                        now,
+                        cfg,
+                        launch,
+                        pool,
+                        bank_q,
+                        op_idx: issues.len() as u32,
+                        l1,
+                        router,
+                    };
+                    issues.push(ctx.issue(warp, w, di));
+                    *greedy_slot = Some(w);
                     issued_any = true;
                     // The warp can issue again next cycle (in-order).
                     next_ready = next_ready.min(now + 1);
@@ -562,7 +609,7 @@ impl Sm {
                 sample.pcs.push((ev.pc as u32, 1));
                 WarpState::Issued
             } else {
-                let (r, reason) = self.ready_info(w, cfg.lsu_verdict_overlap);
+                let (r, reason) = ready_info(&self.stream, warp, cfg.lsu_verdict_overlap);
                 if r == u64::MAX {
                     // Fell off the program end; retires at next issue.
                     WarpState::Retired
@@ -594,6 +641,9 @@ impl Sm {
     pub fn apply_results(&mut self, events: &mut CycleEvents, now: u64, cfg: &GpuConfig) {
         let CycleEvents { issues, pool, .. } = events;
         for ev in issues.iter_mut() {
+            // Every result below changes the issuing warp's pc, scoreboard
+            // or lanes: its readiness memo is stale.
+            self.warps[ev.warp].ready_memo = None;
             // Completion time first: `mem_done_at` borrows the shared op
             // this branch consumes.
             let mem_done = ev.mem_done_at(now, cfg);
@@ -610,15 +660,14 @@ impl Sm {
                 } else {
                     if !is_store {
                         let done = mem_done.expect("live mem op has a completion time");
-                        for (pos, lm) in lanes.iter().enumerate() {
-                            if v.survivors & (1 << lm.lane) != 0 {
-                                let value = atoms[pos].load(SeqCst);
-                                if width == 8 {
-                                    warp.write64(lm.lane, dst, value);
-                                } else {
-                                    warp.write(lm.lane, dst, value as u32);
-                                }
-                            }
+                        let mut values: Column64 = [0; WARP_SIZE];
+                        for (lm, atom) in lanes.iter().zip(&atoms) {
+                            values[lm.lane] = atom.load(SeqCst);
+                        }
+                        if width == 8 {
+                            warp.write64_col(dst, v.survivors, &values);
+                        } else {
+                            warp.write_col(dst, v.survivors, &values.map(|v| v as u32));
                         }
                         warp.set_ready_at_mem(dst, done);
                         if pair {
@@ -673,80 +722,137 @@ impl Sm {
         }
     }
 
-    /// Earliest cycle at which warp `w`'s next instruction can issue, and
-    /// the constraint that binds (for stall attribution when it is in the
-    /// future).
-    fn ready_info(&self, w: usize, verdict_overlap: u32) -> (u64, StallReason) {
-        let warp = &self.warps[w];
-        let di = match self.stream.get(warp.pc) {
-            Some(d) => d,
-            // Fell off the program: treated as exit at issue.
-            None => return (u64::MAX, StallReason::NoReadyWarp),
-        };
-        // The launch/dispatch ramp: not a pipeline hazard.
-        let mut ready = warp.start_cycle;
-        let mut reason = StallReason::NoReadyWarp;
-        for &r in di.source_regs() {
-            let t = warp.ready_at(r);
-            if t > ready {
-                ready = t;
-                reason = if warp.mem_pending_at(r, t) {
-                    StallReason::LsuBusy
-                } else {
-                    StallReason::Scoreboard
-                };
-            }
+    fn release_barriers(&mut self) {
+        if !self.warps.iter().any(|w| w.at_barrier) {
+            return;
         }
-        if di.opcode.is_mem() && di.opcode != Opcode::Ldc {
-            // The LSU's EC consumes the final (possibly poisoned) extent, so
-            // it must wait for the OCU verdict on the address registers.
-            if let Some(mem) = &di.mem {
-                let mut verdict = warp.verdict_at(mem.addr);
-                if di.mem_addr_pair {
-                    verdict = verdict.max(warp.verdict_at(mem.addr.pair_high()));
-                }
-                let v = verdict.saturating_sub(verdict_overlap as u64);
-                if v > ready {
-                    ready = v;
-                    reason = StallReason::OcuVerdict;
+        for b in &mut self.blocks {
+            b.waiting = 0;
+            b.done = 0;
+        }
+        for warp in &self.warps {
+            if let Some(b) = self.blocks.iter_mut().find(|b| b.block == warp.block) {
+                if warp.at_barrier {
+                    b.waiting += 1;
+                } else if warp.done {
+                    b.done += 1;
                 }
             }
         }
-        if let Some(p) = &di.pred {
-            let t = warp.pred_ready_at(p.reg);
-            if t > ready {
-                ready = t;
-                reason = StallReason::Scoreboard;
+        for i in 0..self.blocks.len() {
+            let b = &self.blocks[i];
+            if b.waiting > 0 && b.waiting + b.done >= b.resident {
+                let block = b.block;
+                for warp in &mut self.warps {
+                    if warp.block == block {
+                        warp.at_barrier = false;
+                    }
+                }
             }
         }
-        if di.opcode == Opcode::Isetp {
-            // WAW on the destination predicate.
-            let t = warp.pred_ready_at(lmi_isa::PredReg(di.dst.0 & 7));
-            if t > ready {
-                ready = t;
-                reason = StallReason::Scoreboard;
-            }
-        }
-        (ready, reason)
     }
+}
 
-    /// Issues warp `w`'s next instruction: local work executes now, shared
-    /// work is recorded on the returned event (memory timing/data routed
-    /// into `bank_q` under this event's index `op_idx`).
-    #[allow(clippy::too_many_arguments)]
-    fn issue_phase_a(
-        &mut self,
-        stream: &DecodedStream,
-        w: usize,
-        now: u64,
-        cfg: &GpuConfig,
-        pool: &mut EventPool,
-        bank_q: &mut [Vec<BankReq>],
-        op_idx: u32,
-        l1: &mut Cache,
-        router: &BankRouter,
-    ) -> IssueEvent {
-        let warp = &mut self.warps[w];
+/// Earliest cycle at which `warp`'s next instruction can issue, and the
+/// constraint that binds (for stall attribution when it is in the
+/// future). A function of the warp's pc, start cycle and scoreboard only.
+fn ready_info(stream: &DecodedStream, warp: &Warp, verdict_overlap: u32) -> (u64, StallReason) {
+    let di = match stream.get(warp.pc) {
+        Some(d) => d,
+        // Fell off the program: treated as exit at issue.
+        None => return (u64::MAX, StallReason::NoReadyWarp),
+    };
+    // The launch/dispatch ramp: not a pipeline hazard.
+    let mut ready = warp.start_cycle;
+    let mut reason = StallReason::NoReadyWarp;
+    for &r in di.source_regs() {
+        let t = warp.ready_at(r);
+        if t > ready {
+            ready = t;
+            reason = if warp.mem_pending_at(r, t) {
+                StallReason::LsuBusy
+            } else {
+                StallReason::Scoreboard
+            };
+        }
+    }
+    if di.opcode.is_mem() && di.opcode != Opcode::Ldc {
+        // The LSU's EC consumes the final (possibly poisoned) extent, so
+        // it must wait for the OCU verdict on the address registers.
+        if let Some(mem) = &di.mem {
+            let mut verdict = warp.verdict_at(mem.addr);
+            if di.mem_addr_pair {
+                verdict = verdict.max(warp.verdict_at(mem.addr.pair_high()));
+            }
+            let v = verdict.saturating_sub(verdict_overlap as u64);
+            if v > ready {
+                ready = v;
+                reason = StallReason::OcuVerdict;
+            }
+        }
+    }
+    if let Some(p) = &di.pred {
+        let t = warp.pred_ready_at(p.reg);
+        if t > ready {
+            ready = t;
+            reason = StallReason::Scoreboard;
+        }
+    }
+    if di.opcode == Opcode::Isetp {
+        // WAW on the destination predicate.
+        let t = warp.pred_ready_at(PredReg(di.dst.0 & 7));
+        if t > ready {
+            ready = t;
+            reason = StallReason::Scoreboard;
+        }
+    }
+    (ready, reason)
+}
+
+/// [`ready_info`] through the warp's memo: a warp that stays stalled is
+/// examined every cycle but recomputed only after its state changed.
+fn ready_memo(stream: &DecodedStream, warp: &mut Warp, verdict_overlap: u32) -> (u64, StallReason) {
+    match warp.ready_memo {
+        Some(memo) => {
+            debug_assert_eq!(
+                memo,
+                ready_info(stream, warp, verdict_overlap),
+                "stale readiness memo for warp {}",
+                warp.id
+            );
+            memo
+        }
+        None => {
+            let info = ready_info(stream, warp, verdict_overlap);
+            warp.ready_memo = Some(info);
+            info
+        }
+    }
+}
+
+/// What one issue reads or fills besides the issuing warp: the SM's launch
+/// context and L1, the cycle's pooled buffers and bank queues, and this
+/// issue's index `op_idx` in the cycle's event list.
+struct IssueCtx<'a> {
+    now: u64,
+    cfg: &'a GpuConfig,
+    launch: &'a LaunchCtx,
+    pool: &'a mut EventPool,
+    bank_q: &'a mut [Vec<BankReq>],
+    op_idx: u32,
+    l1: &'a mut Cache,
+    router: &'a BankRouter,
+}
+
+impl IssueCtx<'_> {
+    /// Issues `warp`'s next instruction `di` (`None`: it fell off the
+    /// program): local work executes now, warp-wide; shared work is
+    /// recorded on the returned event (memory timing/data routed into
+    /// `bank_q` under `op_idx`).
+    fn issue(&mut self, warp: &mut Warp, w: usize, di: Option<&DecodedInstr>) -> IssueEvent {
+        // Whatever issues changes this warp's pc or scoreboard.
+        warp.ready_memo = None;
+        let now = self.now;
         let mut ev = IssueEvent {
             warp: w,
             pc: warp.pc,
@@ -763,53 +869,37 @@ impl Sm {
             meta_done: AtomicU64::new(0),
             data_done: AtomicU64::new(0),
         };
-        let di = match stream.get(warp.pc) {
-            Some(d) => d,
-            None => {
-                warp.retire_lanes(warp.mask);
-                ev.retired_local = self.warps[w].done;
-                return ev;
-            }
+        let Some(di) = di else {
+            warp.retire_lanes(warp.mask);
+            ev.retired_local = warp.done;
+            return ev;
         };
         warp.last_issue = now;
         ev.opcode = Some(di.opcode);
         ev.activate = di.hints.activate;
 
-        // Per-lane guard predicate. Unpredicated instructions (the common
-        // case) take the warp mask verbatim — no per-lane work at all.
+        // Guard predicate, warp-wide. Unpredicated instructions (the common
+        // case) take the warp mask verbatim.
         let exec_mask: LaneMask = match di.pred {
             None => warp.mask,
-            Some(p) => {
-                let mut m: LaneMask = 0;
-                let mut bits = warp.mask;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if warp.read_pred(l, p.reg) != p.negated {
-                        m |= 1 << l;
-                    }
-                }
-                m
-            }
+            Some(p) if p.negated => warp.mask & !warp.pred_mask(p.reg),
+            Some(p) => warp.mask & warp.pred_mask(p.reg),
         };
 
         match di.opcode {
             Opcode::Exit => {
-                let warp = &mut self.warps[w];
                 if exec_mask == 0 {
                     warp.pc += 1;
                 } else {
                     warp.retire_lanes(exec_mask);
                 }
             }
-            Opcode::Nop => self.warps[w].pc += 1,
+            Opcode::Nop => warp.pc += 1,
             Opcode::Bar => {
-                let warp = &mut self.warps[w];
                 warp.at_barrier = true;
                 warp.pc += 1;
             }
             Opcode::Bra => {
-                let warp = &mut self.warps[w];
                 let target = di.bra_target;
                 let active = warp.mask;
                 if exec_mask == 0 {
@@ -824,242 +914,151 @@ impl Sm {
                 }
             }
             Opcode::S2r => {
-                let warp = &mut self.warps[w];
-                let special = di.special;
                 let tpb = self.launch.threads_per_block as u64;
-                let mut bits = exec_mask;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
+                let values: Column = std::array::from_fn(|l| {
                     let gtid = warp.base_tid + l as u64;
-                    let v = match special {
-                        lmi_isa::op::SpecialReg::TidX => gtid % tpb,
-                        lmi_isa::op::SpecialReg::CtaIdX => gtid / tpb,
-                        lmi_isa::op::SpecialReg::NtidX => tpb,
-                        lmi_isa::op::SpecialReg::LaneId => l as u64,
-                        lmi_isa::op::SpecialReg::WarpId => warp.id as u64,
+                    let v = match di.special {
+                        SpecialReg::TidX => gtid % tpb,
+                        SpecialReg::CtaIdX => gtid / tpb,
+                        SpecialReg::NtidX => tpb,
+                        SpecialReg::LaneId => l as u64,
+                        SpecialReg::WarpId => warp.id as u64,
                     };
-                    warp.write(l, di.dst, v as u32);
-                }
+                    v as u32
+                });
+                warp.write_col(di.dst, exec_mask, &values);
                 warp.set_ready_at(di.dst, now + 2);
                 warp.pc += 1;
             }
             Opcode::Isetp => {
-                let pred = lmi_isa::PredReg(di.dst.0 & 7);
-                let cmp = di.cmp;
-                let mut bits = exec_mask;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let a = self.fetch32(w, l, &di.srcs[0]) as i32 as i64;
-                    let b = self.fetch32(w, l, &di.srcs[1]) as i32 as i64;
-                    let warp = &mut self.warps[w];
-                    warp.write_pred(l, pred, cmp.eval(a, b));
-                }
-                let warp = &mut self.warps[w];
+                let pred = PredReg(di.dst.0 & 7);
+                let a = self.launch.gather32(warp, &di.srcs[0]);
+                let b = self.launch.gather32(warp, &di.srcs[1]);
+                warp.write_pred_mask(pred, exec_mask, exec::isetp_lanes(di.cmp, &a, &b));
                 warp.set_pred_ready_at(pred, now + 2);
                 warp.pc += 1;
             }
-            Opcode::Malloc | Opcode::Free => {
-                self.issue_heap_phase_a(w, di, exec_mask, &mut ev, pool);
-            }
-            op if op.class() == OpcodeClass::IntAlu => {
-                self.issue_int_phase_a(w, di, exec_mask, now, cfg, &mut ev, pool);
-            }
+            Opcode::Malloc | Opcode::Free => self.issue_heap(warp, di, exec_mask, &mut ev),
+            op if op.class() == OpcodeClass::IntAlu => self.issue_int(warp, di, exec_mask, &mut ev),
             op if op.class() == OpcodeClass::Fpu => {
-                let mut bits = exec_mask;
-                while bits != 0 {
-                    let l = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let a = self.fetch32(w, l, &di.srcs[0]);
-                    let b = self.fetch32(w, l, &di.srcs[1]);
-                    let c = self.fetch32(w, l, &di.srcs[2]);
-                    let v = exec::fpu(di.opcode, a, b, c);
-                    self.warps[w].write(l, di.dst, v);
+                if exec_mask != 0 {
+                    let a = self.launch.gather32(warp, &di.srcs[0]);
+                    let b = self.launch.gather32(warp, &di.srcs[1]);
+                    let c = self.launch.gather32(warp, &di.srcs[2]);
+                    warp.write_col(di.dst, exec_mask, &exec::fpu_lanes(di.opcode, &a, &b, &c));
                 }
-                let lat =
-                    if di.opcode == Opcode::Mufu { cfg.fpu_latency * 2 } else { cfg.fpu_latency };
-                let warp = &mut self.warps[w];
+                let lat = if di.opcode == Opcode::Mufu {
+                    self.cfg.fpu_latency * 2
+                } else {
+                    self.cfg.fpu_latency
+                };
                 warp.set_ready_at(di.dst, now + lat as u64);
                 warp.pc += 1;
             }
-            op if op.is_mem() => {
-                self.issue_mem_phase_a(
-                    w, di, exec_mask, now, cfg, &mut ev, pool, bank_q, op_idx, l1, router,
-                );
-            }
+            op if op.is_mem() => self.issue_mem(warp, di, exec_mask, &mut ev),
             other => panic!("unhandled opcode {other}"),
         }
-        ev.retired_local = self.warps[w].done;
+        ev.retired_local = warp.done;
         ev
     }
 
-    fn fetch32(&self, w: usize, lane: usize, src: &Operand) -> u32 {
-        let warp = &self.warps[w];
-        match src {
-            Operand::None => 0,
-            Operand::Reg(r) => warp.read(lane, *r),
-            Operand::Imm(v) => *v as u32,
-            Operand::Const { offset, .. } => {
-                self.launch.const_read(warp.block, warp.base_tid + lane as u64, *offset, 4) as u32
-            }
-        }
-    }
-
-    fn fetch64(&self, w: usize, lane: usize, src: &Operand) -> u64 {
-        let warp = &self.warps[w];
-        match src {
-            Operand::None => 0,
-            Operand::Reg(r) => warp.read64(lane, *r),
-            Operand::Imm(v) => *v as i64 as u64,
-            Operand::Const { offset, .. } => {
-                self.launch.const_read(warp.block, warp.base_tid + lane as u64, *offset, 8)
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn issue_int_phase_a(
+    fn issue_int(
         &mut self,
-        w: usize,
+        warp: &mut Warp,
         di: &DecodedInstr,
         exec_mask: LaneMask,
-        now: u64,
-        cfg: &GpuConfig,
         ev: &mut IssueEvent,
-        pool: &mut EventPool,
     ) {
-        let wide = di.wide;
-        if wide && di.hints.activate {
-            // The OCU check consults the mechanism — shared state — so the
-            // whole writeback defers to phase B.
-            let mut checked = pool.take_triples();
-            let mut bits = exec_mask;
-            while bits != 0 {
-                let l = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let a = self.fetch64(w, l, &di.srcs[0]);
-                let b = self.fetch64(w, l, &di.srcs[1]);
-                let c = match di.srcs[2] {
-                    Operand::Imm(v) => v as u64,
-                    ref other => self.fetch64(w, l, other),
-                };
-                let v = exec::alu64(di.opcode, a, b, c);
-                let input = if di.hints.select == 0 { a } else { b };
-                checked.push((l, input, v));
-            }
-            if !checked.is_empty() {
-                ev.shared =
-                    Some(SharedOp::MarkedInt { dst: di.dst, pair: di.dst_pair, lanes: checked });
-                return;
-            }
-            // No active lane: nothing to check, nothing written — the
-            // scoreboard update below matches the serial no-lane path.
-            pool.put_triples(checked);
-        } else {
-            let mut bits = exec_mask;
-            while bits != 0 {
-                let l = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if wide {
-                    let a = self.fetch64(w, l, &di.srcs[0]);
-                    let b = self.fetch64(w, l, &di.srcs[1]);
-                    let c = match di.srcs[2] {
-                        Operand::Imm(v) => v as u64,
-                        ref other => self.fetch64(w, l, other),
-                    };
-                    let v = exec::alu64(di.opcode, a, b, c);
-                    self.warps[w].write64(l, di.dst, v);
-                } else {
-                    let a = self.fetch32(w, l, &di.srcs[0]);
-                    let b = self.fetch32(w, l, &di.srcs[1]);
-                    let c = self.fetch32(w, l, &di.srcs[2]);
-                    let v = exec::alu32(di.opcode, a, b, c);
-                    // 32-bit marked ops (hand-written programs) check the low
-                    // word only — the compiler marks wide ops exclusively, so
-                    // the OCU path above is the one that matters.
-                    self.warps[w].write(l, di.dst, v);
+        // No active lane: nothing to compute, check or write — only the
+        // scoreboard update below.
+        if exec_mask != 0 {
+            if di.wide {
+                let a = self.launch.gather64(warp, &di.srcs[0]);
+                let b = self.launch.gather64(warp, &di.srcs[1]);
+                let c = self.launch.gather64(warp, &di.srcs[2]);
+                let v = exec::alu64_lanes(di.opcode, &a, &b, &c);
+                if di.hints.activate {
+                    // The OCU check consults the mechanism — shared state —
+                    // so the whole writeback defers to phase B.
+                    let input = if di.hints.select == 0 { &a } else { &b };
+                    let mut checked = self.pool.take_triples();
+                    checked.extend(lanes_of(exec_mask).map(|l| (l, input[l], v[l])));
+                    ev.shared = Some(SharedOp::MarkedInt {
+                        dst: di.dst,
+                        pair: di.dst_pair,
+                        lanes: checked,
+                    });
+                    return;
                 }
+                warp.write64_col(di.dst, exec_mask, &v);
+            } else {
+                // 32-bit marked ops (hand-written programs) are not checked:
+                // the compiler marks wide ops exclusively, so the OCU path
+                // above is the one that matters.
+                let a = self.launch.gather32(warp, &di.srcs[0]);
+                let b = self.launch.gather32(warp, &di.srcs[1]);
+                let c = self.launch.gather32(warp, &di.srcs[2]);
+                warp.write_col(di.dst, exec_mask, &exec::alu32_lanes(di.opcode, &a, &b, &c));
             }
         }
-        let warp = &mut self.warps[w];
-        let done_at = now + cfg.int_latency as u64;
+        let done_at = self.now + self.cfg.int_latency as u64;
         warp.set_ready_at(di.dst, done_at);
         warp.set_verdict_at(di.dst, done_at);
-        if wide && di.dst_pair {
+        if di.wide && di.dst_pair {
             warp.set_ready_at(di.dst.pair_high(), done_at);
             warp.set_verdict_at(di.dst.pair_high(), done_at);
         }
         warp.pc += 1;
     }
 
-    fn issue_heap_phase_a(
+    fn issue_heap(
         &mut self,
-        w: usize,
+        warp: &Warp,
         di: &DecodedInstr,
         exec_mask: LaneMask,
         ev: &mut IssueEvent,
-        pool: &mut EventPool,
     ) {
         // Heap calls always defer (even with no active lane the serial path
         // still counted the call and advanced pc — phase B reproduces that).
         let malloc = di.opcode == Opcode::Malloc;
-        let mut lanes = pool.take_pairs();
-        let mut bits = exec_mask;
-        while bits != 0 {
-            let l = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let value = if malloc {
-                self.fetch32(w, l, &di.srcs[0]) as u64
-            } else {
-                self.fetch64(w, l, &di.srcs[0])
-            };
-            lanes.push((l, value));
-        }
+        let args = if malloc {
+            self.launch.gather32(warp, &di.srcs[0]).map(u64::from)
+        } else {
+            self.launch.gather64(warp, &di.srcs[0])
+        };
+        let mut lanes = self.pool.take_pairs();
+        lanes.extend(lanes_of(exec_mask).map(|l| (l, args[l])));
         ev.shared = Some(SharedOp::Heap { dst: di.dst, pair: di.dst_pair, malloc, lanes });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn issue_mem_phase_a(
+    fn issue_mem(
         &mut self,
-        w: usize,
+        warp: &mut Warp,
         di: &DecodedInstr,
         exec_mask: LaneMask,
-        now: u64,
-        cfg: &GpuConfig,
         ev: &mut IssueEvent,
-        pool: &mut EventPool,
-        bank_q: &mut [Vec<BankReq>],
-        op_idx: u32,
-        l1: &mut Cache,
-        router: &BankRouter,
     ) {
         let mem = di.mem.expect("memory instruction carries a MemRef");
         let space = di.mem_space.unwrap_or(MemSpace::Global);
         ev.mem_space = Some(space);
+        let cfg = self.cfg;
 
         // Constant loads resolve against the launch context — fully local.
         if di.opcode == Opcode::Ldc {
-            let mut bits = exec_mask;
-            while bits != 0 {
-                let l = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let warp = &self.warps[w];
-                let v = self.launch.const_read(
+            let values: Column64 = std::array::from_fn(|l| {
+                self.launch.const_read(
                     warp.block,
                     warp.base_tid + l as u64,
                     mem.offset as u16,
                     mem.width,
-                );
-                let warp = &mut self.warps[w];
-                if mem.width == 8 {
-                    warp.write64(l, di.dst, v);
-                } else {
-                    warp.write(l, di.dst, v as u32);
-                }
+                )
+            });
+            if mem.width == 8 {
+                warp.write64_col(di.dst, exec_mask, &values);
+            } else {
+                warp.write_col(di.dst, exec_mask, &values.map(|v| v as u32));
             }
-            let warp = &mut self.warps[w];
-            let done_at = now + cfg.const_latency as u64;
+            let done_at = self.now + cfg.const_latency as u64;
             warp.set_ready_at_mem(di.dst, done_at);
             if mem.width == 8 && di.dst_pair {
                 warp.set_ready_at_mem(di.dst.pair_high(), done_at);
@@ -1068,19 +1067,19 @@ impl Sm {
             return;
         }
 
-        // Address generation and store-data collection are per-lane local
+        // Address generation and store-data collection are warp-wide local
         // work; the mechanism check, timing and data movement defer.
         let is_store = di.is_store;
-        let value_reg = match di.srcs[0] {
-            Operand::Reg(r) => r,
-            _ => Reg::RZ,
+        let addrs = warp.column64(mem.addr);
+        let store_values: Column64 = match di.srcs[0] {
+            Operand::Reg(r) if is_store && mem.width == 8 => warp.column64(r),
+            Operand::Reg(r) if is_store => warp.column(r).map(u64::from),
+            _ => [0; WARP_SIZE],
         };
         let stack_bytes = cfg.stack_bytes;
-        let layout_tid_base = self.launch.layout_tid_base;
-        let warp = &self.warps[w];
         // Layout tids (not semantic tids) back the local windows — resident
         // multi-kernel runs keep concurrent kernels' stacks disjoint.
-        let warp_base = warp.base_tid + layout_tid_base;
+        let warp_base = warp.base_tid + self.launch.layout_tid_base;
         // Local memory is physically interleaved per lane (like real GPUs),
         // so a warp spilling the same stack offset coalesces to one
         // transaction; timing addresses reflect that layout.
@@ -1096,39 +1095,30 @@ impl Sm {
             }
             lmi_mem::layout::LOCAL_BASE + (warp_base * stack_bytes) + offset * 32 + lane as u64 * 4
         };
-        let mut lanes = pool.take_lane_mem();
-        let mut bits = exec_mask;
-        while bits != 0 {
-            let l = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let raw = warp.read64(l, mem.addr).wrapping_add(mem.offset as i64 as u64);
+        let mut lanes = self.pool.take_lane_mem();
+        lanes.extend(lanes_of(exec_mask).map(|l| {
+            let raw = addrs[l].wrapping_add(mem.offset as i64 as u64);
             let vaddr = raw & ADDR_MASK;
-            let store_value = if is_store {
-                if mem.width == 8 {
-                    warp.read64(l, value_reg)
-                } else {
-                    warp.read(l, value_reg) as u64
-                }
-            } else {
-                0
-            };
-            lanes.push(LaneMem {
+            LaneMem {
                 lane: l,
                 raw,
                 vaddr,
                 timing_addr: timing_addr(l, vaddr),
-                store_value,
-            });
-        }
+                store_value: store_values[l],
+            }
+        }));
         // Timing: probe this SM's own L1 on the coalesced lines right here
         // in phase A (SM-local state — hits never cross the barrier) and
         // route the misses to their owning banks. Shared-space accesses use
         // the fixed shared-memory path and count as one transaction.
+        let router = self.router;
+        let bank_q = &mut *self.bank_q;
+        let op_idx = self.op_idx;
         let mut line_count = 1u64;
         let mut l1_hit = false;
         let mut bank_items = 0u32;
         if space != MemSpace::Shared {
-            let mut lines = pool.take_lines();
+            let mut lines = self.pool.take_lines();
             coalesce_into(
                 lanes.iter().map(|m| m.timing_addr),
                 cfg.hierarchy.l1.line_bytes,
@@ -1136,7 +1126,7 @@ impl Sm {
             );
             line_count = lines.len() as u64;
             for &line in lines.iter() {
-                if l1.access(line) {
+                if self.l1.access(line) {
                     l1_hit = true;
                 } else {
                     bank_q[router.bank_of(line)]
@@ -1144,12 +1134,12 @@ impl Sm {
                     bank_items += 1;
                 }
             }
-            pool.put_lines(lines);
+            self.pool.put_lines(lines);
         }
         // Data movement: route every lane's bytes to the bank(s) owning its
         // virtual address (a straddling access splits at the line boundary).
         // Loads draw a pooled atom per lane for the banks to OR into.
-        let mut atoms = pool.take_atoms();
+        let mut atoms = self.pool.take_atoms();
         for (pos, lm) in lanes.iter().enumerate() {
             if !is_store {
                 atoms.push(AtomicU64::new(0));
@@ -1189,34 +1179,15 @@ impl Sm {
             atoms,
         });
     }
+}
 
-    fn release_barriers(&mut self) {
-        if !self.warps.iter().any(|w| w.at_barrier) {
-            return;
-        }
-        for b in &mut self.blocks {
-            b.waiting = 0;
-            b.done = 0;
-        }
-        for warp in &self.warps {
-            if let Some(b) = self.blocks.iter_mut().find(|b| b.block == warp.block) {
-                if warp.at_barrier {
-                    b.waiting += 1;
-                } else if warp.done {
-                    b.done += 1;
-                }
-            }
-        }
-        for i in 0..self.blocks.len() {
-            let b = &self.blocks[i];
-            if b.waiting > 0 && b.waiting + b.done >= b.resident {
-                let block = b.block;
-                for warp in &mut self.warps {
-                    if warp.block == block {
-                        warp.at_barrier = false;
-                    }
-                }
-            }
-        }
-    }
+/// The lanes of `mask`, ascending.
+fn lanes_of(mut mask: LaneMask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
 }

@@ -1,15 +1,31 @@
-//! Warp state: per-lane register files, the SIMT divergence stack, and the
+//! Warp state: the register file, the SIMT divergence stack, and the
 //! per-warp register scoreboard used for latency hiding.
+//!
+//! The register file is register-major: one architectural register is a
+//! contiguous 32-lane column, so phase A resolves an operand for the whole
+//! warp with one column copy and writes a result back with one masked
+//! column store. Predicates are stored the same way, one lane mask per
+//! predicate register.
 
 use lmi_isa::{PredReg, Reg};
 
 use crate::config::WARP_SIZE;
+use crate::sm::StallReason;
 
 /// A 32-lane active mask.
 pub type LaneMask = u32;
 
 /// All lanes active.
 pub const FULL_MASK: LaneMask = u32::MAX;
+
+/// One register across the 32 lanes of a warp.
+pub type Column = [u32; WARP_SIZE];
+
+/// One 64-bit register pair across the 32 lanes of a warp.
+pub type Column64 = [u64; WARP_SIZE];
+
+/// What RZ and out-of-range registers read.
+static ZERO_COLUMN: Column = [0; WARP_SIZE];
 
 /// One warp's architectural and micro-architectural state.
 #[derive(Debug, Clone)]
@@ -26,11 +42,11 @@ pub struct Warp {
     pub mask: LaneMask,
     /// Divergence stack: suspended `(mask, pc)` contexts.
     pub stack: Vec<(LaneMask, usize)>,
-    /// Per-lane registers, `regs[lane * regs_per_thread + reg]`.
-    regs: Vec<u32>,
-    regs_per_thread: usize,
-    /// Per-lane predicate registers (bitmask of 8 per lane).
-    preds: [u8; WARP_SIZE],
+    /// Register-major register file: `regs[reg][lane]`, i.e. lane `lane`
+    /// of register `reg` lives at flat index `reg * WARP_SIZE + lane`.
+    regs: Vec<Column>,
+    /// Predicate registers, one lane mask each (PT's slot is unused).
+    preds: [LaneMask; 8],
     /// Cycle at which each architectural register becomes readable.
     reg_ready: Vec<u64>,
     /// Cycle at which each register's OCU verdict (final extent) is
@@ -54,6 +70,11 @@ pub struct Warp {
     /// First cycle this warp may issue (models the launch/dispatch ramp and
     /// decorrelates warps, like real block schedulers do).
     pub start_cycle: u64,
+    /// Memoized scheduler readiness of the next instruction: the result of
+    /// `Sm`'s `ready_info` for the current state. `None` when stale; the
+    /// SM clears it wherever this warp's pc, scoreboard or start cycle
+    /// changes (its issue in phase A, its results in phase C).
+    pub(crate) ready_memo: Option<(u64, StallReason)>,
 }
 
 impl Warp {
@@ -74,9 +95,8 @@ impl Warp {
             pc: 0,
             mask,
             stack: Vec::new(),
-            regs: vec![0; WARP_SIZE * regs_per_thread.max(1)],
-            regs_per_thread: regs_per_thread.max(1),
-            preds: [0; WARP_SIZE],
+            regs: vec![[0; WARP_SIZE]; regs_per_thread.max(1)],
+            preds: [0; 8],
             reg_ready: vec![0; regs_per_thread.max(1)],
             verdict_ready: vec![0; regs_per_thread.max(1)],
             pred_ready: [0; 8],
@@ -85,23 +105,76 @@ impl Warp {
             at_barrier: false,
             last_issue: 0,
             start_cycle: (id as u64 * 7) % 23,
+            ready_memo: None,
+        }
+    }
+
+    /// Index of `reg`'s column, or `None` for RZ and out-of-range
+    /// registers (which read zero and drop writes).
+    fn slot(&self, reg: Reg) -> Option<usize> {
+        let i = reg.0 as usize;
+        (!reg.is_zero_reg() && i < self.regs.len()).then_some(i)
+    }
+
+    /// Register `reg` across all 32 lanes (RZ reads zero).
+    pub fn column(&self, reg: Reg) -> &Column {
+        match self.slot(reg) {
+            Some(i) => &self.regs[i],
+            None => &ZERO_COLUMN,
+        }
+    }
+
+    /// Mutable column of `reg`; `None` for RZ and out-of-range registers.
+    pub fn column_mut(&mut self, reg: Reg) -> Option<&mut Column> {
+        self.slot(reg).map(|i| &mut self.regs[i])
+    }
+
+    /// The 64-bit register pair anchored at `reg` across all 32 lanes
+    /// (lane-wise [`Warp::read64`]).
+    pub fn column64(&self, reg: Reg) -> Column64 {
+        let lo = self.column(reg);
+        let hi = if reg.is_valid_pair_base() { self.column(reg.pair_high()) } else { &ZERO_COLUMN };
+        std::array::from_fn(|l| (hi[l] as u64) << 32 | lo[l] as u64)
+    }
+
+    /// Writes `values` into `reg` on the lanes of `mask`; other lanes keep
+    /// their value (writes to RZ are discarded).
+    pub fn write_col(&mut self, reg: Reg, mask: LaneMask, values: &Column) {
+        if let Some(col) = self.column_mut(reg) {
+            for (l, (slot, &v)) in col.iter_mut().zip(values).enumerate() {
+                if mask & (1 << l) != 0 {
+                    *slot = v;
+                }
+            }
+        }
+    }
+
+    /// Writes `values` into the register pair anchored at `reg` on the
+    /// lanes of `mask` (lane-wise [`Warp::write64`]).
+    pub fn write64_col(&mut self, reg: Reg, mask: LaneMask, values: &Column64) {
+        if reg.is_zero_reg() {
+            return;
+        }
+        self.write_col(reg, mask, &std::array::from_fn(|l| values[l] as u32));
+        if reg.is_valid_pair_base() {
+            self.write_col(
+                reg.pair_high(),
+                mask,
+                &std::array::from_fn(|l| (values[l] >> 32) as u32),
+            );
         }
     }
 
     /// Reads a 32-bit register for `lane` (RZ reads zero).
     pub fn read(&self, lane: usize, reg: Reg) -> u32 {
-        if reg.is_zero_reg() || reg.0 as usize >= self.regs_per_thread {
-            return 0;
-        }
-        self.regs[lane * self.regs_per_thread + reg.0 as usize]
+        self.column(reg)[lane]
     }
 
     /// Writes a 32-bit register for `lane` (writes to RZ are discarded).
     pub fn write(&mut self, lane: usize, reg: Reg, value: u32) {
-        if reg.is_zero_reg() || reg.0 as usize >= self.regs_per_thread {
-            return;
+        if let Some(col) = self.column_mut(reg) {
+            col[lane] = value;
         }
-        self.regs[lane * self.regs_per_thread + reg.0 as usize] = value;
     }
 
     /// Reads a 64-bit register pair.
@@ -125,41 +198,37 @@ impl Warp {
         }
     }
 
-    /// Reads a predicate register for `lane` (PT reads true).
-    pub fn read_pred(&self, lane: usize, pred: PredReg) -> bool {
-        pred.is_true_reg() || self.preds[lane] & (1 << pred.0) != 0
+    /// Predicate `pred` across all 32 lanes, one bit per lane (PT reads
+    /// all ones).
+    pub fn pred_mask(&self, pred: PredReg) -> LaneMask {
+        if pred.is_true_reg() {
+            FULL_MASK
+        } else {
+            self.preds[pred.0 as usize]
+        }
     }
 
-    /// Writes a predicate register for `lane`.
-    pub fn write_pred(&mut self, lane: usize, pred: PredReg, value: bool) {
-        if pred.is_true_reg() {
-            return;
-        }
-        if value {
-            self.preds[lane] |= 1 << pred.0;
-        } else {
-            self.preds[lane] &= !(1 << pred.0);
+    /// Sets predicate `pred` to `values` on the lanes of `mask` (writes to
+    /// PT are discarded).
+    pub fn write_pred_mask(&mut self, pred: PredReg, mask: LaneMask, values: LaneMask) {
+        if !pred.is_true_reg() {
+            let slot = &mut self.preds[pred.0 as usize];
+            *slot = (*slot & !mask) | (values & mask);
         }
     }
 
     /// The cycle at which `reg` becomes readable.
     pub fn ready_at(&self, reg: Reg) -> u64 {
-        if reg.is_zero_reg() || reg.0 as usize >= self.regs_per_thread {
-            return 0;
-        }
-        self.reg_ready[reg.0 as usize]
+        self.slot(reg).map_or(0, |i| self.reg_ready[i])
     }
 
     /// Marks `reg` as busy until `cycle` (verdict time follows unless set
     /// later via [`Warp::set_verdict_at`]).
     pub fn set_ready_at(&mut self, reg: Reg, cycle: u64) {
-        if reg.is_zero_reg() || reg.0 as usize >= self.regs_per_thread {
-            return;
+        if let Some(i) = self.slot(reg) {
+            self.reg_ready[i] = self.reg_ready[i].max(cycle);
+            self.verdict_ready[i] = self.verdict_ready[i].max(cycle);
         }
-        let slot = &mut self.reg_ready[reg.0 as usize];
-        *slot = (*slot).max(cycle);
-        let v = &mut self.verdict_ready[reg.0 as usize];
-        *v = (*v).max(cycle);
     }
 
     /// Marks `reg` busy until `cycle` with an in-flight memory result as
@@ -168,38 +237,28 @@ impl Warp {
     /// scoreboard stall.
     pub fn set_ready_at_mem(&mut self, reg: Reg, cycle: u64) {
         self.set_ready_at(reg, cycle);
-        if reg.is_zero_reg() || reg.0 as usize >= self.regs_per_thread {
-            return;
+        if let Some(i) = self.slot(reg) {
+            self.mem_pending[i] = self.mem_pending[i].max(cycle);
         }
-        let slot = &mut self.mem_pending[reg.0 as usize];
-        *slot = (*slot).max(cycle);
     }
 
     /// `true` if waiting on `reg` at `cycle` is waiting on the LSU: an
     /// in-flight memory result covers that cycle.
     pub fn mem_pending_at(&self, reg: Reg, cycle: u64) -> bool {
-        if reg.is_zero_reg() || reg.0 as usize >= self.regs_per_thread {
-            return false;
-        }
-        self.mem_pending[reg.0 as usize] >= cycle
+        self.slot(reg).is_some_and(|i| self.mem_pending[i] >= cycle)
     }
 
     /// The cycle at which `reg`'s OCU verdict is final (≥ `ready_at`).
     pub fn verdict_at(&self, reg: Reg) -> u64 {
-        if reg.is_zero_reg() || reg.0 as usize >= self.regs_per_thread {
-            return 0;
-        }
-        self.verdict_ready[reg.0 as usize]
+        self.slot(reg).map_or(0, |i| self.verdict_ready[i])
     }
 
     /// Delays `reg`'s OCU verdict until `cycle` (the pipelined OCU register
     /// slices of paper §XI-C).
     pub fn set_verdict_at(&mut self, reg: Reg, cycle: u64) {
-        if reg.is_zero_reg() || reg.0 as usize >= self.regs_per_thread {
-            return;
+        if let Some(i) = self.slot(reg) {
+            self.verdict_ready[i] = self.verdict_ready[i].max(cycle);
         }
-        let v = &mut self.verdict_ready[reg.0 as usize];
-        *v = (*v).max(cycle);
     }
 
     /// The cycle at which predicate `pred` becomes readable.
@@ -275,15 +334,50 @@ mod tests {
     }
 
     #[test]
+    fn column_writes_respect_the_exec_mask_and_rz() {
+        let mut w = warp();
+        let before: Column = std::array::from_fn(|l| 100 + l as u32);
+        w.write_col(Reg(2), FULL_MASK, &before);
+        let mask: LaneMask = 0x8000_00F1;
+        w.write_col(Reg(2), mask, &[7; WARP_SIZE]);
+        for (l, &old) in before.iter().enumerate() {
+            let want = if mask & (1 << l) != 0 { 7 } else { old };
+            assert_eq!(w.read(l, Reg(2)), want, "lane {l}");
+        }
+
+        // Pair writes: both halves follow the mask, neighbours untouched.
+        w.write_col(Reg(9), FULL_MASK, &[0xAAAA; WARP_SIZE]);
+        let wide: Column64 = std::array::from_fn(|l| 0x1_0000_0000 * l as u64 + l as u64);
+        w.write64_col(Reg(4), mask, &wide);
+        for (l, &v) in wide.iter().enumerate() {
+            let want = if mask & (1 << l) != 0 { v } else { 0 };
+            assert_eq!(w.read64(l, Reg(4)), want, "lane {l}");
+            assert_eq!(w.column64(Reg(4))[l], want, "lane {l}");
+            assert_eq!(w.read(l, Reg(9)), 0xAAAA);
+        }
+
+        w.write_col(Reg::RZ, FULL_MASK, &[5; WARP_SIZE]);
+        w.write64_col(Reg::RZ, FULL_MASK, &[u64::MAX; WARP_SIZE]);
+        assert_eq!(w.column(Reg::RZ), &[0; WARP_SIZE]);
+        assert_eq!(w.column64(Reg::RZ), [0; WARP_SIZE]);
+        assert!(w.column_mut(Reg::RZ).is_none());
+        // Out-of-range registers behave like RZ.
+        w.write_col(Reg(40), FULL_MASK, &[5; WARP_SIZE]);
+        assert_eq!(w.column(Reg(40)), &[0; WARP_SIZE]);
+    }
+
+    #[test]
     fn predicates_default_false_and_pt_true() {
         let mut w = warp();
-        assert!(!w.read_pred(0, PredReg(0)));
-        assert!(w.read_pred(0, PredReg::PT));
-        w.write_pred(0, PredReg(0), true);
-        assert!(w.read_pred(0, PredReg(0)));
-        assert!(!w.read_pred(1, PredReg(0)), "per-lane");
-        w.write_pred(0, PredReg::PT, false);
-        assert!(w.read_pred(0, PredReg::PT), "PT is hardwired");
+        assert_eq!(w.pred_mask(PredReg(0)), 0);
+        assert_eq!(w.pred_mask(PredReg::PT), FULL_MASK);
+        w.write_pred_mask(PredReg(0), 1, FULL_MASK);
+        assert_eq!(w.pred_mask(PredReg(0)), 1, "per-lane");
+        w.write_pred_mask(PredReg(1), 0xF0, 0x3C);
+        assert_eq!(w.pred_mask(PredReg(1)), 0x30, "only masked lanes change");
+        assert_eq!(w.pred_mask(PredReg(0)), 1, "other predicates untouched");
+        w.write_pred_mask(PredReg::PT, FULL_MASK, 0);
+        assert_eq!(w.pred_mask(PredReg::PT), FULL_MASK, "PT is hardwired");
     }
 
     #[test]
