@@ -183,7 +183,6 @@ mod tests {
             global_tid: 0,
             pc: 0,
             lane: 0,
-            issue_index: 0,
         }
     }
 

@@ -527,7 +527,8 @@ fn check_mem(
     };
     let pc = ev.pc;
     // `stats.issued` was already bumped for this instruction, so it is a
-    // unique id shared by every lane of this warp-level issue.
+    // unique id shared by every lane of this warp-level issue (forensics
+    // stamps it on the fault).
     let issue_index = leader.kernel(sm_id).stats.issued;
     let mech_name = leader.kernel(sm_id).mechanism.name();
     let mut survivors: crate::warp::LaneMask = 0;
@@ -544,7 +545,6 @@ fn check_mem(
             global_tid: ev.base_tid + lm.lane as u64,
             pc,
             lane: lm.lane,
-            issue_index,
         };
         let check = leader.kernel(sm_id).mechanism.on_mem_access(&ctx);
         extra_cycles = extra_cycles.max(check.extra_cycles);

@@ -1,7 +1,8 @@
 //! The full GPU: SMs, the shared memory hierarchy, the device heap, and the
-//! run loop — plus the resident multi-kernel mode used by `lmi-runtime` to
-//! run kernels from different streams/tenants concurrently on disjoint SM
-//! partitions.
+//! one run core, [`Gpu::run_resident`]: a cohort of kernels on disjoint SM
+//! partitions. `lmi-runtime` runs concurrent streams/tenants through it; a
+//! single-kernel launch ([`Gpu::run`], [`Gpu::try_run`]) is the one-job
+//! cohort that owns every SM.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -213,120 +214,37 @@ impl Gpu {
     /// Panics if the launch is invalid ([`Launch::validate`]) — use
     /// [`Gpu::try_run`] to get the typed [`LaunchError`] instead.
     pub fn run(&mut self, launch: &Launch, mechanism: &mut dyn Mechanism) -> SimStats {
-        self.try_run(launch, mechanism).unwrap_or_else(|e| panic!("{e}"))
+        // Forensics still flow into `SimStats::forensics` (they only cost
+        // time on violations); counters and the tracer stay off.
+        let mut sink = TelemetrySink::disabled();
+        self.try_run(launch, mechanism, &mut sink).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Runs one kernel to completion under `mechanism`, rejecting invalid
-    /// launches with a typed [`LaunchError`] instead of panicking.
+    /// Runs one kernel to completion under `mechanism`, recording scoped
+    /// counters, timeline events and forensics into `sink`; invalid
+    /// launches are rejected with a typed [`LaunchError`].
+    ///
+    /// The launch is a one-job cohort of [`Gpu::run_resident`] owning every
+    /// SM. Because the kernel owns the whole GPU, the run-level L2, MSHR
+    /// and DRAM deltas are exactly its own and are copied into its stats.
     pub fn try_run(
         &mut self,
         launch: &Launch,
         mechanism: &mut dyn Mechanism,
-    ) -> Result<SimStats, LaunchError> {
-        // Forensics still flow into `SimStats::forensics` (they only cost
-        // time on violations); counters and the tracer stay off.
-        let mut sink = TelemetrySink::disabled();
-        self.try_run_with_telemetry(launch, mechanism, &mut sink)
-    }
-
-    /// Runs one kernel like [`Gpu::run`], additionally recording scoped
-    /// counters, timeline events and forensics into `sink`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the launch is invalid ([`Launch::validate`]) — use
-    /// [`Gpu::try_run_with_telemetry`] to get the typed [`LaunchError`].
-    pub fn run_with_telemetry(
-        &mut self,
-        launch: &Launch,
-        mechanism: &mut dyn Mechanism,
-        sink: &mut TelemetrySink,
-    ) -> SimStats {
-        self.try_run_with_telemetry(launch, mechanism, sink).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs one kernel, recording telemetry into `sink`; invalid launches
-    /// are rejected with a typed [`LaunchError`].
-    ///
-    /// The hierarchy's cache/DRAM counters persist across launches (the
-    /// host may launch several kernels against the same GPU), so the
-    /// returned [`SimStats`] carries the per-run *delta*, snapshotted
-    /// around the run loop.
-    pub fn try_run_with_telemetry(
-        &mut self,
-        launch: &Launch,
-        mechanism: &mut dyn Mechanism,
         sink: &mut TelemetrySink,
     ) -> Result<SimStats, LaunchError> {
-        launch.validate(&self.cfg)?;
-        // Lower the program to its flat decoded form exactly once; the
-        // cycle loop never decodes again. Corrupt microcode (bad ISETP
-        // immediates, unknown S2R selectors) is rejected here.
-        let stream = Arc::new(DecodedStream::lower(&launch.program)?);
-        let ctx = Arc::new(LaunchCtx {
-            params: launch.params.clone(),
-            stack_bytes: self.cfg.stack_bytes,
-            threads_per_block: launch.threads_per_block,
-            layout_tid_base: 0,
-            layout_block_base: 0,
-        });
-        let regs = launch.program.regs_per_thread.max(8) as usize;
-
-        let mut sms: Vec<Sm> = (0..self.cfg.num_sms)
-            .map(|id| Sm::new(id, Arc::clone(&stream), Arc::clone(&ctx)))
-            .collect();
-        for block in 0..launch.grid_blocks {
-            sms[block % self.cfg.num_sms].add_block(block, launch, regs);
-        }
-
-        // Snapshot the persistent hierarchy counters so the stats report
-        // this run's delta, not the GPU's lifetime totals.
-        let l1_before: Vec<CacheStats> =
-            (0..self.cfg.num_sms).map(|sm| self.l1[sm].stats()).collect();
-        let l2_before = self.hierarchy.l2_stats();
-        let mshr_before = self.hierarchy.mshr_merges();
-        let dram_before = self.hierarchy.dram_transactions();
-
-        let mut stats = SimStats::default();
-        let threads = self.cfg.resolve_sim_threads();
-        let cycle = {
-            // The shared-state context is built once per run (it used to be
-            // re-assembled per SM per cycle) and handed to the engine, which
-            // picks the serial or the parallel driver; both are
-            // bit-identical (see `crate::engine`).
-            let mut shared = SharedCtx {
-                hierarchy: &mut self.hierarchy,
-                memory: &mut self.memory,
-                kernels: vec![KernelSlot { mechanism, stats: &mut stats, heap: &self.heap }],
-                kernel_of_sm: vec![0; self.cfg.num_sms],
-                cfg: &self.cfg,
-                sink: &mut *sink,
-            };
-            engine::run(&mut sms, self.l1.iter_mut().collect(), &mut shared, threads)
-        };
-        stats.cycles = cycle.max(1);
-
-        let delta = |after: CacheStats, before: CacheStats| CacheStats {
-            hits: after.hits - before.hits,
-            misses: after.misses - before.misses,
-        };
-        stats.l1_per_sm =
-            (0..self.cfg.num_sms).map(|sm| delta(self.l1[sm].stats(), l1_before[sm])).collect();
-        stats.l2 = delta(self.hierarchy.l2_stats(), l2_before);
-        stats.mshr_merges = self.hierarchy.mshr_merges() - mshr_before;
-        stats.dram_transactions = self.hierarchy.dram_transactions() - dram_before;
-
-        if sink.counters.is_enabled() {
-            sink.counters.add(Scope::Gpu, "cycles", stats.cycles);
-            sink.counters.add(Scope::Gpu, "mshr_merges", stats.mshr_merges);
-            sink.counters.add(Scope::Gpu, "dram_transactions", stats.dram_transactions);
-            sink.counters.add(Scope::Gpu, "l2.hits", stats.l2.hits);
-            sink.counters.add(Scope::Gpu, "l2.misses", stats.l2.misses);
-            for (sm, l1) in stats.l1_per_sm.iter().enumerate() {
-                sink.counters.add(Scope::Sm(sm), "l1.hits", l1.hits);
-                sink.counters.add(Scope::Sm(sm), "l1.misses", l1.misses);
-            }
-        }
+        let mut job = [ResidentKernel {
+            launch,
+            mechanism,
+            heap: None,
+            partition: 0..self.cfg.num_sms,
+            start_offset: 0,
+        }];
+        let outcome = self.run_resident(&mut job, sink)?;
+        let mut stats = outcome.kernels.into_iter().next().expect("one job, one outcome").stats;
+        stats.l2 = outcome.l2;
+        stats.mshr_merges = outcome.mshr_merges;
+        stats.dram_transactions = outcome.dram_transactions;
         Ok(stats)
     }
 
@@ -334,8 +252,9 @@ impl Gpu {
     /// its own SM partition, owns its own mechanism/heap/stats, and is
     /// admitted at its `start_offset`, while all of them contend for the
     /// shared L2/MSHR/DRAM. One engine run simulates the whole cohort, so
-    /// the result is bit-identical at every `sim_threads` — this is the
-    /// primitive `lmi-runtime` builds streams on.
+    /// the result is bit-identical at every `sim_threads`. This is the only
+    /// body that drives the engine: `lmi-runtime` builds streams on it and
+    /// [`Gpu::try_run`] is its one-job case.
     ///
     /// Every launch is validated against its partition before anything
     /// runs: on error the GPU state is untouched.
@@ -348,23 +267,14 @@ impl Gpu {
         let mut claimed: Vec<bool> = vec![false; self.cfg.num_sms];
         for job in jobs.iter() {
             let p = &job.partition;
-            if p.is_empty() || p.end > self.cfg.num_sms {
+            if p.is_empty() || p.end > self.cfg.num_sms || claimed[p.clone()].contains(&true) {
                 return Err(LaunchError::BadPartition {
                     start: p.start,
                     end: p.end,
                     num_sms: self.cfg.num_sms,
                 });
             }
-            for sm in p.clone() {
-                if claimed[sm] {
-                    return Err(LaunchError::BadPartition {
-                        start: p.start,
-                        end: p.end,
-                        num_sms: self.cfg.num_sms,
-                    });
-                }
-                claimed[sm] = true;
-            }
+            claimed[p.clone()].fill(true);
             job.launch.validate_on(&self.cfg, p.len())?;
         }
 
@@ -375,6 +285,10 @@ impl Gpu {
         let mut kernel_of_sm = vec![0usize; self.cfg.num_sms];
         for (k, job) in jobs.iter().enumerate() {
             let launch = job.launch;
+            // Lower the program to its flat decoded form exactly once; the
+            // cycle loop never decodes again. Corrupt microcode (bad ISETP
+            // immediates, unknown S2R selectors) is rejected here, before
+            // the GPU is touched.
             let stream = Arc::new(DecodedStream::lower(&launch.program)?);
             let ctx = Arc::new(LaunchCtx {
                 params: launch.params.clone(),
@@ -405,6 +319,8 @@ impl Gpu {
         // cohort's submission order.
         sms.sort_by_key(|sm| sm.id);
 
+        // The hierarchy counters persist across launches: snapshot them so
+        // the outcome reports this run's delta, not the lifetime totals.
         let l1_before: Vec<CacheStats> =
             (0..self.cfg.num_sms).map(|sm| self.l1[sm].stats()).collect();
         let l2_before = self.hierarchy.l2_stats();
@@ -431,22 +347,10 @@ impl Gpu {
                 cfg: &self.cfg,
                 sink: &mut *sink,
             };
-            // One L1 per participating SM, aligned with `sms` (both are in
+            // One L1 per claimed SM, aligned with `sms` (both are in
             // ascending SM-id order; partitions are disjoint).
-            let used: Vec<bool> = {
-                let mut used = vec![false; self.cfg.num_sms];
-                for sm in &sms {
-                    used[sm.id] = true;
-                }
-                used
-            };
-            let l1s: Vec<&mut Cache> = self
-                .l1
-                .iter_mut()
-                .enumerate()
-                .filter(|(id, _)| used[*id])
-                .map(|(_, c)| c)
-                .collect();
+            let l1s: Vec<&mut Cache> =
+                self.l1.iter_mut().zip(&claimed).filter(|(_, &c)| c).map(|(l1, _)| l1).collect();
             engine::run(&mut sms, l1s, &mut shared, threads)
         };
 
@@ -517,7 +421,8 @@ mod tests {
         program.instructions[0].srcs[2] = lmi_isa::Operand::Imm(99);
         let launch = Launch::new(program);
         let mut gpu = Gpu::new(GpuConfig::small());
-        let err = gpu.try_run(&launch, &mut NullMechanism).unwrap_err();
+        let err =
+            gpu.try_run(&launch, &mut NullMechanism, &mut TelemetrySink::disabled()).unwrap_err();
         assert_eq!(
             err,
             LaunchError::Decode(lmi_isa::DecodeError::BadCmpImmediate { pc: 0, value: 99 })
@@ -600,9 +505,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kernel_malloc_returns_distinct_valid_pointers() {
-        let base = layout::GLOBAL_BASE + 0x3000;
+    /// Every thread mallocs 64 B and stores its tid through the pointer.
+    fn malloc_kernel() -> lmi_isa::Program {
         let mut b = ProgramBuilder::new("km");
         b.push(Instruction::s2r(Reg(0), lmi_isa::op::SpecialReg::TidX));
         b.push(Instruction::mov(Reg(1), 64));
@@ -610,7 +514,12 @@ mod tests {
         // store a marker through the fresh pointer
         b.push(Instruction::stg(MemRef::new(Reg(4), 0, 4), Reg(0)));
         b.push(Instruction::exit());
-        let launch = Launch::new(b.build()).grid(1).block(32).param(base);
+        b.build()
+    }
+
+    #[test]
+    fn kernel_malloc_returns_distinct_valid_pointers() {
+        let launch = Launch::new(malloc_kernel()).grid(1).block(32);
         let mut gpu = Gpu::new(GpuConfig::small());
         let mut mech = LmiMechanism::default_config();
         let stats = gpu.run(&launch, &mut mech);
@@ -702,7 +611,7 @@ mod tests {
         let launch = Launch::new(b.build()).grid(4).block(64).param(base);
         let mut gpu = Gpu::new(GpuConfig::small());
         let mut sink = TelemetrySink::counters_only();
-        let stats = gpu.run_with_telemetry(&launch, &mut NullMechanism, &mut sink);
+        let stats = gpu.try_run(&launch, &mut NullMechanism, &mut sink).unwrap();
         assert_eq!(sink.counters.sum_sms("issued"), stats.issued);
         assert_eq!(sink.counters.sum_sms("transactions"), stats.transactions);
         assert_eq!(sink.counters.get(Scope::Gpu, "cycles"), stats.cycles);
@@ -725,7 +634,7 @@ mod tests {
         let launch = Launch::new(b.build()).grid(2).block(64).param(base);
         let mut gpu = Gpu::new(GpuConfig::small());
         let mut sink = TelemetrySink::with_trace_capacity(1024);
-        gpu.run_with_telemetry(&launch, &mut NullMechanism, &mut sink);
+        gpu.try_run(&launch, &mut NullMechanism, &mut sink).unwrap();
         use lmi_telemetry::TraceEventKind;
         let warps = sink.tracer.records().filter(|r| r.kind == TraceEventKind::WarpSpan).count();
         assert_eq!(warps, 4, "one residency span per retired warp");
@@ -792,5 +701,138 @@ mod tests {
         let lmi = lmi_gpu.run(&launch, &mut LmiMechanism::default_config());
         let overhead = lmi.cycles as f64 / base.cycles as f64 - 1.0;
         assert!(overhead < 0.05, "LMI overhead should be small, got {overhead}");
+    }
+
+    /// A loop issuing the LDG (pc 2) four times per warp, then the STG
+    /// (pc 6) and the `EXIT` (pc 7) once: 20 issues per warp. Uniform
+    /// per-pc attribution would claim 2.5 issues at each memory pc.
+    fn loop_kernel() -> lmi_isa::Program {
+        let mut b = ProgramBuilder::new("loopy");
+        b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+        b.push(Instruction::mov(Reg(2), 0));
+        let top = b.label();
+        b.push(Instruction::ldg(Reg(8), MemRef::new(Reg(4), 0, 4)));
+        b.push(Instruction::iadd3(Reg(2), Reg(2), 1));
+        b.push(Instruction::isetp(PredReg(0), Reg(2), CmpOp::Lt, 4));
+        b.branch_if(top, PredReg(0), false);
+        b.push(Instruction::stg(MemRef::new(Reg(4), 0, 4), Reg(8)));
+        b.push(Instruction::exit());
+        b.build()
+    }
+
+    /// Runs `launch` with the sampling profiler taking a census every cycle.
+    fn censused(launch: &Launch) -> SimStats {
+        let mut gpu = Gpu::new(GpuConfig::small().with_sample_period(1));
+        gpu.run(launch, &mut NullMechanism)
+    }
+
+    #[test]
+    fn period_one_profile_counts_every_issue() {
+        // The retiring EXIT and a parking BAR are applied in phase A before
+        // the sample is taken; they must still count as issues.
+        let mut b = ProgramBuilder::new("bar");
+        b.push(Instruction::bar());
+        b.push(Instruction::exit());
+        let barrier = b.build();
+        for (program, block) in [(loop_kernel(), 64), (barrier, 128)] {
+            for grid in [1, 3] {
+                let launch =
+                    Launch::new(program.clone()).grid(grid).block(block).param(layout::GLOBAL_BASE);
+                let stats = censused(&launch);
+                let label = format!("{} on {grid} block(s)", program.name);
+                assert_eq!(stats.profile.pcs().total(), stats.issued, "{label}: hot-PC census");
+                let issued = stats.profile.states()[lmi_telemetry::WarpState::Issued.index()];
+                assert_eq!(issued, stats.issued, "{label}: issued warp states");
+            }
+        }
+    }
+
+    #[test]
+    fn period_one_profile_attributes_loop_issues_exactly() {
+        let launch = Launch::new(loop_kernel()).grid(3).block(64).param(layout::GLOBAL_BASE);
+        let warps = 3 * 2;
+        let pcs = censused(&launch).profile.pcs();
+        assert_eq!(pcs.get(2), 4 * warps, "LDG issues 4x per warp");
+        assert_eq!(pcs.get(6), warps, "STG issues once per warp");
+        assert_eq!(pcs.get(7), warps, "each warp's retiring EXIT");
+    }
+
+    #[test]
+    fn period_one_profile_attributes_divergent_issues_exactly() {
+        // if (tid < 16) store at `then_stg` else store at `else_stg`: each
+        // store pc issues exactly once per warp, with a partial mask.
+        let mut b = ProgramBuilder::new("divergent");
+        b.push(Instruction::s2r(Reg(0), lmi_isa::op::SpecialReg::TidX));
+        b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+        b.push(Instruction::lea64(Reg(6), Reg(4), Reg(0), 2));
+        b.push(Instruction::isetp(PredReg(0), Reg(0), CmpOp::Lt, 16));
+        let taken = b.forward_branch_if(PredReg(0), false);
+        let else_stg = 5;
+        b.push(Instruction::stg(MemRef::new(Reg(6), 0, 4), Reg(0)));
+        b.push(Instruction::exit());
+        b.bind(taken);
+        let then_stg = 7;
+        b.push(Instruction::stg(MemRef::new(Reg(6), 0, 4), Reg(0)));
+        b.push(Instruction::exit());
+        // Two one-warp blocks, so both warps diverge.
+        let launch = Launch::new(b.build()).grid(2).block(32).param(layout::GLOBAL_BASE);
+        let stats = censused(&launch);
+        let pcs = stats.profile.pcs();
+        assert_eq!(pcs.get(else_stg), 2, "else-STG once per warp");
+        assert_eq!(pcs.get(then_stg), 2, "then-STG once per warp");
+        assert_eq!(pcs.get(else_stg) + pcs.get(then_stg), stats.mem_total());
+    }
+
+    #[test]
+    fn rejected_cohorts_leave_the_gpu_untouched() {
+        let ok = Launch::new(loop_kernel()).grid(2).block(64).param(layout::GLOBAL_BASE);
+        let mut corrupt = Launch::new(loop_kernel()).grid(2).block(64).param(layout::GLOBAL_BASE);
+        corrupt.program.instructions[4].srcs[2] = lmi_isa::Operand::Imm(99);
+        let mut gpu = Gpu::new(GpuConfig::small());
+        // Warm caches, DRAM counters and the heap, so "untouched" is not
+        // the trivial all-zero state.
+        gpu.run(
+            &Launch::new(malloc_kernel()).grid(2).block(64),
+            &mut LmiMechanism::default_config(),
+        );
+        assert!(gpu.heap().stats().live > 0);
+        let n = gpu.config().num_sms;
+        let bad = |start, end| LaunchError::BadPartition { start, end, num_sms: n };
+        let cases = [
+            ("empty partition", vec![(1..1, &ok)], bad(1, 1)),
+            ("partition past the last SM", vec![(0..n + 1, &ok)], bad(0, n + 1)),
+            ("overlapping partitions", vec![(0..2, &ok), (1..3, &ok)], bad(1, 3)),
+            (
+                "corrupt microcode in the second job",
+                vec![(0..2, &ok), (2..4, &corrupt)],
+                LaunchError::Decode(lmi_isa::DecodeError::BadCmpImmediate { pc: 4, value: 99 }),
+            ),
+        ];
+        let regions = [(layout::GLOBAL_BASE, 4096), (layout::HEAP_BASE, 4096)];
+        let image = |gpu: &Gpu| {
+            let l1: Vec<CacheStats> = (0..n).map(|sm| gpu.l1_stats(sm)).collect();
+            let heap = gpu.heap().stats();
+            (gpu.snapshot(&regions), l1, gpu.l2_stats(), gpu.dram_transactions(), heap)
+        };
+        for (label, jobs, want) in cases {
+            let before = image(&gpu);
+            let mut mechs = vec![NullMechanism; jobs.len()];
+            let mut cohort: Vec<ResidentKernel> = jobs
+                .iter()
+                .zip(&mut mechs)
+                .map(|((partition, launch), mechanism)| ResidentKernel {
+                    launch,
+                    mechanism,
+                    heap: None,
+                    partition: partition.clone(),
+                    start_offset: 0,
+                })
+                .collect();
+            let mut sink = TelemetrySink::counters_only();
+            let err = gpu.run_resident(&mut cohort, &mut sink).unwrap_err();
+            assert_eq!(err, want, "{label}");
+            assert!(image(&gpu) == before, "{label}: the GPU changed");
+            assert!(sink.counters.is_empty(), "{label}: counters were emitted");
+        }
     }
 }

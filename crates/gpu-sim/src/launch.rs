@@ -146,7 +146,7 @@ impl Launch {
 
     /// Validates the launch against round-robin dispatch over a partition
     /// of `partition_sms` SMs. Mirrors the dispatch arithmetic in
-    /// `Gpu::run`: block `b` lands on SM `b % partition_sms`, so the
+    /// `Gpu::run_resident`: block `b` lands on SM `b % partition_sms`, so the
     /// fullest SM holds `ceil(grid / partition_sms)` blocks.
     pub fn validate_on(&self, cfg: &GpuConfig, partition_sms: usize) -> Result<(), LaunchError> {
         if self.grid_blocks == 0 {

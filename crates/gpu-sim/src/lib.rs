@@ -39,18 +39,15 @@ pub mod config;
 pub(crate) mod engine;
 pub mod exec;
 pub mod gpu;
-pub mod host;
 pub mod launch;
 pub mod lsu;
 pub mod mechanism;
 pub mod sm;
 pub mod stats;
-pub mod trace;
 pub mod warp;
 
 pub use config::GpuConfig;
 pub use gpu::{Gpu, KernelOutcome, MemorySnapshot, ResidentKernel, ResidentOutcome};
-pub use host::HostContext;
 pub use launch::{Launch, LaunchError};
 pub use mechanism::{IntCheck, LmiMechanism, Mechanism, MemAccessCtx, MemCheck, NullMechanism};
 pub use stats::{SimStats, StallBreakdown, ViolationEvent};

@@ -39,10 +39,6 @@ pub struct MemAccessCtx {
     pub pc: usize,
     /// Lane index within the warp.
     pub lane: usize,
-    /// Global warp-level issue sequence number of the instruction this lane
-    /// belongs to. All lanes of one issue share it, so per-pc attribution
-    /// can count warp-level issues exactly (see `trace::CountingTap`).
-    pub issue_index: u64,
 }
 
 /// Result of a memory-access check ([`Mechanism::on_mem_access`]).
@@ -218,7 +214,6 @@ mod tests {
             global_tid: 0,
             pc: 0,
             lane: 0,
-            issue_index: 0,
         };
         let mem = m.on_mem_access(&ctx);
         assert!(mem.violation.is_some());
@@ -237,7 +232,6 @@ mod tests {
             global_tid: 0,
             pc: 0,
             lane: 0,
-            issue_index: 0,
         };
         assert_eq!(m.on_mem_access(&ctx), MemCheck::allow());
     }

@@ -601,13 +601,16 @@ impl Sm {
     fn sample_warps(&self, now: u64, cfg: &GpuConfig, issues: &[IssueEvent]) -> SmSample {
         let mut sample = SmSample::default();
         for (w, warp) in self.warps.iter().enumerate() {
-            let state = if warp.done {
+            // This cycle's issue comes first: phase A has already applied
+            // it, so an `EXIT` has marked its warp done and a `BAR` has
+            // parked it, yet the warp issued.
+            let state = if let Some(ev) = issues.iter().find(|ev| ev.warp == w) {
+                sample.pcs.push((ev.pc as u32, 1));
+                WarpState::Issued
+            } else if warp.done {
                 WarpState::Retired
             } else if warp.at_barrier {
                 WarpState::Barrier
-            } else if let Some(ev) = issues.iter().find(|ev| ev.warp == w) {
-                sample.pcs.push((ev.pc as u32, 1));
-                WarpState::Issued
             } else {
                 let (r, reason) = ready_info(&self.stream, warp, cfg.lsu_verdict_overlap);
                 if r == u64::MAX {

@@ -40,7 +40,7 @@ fn run_at(
 ) -> RunImage {
     let mut gpu = Gpu::new(cfg.with_sim_threads(threads));
     let mut sink = TelemetrySink::with_trace_capacity(1 << 14);
-    let stats = gpu.run_with_telemetry(launch, mechanism, &mut sink);
+    let stats = gpu.try_run(launch, mechanism, &mut sink).unwrap();
     RunImage {
         stats,
         counters: sink.counters.iter().collect(),
@@ -98,7 +98,7 @@ fn run_banked_at(
     let mut gpu = Gpu::new(cfg.with_sim_threads(threads).with_mem_banks(banks));
     assert_eq!(gpu.mem_banks(), banks, "geometry must support {banks} banks");
     let mut sink = TelemetrySink::with_trace_capacity(1 << 14);
-    let stats = gpu.run_with_telemetry(launch, mechanism, &mut sink);
+    let stats = gpu.try_run(launch, mechanism, &mut sink).unwrap();
     let per_bank: BankBreakdown = gpu
         .l2_stats_per_bank()
         .iter()

@@ -74,7 +74,7 @@ fn run_telemetered_on(
     for i in 0..1024u64 {
         gpu.memory.write(base_addr + i * 4, i.wrapping_mul(2654435761), 4);
     }
-    gpu.run_with_telemetry(&launch, &mut LmiMechanism::default_config(), sink)
+    gpu.try_run(&launch, &mut LmiMechanism::default_config(), sink).unwrap()
 }
 
 fn run_telemetered(kernel: &Function, sink: &mut TelemetrySink) -> lmi::sim::SimStats {
