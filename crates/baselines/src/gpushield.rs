@@ -18,7 +18,8 @@ use std::collections::HashMap;
 use lmi_core::Violation;
 use lmi_isa::MemSpace;
 use lmi_mem::{layout, Cache, CacheConfig};
-use lmi_sim::{Mechanism, MemAccessCtx, MemCheck};
+use lmi_sim::warp::lanes_of;
+use lmi_sim::{Mechanism, MemAccessCtx, MemCheck, WarpMemAccess, WarpMemVerdict};
 
 /// Synthetic address of the in-memory bounds table (for RCache miss
 /// fills routed through the L2).
@@ -32,6 +33,15 @@ const ENTRY_BYTES: u64 = 32;
 struct Region {
     base: u64,
     size: u64,
+}
+
+/// What the bounds table alone decides about one lane's access.
+enum Lookup {
+    Allow,
+    Fault,
+    /// Inside a registered buffer: look its bounds-table entry up in the
+    /// warp's RCache.
+    Entry(u64),
 }
 
 /// The GPUShield mechanism.
@@ -77,14 +87,18 @@ impl GpuShield {
         }
     }
 
-    fn warp_rcache(&mut self, warp: u64) -> Option<&mut Cache> {
-        let entries = self.rcache_entries;
+    /// The RCache of `warp` (`global_tid / 32`), created on first use;
+    /// `None` with no RCache at all (the §IV-B1 strawman where every
+    /// bounds check is an in-memory metadata access).
+    fn warp_rcache(
+        rcaches: &mut HashMap<u64, Cache>,
+        entries: u64,
+        warp: u64,
+    ) -> Option<&mut Cache> {
         if entries == 0 {
-            // No RCache at all: the §IV-B1 strawman where every bounds
-            // check is an in-memory metadata access.
             return None;
         }
-        Some(self.rcaches.entry(warp).or_insert_with(|| {
+        Some(rcaches.entry(warp).or_insert_with(|| {
             Cache::new(CacheConfig {
                 capacity_bytes: entries * ENTRY_BYTES,
                 line_bytes: ENTRY_BYTES,
@@ -92,6 +106,53 @@ impl GpuShield {
                 hit_latency: 1,
             })
         }))
+    }
+
+    fn lookup(&self, space: MemSpace, vaddr: u64) -> Lookup {
+        match space {
+            MemSpace::Global => {
+                // Heap addresses travel through LDG too; GPUShield treats
+                // the whole device heap as one region.
+                if (layout::HEAP_BASE..layout::LOCAL_BASE).contains(&vaddr) {
+                    return Lookup::Allow;
+                }
+                match self.region_index_of(vaddr) {
+                    Some(index) => Lookup::Entry(BOUNDS_TABLE_BASE + index as u64 * ENTRY_BYTES),
+                    // Outside every registered buffer: fault — but only if
+                    // any buffer is registered (otherwise the kernel
+                    // predates registration and is unprotected).
+                    None if self.regions.is_empty() => Lookup::Allow,
+                    None => Lookup::Fault,
+                }
+            }
+            // Single-region stack check: anywhere in the local arena of
+            // this thread's window span is fine; escaping the arena
+            // entirely faults.
+            MemSpace::Local if vaddr >= layout::LOCAL_BASE => Lookup::Allow,
+            MemSpace::Local => Lookup::Fault,
+            // Shared memory and constant memory are unprotected.
+            MemSpace::Shared | MemSpace::Const => Lookup::Allow,
+        }
+    }
+
+    /// The check of one lane, given the outcome of the table lookup and,
+    /// for an `Entry`, the RCache probe (`hit`).
+    fn settle(&mut self, lookup: Lookup, vaddr: u64, hit: bool) -> MemCheck {
+        match lookup {
+            Lookup::Allow => MemCheck::allow(),
+            Lookup::Fault => {
+                self.faults += 1;
+                MemCheck::fault(Violation::Spatial { addr: vaddr })
+            }
+            Lookup::Entry(_) if hit => {
+                self.rcache_hits += 1;
+                MemCheck::allow()
+            }
+            Lookup::Entry(entry) => {
+                self.rcache_misses += 1;
+                MemCheck { violation: None, extra_cycles: 0, metadata_addr: Some(entry) }
+            }
+        }
     }
 
     /// Registers a kernel-argument buffer in the bounds table.
@@ -115,63 +176,52 @@ impl Mechanism for GpuShield {
     }
 
     fn on_mem_access(&mut self, ctx: &MemAccessCtx) -> MemCheck {
-        match ctx.space {
-            MemSpace::Global => {
-                // Heap addresses travel through LDG too; GPUShield treats
-                // the whole device heap as one region.
-                if (layout::HEAP_BASE..layout::LOCAL_BASE).contains(&ctx.vaddr) {
-                    return MemCheck::allow();
-                }
-                match self.region_index_of(ctx.vaddr) {
-                    Some(index) => {
-                        let entry = BOUNDS_TABLE_BASE + index as u64 * ENTRY_BYTES;
-                        let warp = ctx.global_tid / 32;
-                        let hit = self.warp_rcache(warp).map(|c| c.access(entry)).unwrap_or(false);
-                        if hit {
-                            self.rcache_hits += 1;
-                            MemCheck::allow()
-                        } else {
-                            self.rcache_misses += 1;
-                            MemCheck {
-                                violation: None,
-                                extra_cycles: 0,
-                                metadata_addr: Some(entry),
-                            }
-                        }
-                    }
-                    None => {
-                        // Outside every registered buffer: fault — but only
-                        // if any buffer is registered (otherwise the kernel
-                        // predates registration and is unprotected).
-                        if self.regions.is_empty() {
-                            MemCheck::allow()
-                        } else {
-                            self.faults += 1;
-                            MemCheck::fault(Violation::Spatial { addr: ctx.vaddr })
-                        }
-                    }
-                }
+        let lookup = self.lookup(ctx.space, ctx.vaddr);
+        let hit = match lookup {
+            Lookup::Entry(entry) => {
+                Self::warp_rcache(&mut self.rcaches, self.rcache_entries, ctx.global_tid / 32)
+                    .is_some_and(|c| c.access(entry))
             }
-            MemSpace::Local => {
-                // Single-region stack check: anywhere in the local arena of
-                // this thread's window span is fine; escaping the arena
-                // entirely faults.
-                if ctx.vaddr >= layout::LOCAL_BASE {
-                    MemCheck::allow()
-                } else {
-                    self.faults += 1;
-                    MemCheck::fault(Violation::Spatial { addr: ctx.vaddr })
+            _ => false,
+        };
+        self.settle(lookup, ctx.vaddr, hit)
+    }
+
+    /// The per-lane check for every lane, ascending, with the warp's
+    /// RCache looked up in the map once per run of lanes sharing it rather
+    /// than once per lane (a warp of a block whose size is not a multiple
+    /// of 32 spans two RCaches).
+    fn on_mem_access_warp(&mut self, access: &WarpMemAccess<'_>, verdict: &mut WarpMemVerdict) {
+        // Moved out for the loop, so the cached `&mut Cache` does not
+        // borrow `self`.
+        let mut rcaches = std::mem::take(&mut self.rcaches);
+        let mut current: Option<(u64, Option<&mut Cache>)> = None;
+        for lane in lanes_of(access.mask) {
+            let vaddr = access.vaddr[lane];
+            let lookup = self.lookup(access.space, vaddr);
+            let hit = match lookup {
+                Lookup::Entry(entry) => {
+                    let key = (access.base_tid + lane as u64) / 32;
+                    if current.as_ref().is_none_or(|&(k, _)| k != key) {
+                        current =
+                            Some((key, Self::warp_rcache(&mut rcaches, self.rcache_entries, key)));
+                    }
+                    let (_, cache) = current.as_mut().expect("set above");
+                    cache.as_mut().is_some_and(|c| c.access(entry))
                 }
-            }
-            // Shared memory and constant memory are unprotected.
-            MemSpace::Shared | MemSpace::Const => MemCheck::allow(),
+                _ => false,
+            };
+            verdict.push(lane, self.settle(lookup, vaddr, hit));
         }
+        self.rcaches = rcaches;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmi_sim::warp::Column64;
+    use lmi_telemetry::SplitMix64;
 
     fn ctx(space: MemSpace, vaddr: u64) -> MemAccessCtx {
         MemAccessCtx {
@@ -251,6 +301,89 @@ mod tests {
             .on_mem_access(&ctx(MemSpace::Local, layout::LOCAL_BASE - 8))
             .violation
             .is_some());
+    }
+
+    /// Two identical GPUShields over 16 buffers of 4 KiB, spaced 8 KiB
+    /// apart so half the global addresses fall between buffers.
+    fn twins(entries: u64) -> (GpuShield, GpuShield) {
+        let make = || {
+            let mut gs = GpuShield::with_rcache_entries(entries);
+            for i in 0..16 {
+                gs.register_buffer(layout::GLOBAL_BASE + i * 8192, 4096);
+            }
+            gs
+        };
+        (make(), make())
+    }
+
+    fn address(rng: &mut SplitMix64) -> u64 {
+        match rng.below(5) {
+            0 => layout::HEAP_BASE + rng.below(1 << 20),
+            1 => layout::LOCAL_BASE + rng.below(1 << 20),
+            2 => layout::LOCAL_BASE - 1 - rng.below(1 << 10),
+            3 => layout::SHARED_BASE + rng.below(1 << 16),
+            _ => layout::GLOBAL_BASE + rng.below(16 * 8192 + 4096),
+        }
+    }
+
+    /// The warp form against the per-lane loop on one SplitMix64 stream:
+    /// partial masks, every space plus heap addresses, and warps whose
+    /// `base_tid` is not a multiple of 32 (their lanes span two RCaches).
+    fn assert_warp_form_matches(entries: u64, tpb: u64, seed: u64) {
+        let (mut warp, mut lane) = twins(entries);
+        let mut rng = SplitMix64::new(seed);
+        let mut verdict = WarpMemVerdict::default();
+        for _ in 0..600 {
+            let spaces = [MemSpace::Global, MemSpace::Local, MemSpace::Shared, MemSpace::Const];
+            // Bias towards global, where the RCache lives.
+            let space = spaces[rng.below(6).saturating_sub(2) as usize];
+            let vaddr: Column64 = std::array::from_fn(|_| address(&mut rng));
+            let block = rng.below(8);
+            let warp_in_block = rng.below(tpb.div_ceil(32));
+            let mask = match rng.below(3) {
+                0 => u32::MAX,
+                1 => rng.next_u32(),
+                _ => rng.next_u32() & rng.next_u32(),
+            };
+            let access = WarpMemAccess {
+                space,
+                width: 4,
+                is_store: rng.below(2) == 0,
+                pc: 3,
+                base_tid: block * tpb + warp_in_block * 32,
+                mask,
+                raw: &vaddr,
+                vaddr: &vaddr,
+            };
+            verdict.clear();
+            warp.on_mem_access_warp(&access, &mut verdict);
+            let mut expect = WarpMemVerdict::default();
+            for l in lanes_of(mask) {
+                let check = lane.on_mem_access(&access.lane(l));
+                expect.extra_cycles = expect.extra_cycles.max(check.extra_cycles);
+                expect.metadata_addrs.extend(check.metadata_addr);
+                match check.violation {
+                    Some(v) => expect.faults.push((l, v)),
+                    None => expect.survivors |= 1 << l,
+                }
+            }
+            assert_eq!(verdict, expect, "entries={entries} tpb={tpb}");
+            let counters = |g: &GpuShield| (g.rcache_hits, g.rcache_misses, g.faults);
+            assert_eq!(counters(&warp), counters(&lane), "entries={entries} tpb={tpb}");
+        }
+        assert!(warp.faults > 0 && warp.rcache_misses > 0, "the stream faults and misses");
+        if entries > 0 {
+            assert!(warp.rcache_hits > 0, "the stream hits the RCache");
+        }
+    }
+
+    #[test]
+    fn warp_form_equals_the_per_lane_loop() {
+        for (seed, tpb) in [(1, 64), (2, 48), (3, 100), (4, 33)] {
+            for entries in [0, 4, 28] {
+                assert_warp_form_matches(entries, tpb, seed);
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!   into per-SM per-bank queues.
 //! * **Phase B-check** — the leader (the calling thread) walks every SM's
 //!   events in ascending (slot, issue) order: statistics, counters,
-//!   mechanism checks (each memory op gets a [`MemVerdict`]), heap calls,
-//!   violations and forensics. Mechanism metadata fetches are routed to
-//!   their owning banks. This is the only genuinely serial section; its
-//!   size is surfaced as [`SimStats::phase_b_serial_items`] vs
+//!   mechanism checks (one warp-form call per instruction; each memory op
+//!   gets a [`MemVerdict`]), heap calls, violations and forensics.
+//!   Mechanism metadata fetches are routed to their owning banks. This is
+//!   the only genuinely serial section; its size is surfaced as
+//!   [`SimStats::phase_b_serial_items`] vs
 //!   [`SimStats::phase_b_banked_items`]
 //!   (`crate::stats::SimStats::phase_b_serial_fraction`).
 //! * **Metadata pass** (only on cycles with metadata traffic) — each bank,
@@ -53,14 +54,15 @@ use std::sync::{Mutex, RwLock};
 use lmi_alloc::{AllocError, DeviceHeap};
 use lmi_core::error::TemporalKind;
 use lmi_core::Violation;
-use lmi_isa::{OpcodeClass, Reg};
+use lmi_isa::OpcodeClass;
 use lmi_mem::{BankRouter, BankedHierarchy, BankedMemory, Cache, MemBank, SparseMemory};
 use lmi_telemetry::{FaultEvent, PoisonEvent, Scope, TelemetrySink, TraceEventKind};
 
-use crate::config::GpuConfig;
-use crate::mechanism::{Mechanism, MemAccessCtx};
-use crate::sm::{BankReq, CycleEvents, EventPool, IssueEvent, MemVerdict, SharedOp, Sm};
+use crate::config::{GpuConfig, WARP_SIZE};
+use crate::mechanism::{Mechanism, WarpMemAccess, WarpMemVerdict};
+use crate::sm::{BankReq, CycleEvents, EventPool, IssueEvent, MemVerdict, OpResult, SharedOp, Sm};
 use crate::stats::{SimStats, ViolationEvent};
+use crate::warp::{lanes_of, Column64, LaneMask};
 
 /// Per-kernel shared state: each kernel resident on the GPU owns its own
 /// mechanism instance, statistics, and device heap. A classic single-kernel
@@ -95,8 +97,11 @@ struct LeaderCtx<'l, 'a> {
     kernel_of_sm: &'l [usize],
     cfg: &'l GpuConfig,
     sink: &'l mut TelemetrySink,
-    /// Reused per-op metadata-address scratch (sorted + deduped).
-    meta_scratch: Vec<u64>,
+    /// Reused per-op scratch of the memory check: the lanes' raw and
+    /// stripped addresses as columns, and the mechanism's verdict.
+    raw: Column64,
+    vaddr: Column64,
+    verdict: WarpMemVerdict,
 }
 
 impl<'l, 'a> LeaderCtx<'l, 'a> {
@@ -182,7 +187,15 @@ pub(crate) fn run(
         banks,
         tracer_on: sink.tracer.is_enabled(),
     };
-    let mut leader = LeaderCtx { kernels, kernel_of_sm, cfg, sink, meta_scratch: Vec::new() };
+    let mut leader = LeaderCtx {
+        kernels,
+        kernel_of_sm,
+        cfg,
+        sink,
+        raw: [0; WARP_SIZE],
+        vaddr: [0; WARP_SIZE],
+        verdict: WarpMemVerdict::default(),
+    };
 
     let slots: Vec<RwLock<SmSlot>> = sms
         .drain(..)
@@ -218,7 +231,11 @@ pub(crate) fn run(
                 leader_loop(&slots, &machine, ranges[0].clone(), threads, &mut leader, &ctl);
         });
     }
-    sms.extend(slots.into_iter().map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).sm));
+    sms.extend(slots.into_iter().map(|m| {
+        let slot = m.into_inner().unwrap_or_else(|e| e.into_inner());
+        assert!(slot.events.pool.is_bounded(), "SM {}: event pool outgrew its peak", slot.sm.id);
+        slot.sm
+    }));
     if let Some(payload) = ctl.payload.lock().unwrap_or_else(|e| e.into_inner()).take() {
         panic::resume_unwind(payload);
     }
@@ -304,15 +321,37 @@ fn apply_event(
     }
     let mnemonic = ev.opcode.map(|op| op.mnemonic()).unwrap_or("");
     ev.result = match ev.shared.take() {
-        Some(SharedOp::MarkedInt { dst, pair, lanes }) => {
-            let r = apply_marked_int(sm_id, ev, mnemonic, dst, pair, &lanes, pool, now, leader);
-            pool.put_triples(lanes);
-            Some(r)
+        Some(SharedOp::MarkedInt { dst, pair, mask, inputs, mut results }) => {
+            let delay =
+                apply_marked_int(sm_id, ev, mnemonic, mask, &inputs, &mut results, now, leader);
+            pool.put_col(inputs);
+            let done_at = now + leader.cfg.int_latency as u64;
+            Some(OpResult {
+                dst,
+                pair,
+                mask,
+                values: results,
+                ready_at: Some(done_at),
+                verdict_at: Some(done_at + delay as u64),
+                ready_mem_at: None,
+                advance_pc: true,
+                retire: false,
+            })
         }
-        Some(SharedOp::Heap { dst, pair, malloc, lanes }) => {
-            let r = apply_heap(sm_id, ev, mnemonic, dst, pair, malloc, &lanes, pool, now, leader);
-            pool.put_pairs(lanes);
-            Some(r)
+        Some(SharedOp::Heap { dst, pair, malloc, mask, mut args }) => {
+            let retire = apply_heap(sm_id, ev, mnemonic, malloc, mask, &mut args, now, leader);
+            Some(OpResult {
+                dst,
+                pair,
+                // `free` writes nothing back; `malloc` its pointers.
+                mask: if malloc { mask } else { 0 },
+                values: args,
+                ready_at: None,
+                verdict_at: None,
+                ready_mem_at: malloc.then(|| now + leader.cfg.heap_call_latency as u64),
+                advance_pc: true,
+                retire,
+            })
         }
         Some(op @ SharedOp::Mem { .. }) => {
             // The mechanism check runs here (serial, canonical); timing and
@@ -344,56 +383,56 @@ fn apply_event(
     }
 }
 
-/// OCU check of a hint-marked wide integer op (LMI's bounds pipeline).
+/// OCU check of a hint-marked wide integer op (LMI's bounds pipeline): one
+/// warp-wide mechanism call, checked values written into `results`, then
+/// the poisoned lanes' forensics in ascending lane order. Returns the
+/// mechanism's extra verdict delay.
 #[allow(clippy::too_many_arguments)]
 fn apply_marked_int(
     sm_id: usize,
     ev: &IssueEvent,
     mnemonic: &'static str,
-    dst: Reg,
-    pair: bool,
-    lanes: &[(usize, u64, u64)],
-    pool: &mut EventPool,
+    mask: LaneMask,
+    inputs: &Column64,
+    results: &mut Column64,
     now: u64,
     leader: &mut LeaderCtx<'_, '_>,
-) -> crate::sm::OpResult {
-    let mech_name = leader.kernel(sm_id).mechanism.name();
-    let issue_index = leader.kernel(sm_id).stats.issued;
-    let mut extra_delay = 0u32;
-    let mut writes = pool.take_pairs();
-    for &(l, input, raw) in lanes {
-        let mech = &mut leader.kernel(sm_id).mechanism;
-        let check = mech.on_marked_int(input, raw);
-        extra_delay = extra_delay.max(mech.marked_int_delay());
-        writes.push((l, check.value));
-        if check.poisoned {
-            // Delayed termination (§XII-A): remember where the pointer died
-            // so a later EC fault can report it.
-            leader.sink.forensics.record_poison(PoisonEvent {
-                sm: sm_id,
-                warp: ev.warp,
-                lane: l,
-                pc: ev.pc,
-                op: mnemonic,
-                cycle: now,
-                instr_index: issue_index,
-            });
-            leader.sink.counters.inc(Scope::Mechanism(mech_name), "poisoned");
-            if leader.sink.tracer.is_enabled() {
-                leader.sink.tracer.instant(
-                    "poison",
-                    TraceEventKind::OcuPoison,
-                    sm_id,
-                    ev.warp,
-                    now,
-                    &[("pc", ev.pc as u64), ("lane", l as u64)],
-                );
-            }
+) -> u32 {
+    // `stats.issued` was already bumped for this instruction: every lane's
+    // poison event shares it.
+    let slot = leader.kernel(sm_id);
+    let issue_index = slot.stats.issued;
+    let mech_name = slot.mechanism.name();
+    let poisoned = slot.mechanism.on_marked_int_warp(mask, inputs, results);
+    let extra_delay = slot.mechanism.marked_int_delay();
+    let sink = &mut *leader.sink;
+    for lane in lanes_of(poisoned) {
+        // Delayed termination (§XII-A): remember where the pointer died
+        // so a later EC fault can report it.
+        sink.forensics.record_poison(PoisonEvent {
+            sm: sm_id,
+            warp: ev.warp,
+            lane,
+            pc: ev.pc,
+            op: mnemonic,
+            cycle: now,
+            instr_index: issue_index,
+        });
+        sink.counters.inc(Scope::Mechanism(mech_name), "poisoned");
+        if sink.tracer.is_enabled() {
+            sink.tracer.instant(
+                "poison",
+                TraceEventKind::OcuPoison,
+                sm_id,
+                ev.warp,
+                now,
+                &[("pc", ev.pc as u64), ("lane", lane as u64)],
+            );
         }
     }
-    leader.sink.counters.inc(Scope::Mechanism(mech_name), "checks");
-    if leader.sink.tracer.is_enabled() {
-        leader.sink.tracer.complete_with(
+    sink.counters.inc(Scope::Mechanism(mech_name), "checks");
+    if sink.tracer.is_enabled() {
+        sink.tracer.complete_with(
             mnemonic,
             TraceEventKind::OcuCheck,
             sm_id,
@@ -403,47 +442,35 @@ fn apply_marked_int(
             &[("pc", ev.pc as u64)],
         );
     }
-    let done_at = now + leader.cfg.int_latency as u64;
-    crate::sm::OpResult {
-        dst,
-        pair,
-        write_width: 8,
-        writes,
-        ready_at: Some(done_at),
-        verdict_at: Some(done_at + extra_delay as u64),
-        ready_mem_at: None,
-        advance_pc: true,
-        retire: false,
-    }
+    extra_delay
 }
 
-/// Device-heap `malloc`/`free`, serialized through the shared allocator.
+/// Device-heap `malloc`/`free` over the lanes of `mask`, serialized
+/// through the shared allocator; `malloc` overwrites each lane's size in
+/// `args` with its pointer. Returns whether the warp halts (an invalid or
+/// double free under `halt_on_violation`).
 #[allow(clippy::too_many_arguments)]
 fn apply_heap(
     sm_id: usize,
     ev: &IssueEvent,
     mnemonic: &'static str,
-    dst: Reg,
-    pair: bool,
     malloc: bool,
-    lanes: &[(usize, u64)],
-    pool: &mut EventPool,
+    mask: LaneMask,
+    args: &mut Column64,
     now: u64,
     leader: &mut LeaderCtx<'_, '_>,
-) -> crate::sm::OpResult {
-    let mut writes = pool.take_pairs();
+) -> bool {
     let mut violation = None;
     let issue_index = leader.kernel(sm_id).stats.issued;
-    for &(l, value) in lanes {
+    for l in lanes_of(mask) {
         let gtid = ev.base_tid + l as u64;
         let slot = leader.kernel(sm_id);
         if malloc {
-            let ptr = slot.heap.malloc(gtid as usize, value).unwrap_or(0);
-            writes.push((l, ptr));
+            args[l] = slot.heap.malloc(gtid as usize, args[l]).unwrap_or(0);
             slot.stats.mallocs += 1;
         } else {
             slot.stats.frees += 1;
-            match slot.heap.free(value) {
+            match slot.heap.free(args[l]) {
                 Err(e) => {
                     let kind = match e {
                         AllocError::DoubleFree(_) => TemporalKind::DoubleFree,
@@ -470,7 +497,6 @@ fn apply_heap(
             }
         }
     }
-    let ready_mem_at = if malloc { Some(now + leader.cfg.heap_call_latency as u64) } else { None };
     leader.sink.counters.inc(Scope::Sm(sm_id), "heap_calls");
     if leader.sink.tracer.is_enabled() {
         leader.sink.tracer.complete_with(
@@ -483,34 +509,23 @@ fn apply_heap(
             &[("pc", ev.pc as u64)],
         );
     }
-    let mut retire = false;
-    if let Some((lane, v)) = violation {
-        leader.kernel(sm_id).stats.violations.push(ViolationEvent {
-            sm: sm_id,
-            warp: ev.warp,
-            pc: ev.pc,
-            global_tid: ev.base_tid + lane as u64,
-            violation: v,
-        });
-        retire = leader.cfg.halt_on_violation;
-    }
-    crate::sm::OpResult {
-        dst,
-        pair,
-        write_width: 8,
-        writes,
-        ready_at: None,
-        verdict_at: None,
-        ready_mem_at,
-        advance_pc: true,
-        retire,
-    }
+    let Some((lane, v)) = violation else { return false };
+    leader.kernel(sm_id).stats.violations.push(ViolationEvent {
+        sm: sm_id,
+        warp: ev.warp,
+        pc: ev.pc,
+        global_tid: ev.base_tid + lane as u64,
+        violation: v,
+    });
+    leader.cfg.halt_on_violation
 }
 
 /// The mechanism check of a deferred memory access — the only part of a
-/// memory op the leader still runs. Produces the verdict the bank passes
-/// and phase C consume, charges the transaction statistics, and routes
-/// metadata fetches to their owning banks.
+/// memory op the leader still runs. One warp-wide mechanism call produces
+/// the verdict the bank passes and phase C consume; the faulting lanes'
+/// violations and forensics follow in ascending lane order. Also charges
+/// the transaction statistics and routes metadata fetches to their owning
+/// banks.
 #[allow(clippy::too_many_arguments)]
 fn check_mem(
     sm_id: usize,
@@ -526,88 +541,85 @@ fn check_mem(
         unreachable!("check_mem is only called for SharedOp::Mem");
     };
     let pc = ev.pc;
+    let LeaderCtx { kernels, kernel_of_sm, cfg, sink, raw, vaddr, verdict } = leader;
+    let slot = &mut kernels[kernel_of_sm[sm_id]];
+    let mut mask: LaneMask = 0;
+    for lm in lanes {
+        raw[lm.lane] = lm.raw;
+        vaddr[lm.lane] = lm.vaddr;
+        mask |= 1 << lm.lane;
+    }
+    let access = WarpMemAccess {
+        space: *space,
+        width: *width,
+        is_store: *is_store,
+        pc,
+        base_tid: ev.base_tid,
+        mask,
+        raw,
+        vaddr,
+    };
+    verdict.clear();
+    slot.mechanism.on_mem_access_warp(&access, verdict);
+
     // `stats.issued` was already bumped for this instruction, so it is a
     // unique id shared by every lane of this warp-level issue (forensics
     // stamps it on the fault).
-    let issue_index = leader.kernel(sm_id).stats.issued;
-    let mech_name = leader.kernel(sm_id).mechanism.name();
-    let mut survivors: crate::warp::LaneMask = 0;
-    let mut faulted = false;
-    let mut extra_cycles = 0u32;
-    leader.meta_scratch.clear();
-    for &lm in lanes {
-        let ctx = MemAccessCtx {
-            space: *space,
-            raw: lm.raw,
-            vaddr: lm.vaddr,
-            width: *width,
-            is_store: *is_store,
-            global_tid: ev.base_tid + lm.lane as u64,
+    let issue_index = slot.stats.issued;
+    let mech_name = slot.mechanism.name();
+    for &(lane, violation) in &verdict.faults {
+        slot.stats.violations.push(ViolationEvent {
+            sm: sm_id,
+            warp: ev.warp,
             pc,
-            lane: lm.lane,
-        };
-        let check = leader.kernel(sm_id).mechanism.on_mem_access(&ctx);
-        extra_cycles = extra_cycles.max(check.extra_cycles);
-        if let Some(addr) = check.metadata_addr {
-            leader.meta_scratch.push(addr);
+            global_tid: ev.base_tid + lane as u64,
+            violation,
+        });
+        sink.counters.inc(Scope::Mechanism(mech_name), "faults");
+        if sink.tracer.is_enabled() {
+            sink.tracer.instant(
+                "fault",
+                TraceEventKind::EcFault,
+                sm_id,
+                ev.warp,
+                now,
+                &[("pc", pc as u64), ("lane", lane as u64)],
+            );
         }
-        match check.violation {
-            Some(v) => {
-                faulted = true;
-                leader.kernel(sm_id).stats.violations.push(ViolationEvent {
-                    sm: sm_id,
-                    warp: ev.warp,
-                    pc,
-                    global_tid: ctx.global_tid,
-                    violation: v,
-                });
-                leader.sink.counters.inc(Scope::Mechanism(mech_name), "faults");
-                if leader.sink.tracer.is_enabled() {
-                    leader.sink.tracer.instant(
-                        "fault",
-                        TraceEventKind::EcFault,
-                        sm_id,
-                        ev.warp,
-                        now,
-                        &[("pc", pc as u64), ("lane", lm.lane as u64)],
-                    );
-                }
-                // Close the poison→fault provenance loop (§XII-A): if this
-                // lane's pointer was poisoned earlier, report the latency
-                // between poisoning and detection.
-                if let Some(record) = leader.sink.forensics.record_fault(FaultEvent {
-                    sm: sm_id,
-                    warp: ev.warp,
-                    lane: lm.lane,
-                    pc,
-                    cycle: now,
-                    instr_index: issue_index,
-                }) {
-                    leader.kernel(sm_id).stats.forensics.push(record);
-                }
-            }
-            None => survivors |= 1 << lm.lane,
+        // Close the poison→fault provenance loop (§XII-A): if this lane's
+        // pointer was poisoned earlier, report the latency between
+        // poisoning and detection.
+        if let Some(record) = sink.forensics.record_fault(FaultEvent {
+            sm: sm_id,
+            warp: ev.warp,
+            lane,
+            pc,
+            cycle: now,
+            instr_index: issue_index,
+        }) {
+            slot.stats.forensics.push(record);
         }
     }
+    let (survivors, extra_cycles) = (verdict.survivors, verdict.extra_cycles);
 
-    if faulted && leader.cfg.halt_on_violation {
+    if !verdict.faults.is_empty() && cfg.halt_on_violation {
         // The faulting access never issues: no timing, no data movement,
         // no pc advance — the warp halts. The bank queues' entries for
         // this op are skipped by the verdict gate.
         return MemVerdict { survivors, cancelled: true, extra_cycles };
     }
 
-    leader.kernel(sm_id).stats.transactions += line_count;
-    leader.sink.counters.add(Scope::Sm(sm_id), "transactions", *line_count);
+    slot.stats.transactions += line_count;
+    sink.counters.add(Scope::Sm(sm_id), "transactions", *line_count);
 
     // Route the mechanism's metadata fetches (bounds must be known before
     // the access may issue — check-before-access; the banks gate the data
     // fills on the published metadata completion).
-    leader.meta_scratch.sort_unstable();
-    leader.meta_scratch.dedup();
-    let metas = leader.meta_scratch.len() as u64;
-    if metas > 0 {
-        for &addr in &leader.meta_scratch {
+    let metas = &mut verdict.metadata_addrs;
+    metas.sort_unstable();
+    metas.dedup();
+    if !metas.is_empty() {
+        for &addr in metas.iter() {
             let bank = machine.router.bank_of(addr);
             machine.meta_q[bank].lock().unwrap().push(MetaReq {
                 slot: slot_idx as u32,
@@ -617,7 +629,7 @@ fn check_mem(
         }
         machine.meta_flag.store(true, SeqCst);
     }
-    leader.kernel(sm_id).stats.phase_b_banked_items += *bank_items as u64 + metas;
+    slot.stats.phase_b_banked_items += *bank_items as u64 + metas.len() as u64;
     MemVerdict { survivors, cancelled: false, extra_cycles }
 }
 

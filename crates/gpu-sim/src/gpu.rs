@@ -430,6 +430,32 @@ mod tests {
     }
 
     #[test]
+    fn event_pools_stay_bounded_across_long_runs() {
+        // Marked pointer bumps, device-heap calls and memory ops every
+        // trip: each takes pooled columns or lists that must all come
+        // back. `engine::run` asserts every SM's pool bound at the end.
+        let mut b = ProgramBuilder::new("pool-bound");
+        b.push(Instruction::mov(Reg(1), 64));
+        b.push(Instruction::mov(Reg(2), 0));
+        let top = b.label();
+        b.push(Instruction::malloc(Reg(4), Reg(1)));
+        b.push(Instruction::iadd64(Reg(6), Reg(4), 8).with_hints(HintBits::check_operand(0)));
+        b.push(Instruction::stg(MemRef::new(Reg(6), 0, 4), Reg(2)));
+        b.push(Instruction::free(Reg(4)));
+        b.push(Instruction::iadd3(Reg(2), Reg(2), 1));
+        b.push(Instruction::isetp(PredReg(0), Reg(2), CmpOp::Lt, 40));
+        b.branch_if(top, PredReg(0), false);
+        b.push(Instruction::exit());
+        let launch = Launch::new(b.build()).grid(8).block(96);
+        for threads in [1, 2] {
+            let mut gpu = Gpu::new(GpuConfig::small().with_sim_threads(threads));
+            let stats = gpu.run(&launch, &mut LmiMechanism::default_config());
+            assert_eq!(stats.marked_issued, 8 * 3 * 40, "every warp ran every trip");
+            assert_eq!(stats.frees, 8 * 96 * 40);
+        }
+    }
+
+    #[test]
     fn empty_kernel_terminates() {
         let mut b = ProgramBuilder::new("empty");
         b.push(Instruction::exit());

@@ -6,12 +6,17 @@
 //! scoreboard for latency hiding, a coalescing load/store unit, per-SM L1s,
 //! a shared L2 and an HBM DRAM model (from `lmi-mem`).
 //!
-//! Memory-safety mechanisms plug in through the [`Mechanism`] trait:
+//! Memory-safety mechanisms plug in through the [`Mechanism`] trait. The
+//! engine checks one warp-instruction at a time, as the hardware does:
 //!
 //! * integer-ALU results of hint-marked instructions pass through
-//!   [`Mechanism::on_marked_int`] — where LMI's OCU lives;
-//! * every memory access passes through [`Mechanism::on_mem_access`] —
-//!   where LMI's EC and GPUShield's RCache live.
+//!   [`Mechanism::on_marked_int_warp`] — where LMI's OCU lives;
+//! * every memory access passes through [`Mechanism::on_mem_access_warp`]
+//!   — where LMI's EC and GPUShield's RCache live.
+//!
+//! Both warp forms default to a loop over the per-lane hooks
+//! ([`Mechanism::on_marked_int`], [`Mechanism::on_mem_access`]), so a
+//! mechanism may implement just those; the loop is the adapter body.
 //!
 //! Software mechanisms (Baggy Bounds, DBI) need no hooks at all: they
 //! rewrite the program and their cost emerges from executing the extra
@@ -49,5 +54,8 @@ pub mod warp;
 pub use config::GpuConfig;
 pub use gpu::{Gpu, KernelOutcome, MemorySnapshot, ResidentKernel, ResidentOutcome};
 pub use launch::{Launch, LaunchError};
-pub use mechanism::{IntCheck, LmiMechanism, Mechanism, MemAccessCtx, MemCheck, NullMechanism};
+pub use mechanism::{
+    IntCheck, LmiMechanism, Mechanism, MemAccessCtx, MemCheck, NullMechanism, WarpMemAccess,
+    WarpMemVerdict,
+};
 pub use stats::{SimStats, StallBreakdown, ViolationEvent};

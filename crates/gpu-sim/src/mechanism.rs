@@ -1,8 +1,20 @@
 //! The pluggable memory-safety mechanism interface, and the LMI hardware
 //! mechanism itself.
+//!
+//! The engine checks a whole warp-instruction at a time, like the paper's
+//! OCU beside every integer-ALU lane and EC in the LSU: it calls
+//! [`Mechanism::on_marked_int_warp`] and [`Mechanism::on_mem_access_warp`]
+//! once per instruction. Their provided bodies are the per-lane adapter —
+//! an ascending-lane loop over [`Mechanism::on_marked_int`] and
+//! [`Mechanism::on_mem_access`] — so a mechanism that implements only the
+//! per-lane hooks behaves exactly as if the engine called them lane by
+//! lane. A mechanism overrides a warp form only where checking the warp
+//! at once saves work, and must stay equal to that loop.
 
 use lmi_core::{ExtentChecker, Ocu, PtrConfig, Violation};
 use lmi_isa::MemSpace;
+
+use crate::warp::{lanes_of, Column64, LaneMask};
 
 /// Result of an integer-ALU check ([`Mechanism::on_marked_int`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +79,84 @@ impl MemCheck {
     }
 }
 
+/// One warp-instruction's memory access, handed to
+/// [`Mechanism::on_mem_access_warp`]. Only the lanes of `mask` are
+/// meaningful in the columns.
+#[derive(Debug, Clone, Copy)]
+pub struct WarpMemAccess<'a> {
+    /// Target memory space.
+    pub space: MemSpace,
+    /// Access width in bytes.
+    pub width: u8,
+    /// `true` for stores.
+    pub is_store: bool,
+    /// Program counter of the issuing instruction.
+    pub pc: usize,
+    /// Flat global thread id of lane 0; lane `l` is `base_tid + l`.
+    pub base_tid: u64,
+    /// The accessing lanes.
+    pub mask: LaneMask,
+    /// Per-lane raw register value used as the address.
+    pub raw: &'a Column64,
+    /// Per-lane virtual address after metadata stripping.
+    pub vaddr: &'a Column64,
+}
+
+impl WarpMemAccess<'_> {
+    /// The per-lane context of `lane`, as [`Mechanism::on_mem_access`]
+    /// receives it.
+    pub fn lane(&self, lane: usize) -> MemAccessCtx {
+        MemAccessCtx {
+            space: self.space,
+            raw: self.raw[lane],
+            vaddr: self.vaddr[lane],
+            width: self.width,
+            is_store: self.is_store,
+            global_tid: self.base_tid + lane as u64,
+            pc: self.pc,
+            lane,
+        }
+    }
+}
+
+/// Result of a warp-wide memory-access check
+/// ([`Mechanism::on_mem_access_warp`]). The engine hands in a cleared
+/// verdict and reuses its buffers across calls.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WarpMemVerdict {
+    /// Lanes that passed the check.
+    pub survivors: LaneMask,
+    /// Faulting lanes and their violations, in ascending lane order.
+    pub faults: Vec<(usize, Violation)>,
+    /// Metadata the LSU must fetch before the access issues
+    /// ([`MemCheck::metadata_addr`]), in ascending lane order.
+    pub metadata_addrs: Vec<u64>,
+    /// The largest [`MemCheck::extra_cycles`] over the lanes.
+    pub extra_cycles: u32,
+}
+
+impl WarpMemVerdict {
+    /// Empties the verdict, keeping its buffers' capacity.
+    pub fn clear(&mut self) {
+        self.survivors = 0;
+        self.faults.clear();
+        self.metadata_addrs.clear();
+        self.extra_cycles = 0;
+    }
+
+    /// Folds lane `lane`'s per-lane check in (lanes must come ascending).
+    pub fn push(&mut self, lane: usize, check: MemCheck) {
+        self.extra_cycles = self.extra_cycles.max(check.extra_cycles);
+        if let Some(addr) = check.metadata_addr {
+            self.metadata_addrs.push(addr);
+        }
+        match check.violation {
+            Some(v) => self.faults.push((lane, v)),
+            None => self.survivors |= 1 << lane,
+        }
+    }
+}
+
 /// A hardware memory-safety mechanism plugged into the pipeline.
 pub trait Mechanism {
     /// Mechanism name for reports.
@@ -89,6 +179,40 @@ pub trait Mechanism {
         MemCheck::allow()
     }
 
+    /// The OCU check of one hint-marked warp-instruction: `inputs` and
+    /// `results` hold each lane's selected input operand and raw result;
+    /// the lanes of `mask` get their checked value written back into
+    /// `results`. Returns the mask of poisoned lanes. The engine calls
+    /// this, once per instruction; the provided body runs
+    /// [`Mechanism::on_marked_int`] on each lane of `mask`, ascending.
+    fn on_marked_int_warp(
+        &mut self,
+        mask: LaneMask,
+        inputs: &Column64,
+        results: &mut Column64,
+    ) -> LaneMask {
+        let mut poisoned = 0;
+        for lane in lanes_of(mask) {
+            let check = self.on_marked_int(inputs[lane], results[lane]);
+            results[lane] = check.value;
+            if check.poisoned {
+                poisoned |= 1 << lane;
+            }
+        }
+        poisoned
+    }
+
+    /// The memory check of one warp-instruction, folded into `verdict`
+    /// (handed in cleared). The engine calls this, once per instruction;
+    /// the provided body runs [`Mechanism::on_mem_access`] on each lane of
+    /// `access.mask`, ascending.
+    fn on_mem_access_warp(&mut self, access: &WarpMemAccess<'_>, verdict: &mut WarpMemVerdict) {
+        for lane in lanes_of(access.mask) {
+            let check = self.on_mem_access(&access.lane(lane));
+            verdict.push(lane, check);
+        }
+    }
+
     /// Whether a successful device `free` nullifies the freed pointer's
     /// in-pointer metadata (paper §VIII: the LMI pass clears the extent
     /// right after the call). Mechanisms returning `true` get a forensics
@@ -106,6 +230,14 @@ pub struct NullMechanism;
 impl Mechanism for NullMechanism {
     fn name(&self) -> &'static str {
         "baseline"
+    }
+
+    fn on_marked_int_warp(&mut self, _: LaneMask, _: &Column64, _: &mut Column64) -> LaneMask {
+        0
+    }
+
+    fn on_mem_access_warp(&mut self, access: &WarpMemAccess<'_>, verdict: &mut WarpMemVerdict) {
+        verdict.survivors = access.mask;
     }
 }
 
@@ -185,7 +317,110 @@ impl Mechanism for LmiMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmi_core::ptr::PoisonKind;
     use lmi_core::DevicePtr;
+    use lmi_mem::layout;
+    use lmi_telemetry::SplitMix64;
+
+    /// Lane masks: full, empty, single-lane and random partial.
+    fn mask(rng: &mut SplitMix64) -> LaneMask {
+        match rng.below(4) {
+            0 => LaneMask::MAX,
+            1 => 0,
+            2 => 1 << rng.below(32),
+            _ => rng.next_u32(),
+        }
+    }
+
+    /// A pointer-like value: in-extent, bumped past its extent, debug
+    /// coded (spatial or temporal poison), or raw bits.
+    fn pointer(rng: &mut SplitMix64, cfg: &PtrConfig) -> u64 {
+        let size = 256u64 << rng.below(6);
+        let base = layout::GLOBAL_BASE + rng.below(64) * (1 << 20);
+        let ptr = DevicePtr::encode(base, size, cfg).unwrap();
+        match rng.below(5) {
+            0 => ptr.raw() + rng.below(size),
+            1 => ptr.raw() + size + rng.below(4096),
+            2 => ptr.poisoned(PoisonKind::SpatialViolation, cfg).raw(),
+            3 => ptr.poisoned(PoisonKind::TemporalViolation, cfg).raw(),
+            _ => rng.next_u64(),
+        }
+    }
+
+    fn column(rng: &mut SplitMix64, cfg: &PtrConfig) -> Column64 {
+        std::array::from_fn(|_| pointer(rng, cfg))
+    }
+
+    /// Drives `warp` through the warp forms and `lane` through the
+    /// per-lane hooks on the same SplitMix64 stream of warp-instructions,
+    /// asserting equal results, masks, verdicts and `counters` throughout.
+    /// Returns `warp` for checks on what the stream exercised.
+    fn assert_warp_forms_match<M: Mechanism>(
+        mut warp: M,
+        mut lane: M,
+        counters: impl Fn(&M) -> Vec<u64>,
+        seed: u64,
+    ) -> M {
+        // Debug extents need a device limit below the pointer format's.
+        let cfg = PtrConfig::with_device_limit_log2(30);
+        let mut rng = SplitMix64::new(seed);
+        let mut verdict = WarpMemVerdict::default();
+        for _ in 0..400 {
+            let m = mask(&mut rng);
+            let inputs = column(&mut rng, &cfg);
+            let raw: Column64 =
+                std::array::from_fn(|l| inputs[l].wrapping_add(rng.below(2048)).wrapping_sub(1024));
+            let mut warp_results = raw;
+            let poisoned = warp.on_marked_int_warp(m, &inputs, &mut warp_results);
+            let mut lane_results = raw;
+            let mut lane_poisoned = 0;
+            for l in lanes_of(m) {
+                let check = lane.on_marked_int(inputs[l], raw[l]);
+                lane_results[l] = check.value;
+                lane_poisoned |= LaneMask::from(check.poisoned) << l;
+            }
+            assert_eq!((poisoned, warp_results), (lane_poisoned, lane_results));
+
+            let space = [MemSpace::Global, MemSpace::Shared, MemSpace::Local, MemSpace::Const]
+                [rng.below(4) as usize];
+            let raw = column(&mut rng, &cfg);
+            let access = WarpMemAccess {
+                space,
+                width: 1 << rng.below(4),
+                is_store: rng.below(2) == 0,
+                pc: rng.below(64) as usize,
+                base_tid: rng.below(1 << 16),
+                mask: mask(&mut rng),
+                raw: &raw,
+                vaddr: &raw.map(|r| DevicePtr::from_raw(r).addr()),
+            };
+            verdict.clear();
+            warp.on_mem_access_warp(&access, &mut verdict);
+            let mut expect = WarpMemVerdict::default();
+            for l in lanes_of(access.mask) {
+                let check = lane.on_mem_access(&access.lane(l));
+                expect.extra_cycles = expect.extra_cycles.max(check.extra_cycles);
+                expect.metadata_addrs.extend(check.metadata_addr);
+                match check.violation {
+                    Some(v) => expect.faults.push((l, v)),
+                    None => expect.survivors |= 1 << l,
+                }
+            }
+            assert_eq!(verdict, expect);
+            assert_eq!(counters(&warp), counters(&lane));
+        }
+        warp
+    }
+
+    #[test]
+    fn warp_forms_equal_the_per_lane_loop() {
+        for seed in 0..4 {
+            assert_warp_forms_match(NullMechanism, NullMechanism, |_| Vec::new(), seed);
+            let lmi = LmiMechanism::new(PtrConfig::with_device_limit_log2(30));
+            let lmi = assert_warp_forms_match(lmi, lmi, |m| vec![m.poisoned_count, m.faults], seed);
+            assert!(lmi.poisoned_count > 0 && lmi.faults > 0, "the stream poisons and faults");
+        }
+    }
 
     #[test]
     fn null_mechanism_allows_everything() {

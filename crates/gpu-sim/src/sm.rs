@@ -37,8 +37,8 @@
 //! [`lmi_isa::DecodedStream`] lowered once at launch, the GTO scheduler
 //! iterates its warp slice in place instead of collecting candidate lists,
 //! lane sets walk the execution mask bit-by-bit, and every deferred-op
-//! payload (`SharedOp`/`OpResult` lane and line lists) is drawn from the
-//! per-SM `EventPool` and returned to it after application.
+//! payload (`SharedOp`/`OpResult` lane columns, lane and line lists) is
+//! drawn from the per-SM `EventPool` and returned to it after application.
 //!
 //! ## Warp-wide execution
 //!
@@ -47,7 +47,11 @@
 //! warp-instruction (`exec::*_lanes`), writing results back through the
 //! exec mask. Scheduler readiness is memoized per warp
 //! (`Warp::ready_memo`) and cleared wherever the warp's state changes: its
-//! issue here and its results in `Sm::apply_results`.
+//! issue here and its results in `Sm::apply_results`. Deferred ops stay
+//! warp-wide across the barrier: a marked op or heap call carries its exec
+//! mask and pooled lane columns to the leader, whose mechanism check is one
+//! warp-form call per instruction, and its result comes back as a mask and
+//! one column written with a single `Warp::write64_col` in phase C.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -64,7 +68,7 @@ use crate::config::{GpuConfig, WARP_SIZE};
 use crate::exec;
 use crate::launch::Launch;
 use crate::lsu::coalesce_into;
-use crate::warp::{Column, Column64, LaneMask, Warp};
+use crate::warp::{lanes_of, Column, Column64, LaneMask, Warp};
 
 /// Per-launch context needed to resolve constant-bank reads.
 #[derive(Debug, Clone)]
@@ -201,10 +205,18 @@ pub(crate) struct LaneMem {
 #[derive(Debug)]
 pub(crate) enum SharedOp {
     /// A hint-marked wide integer op with at least one active lane: the
-    /// mechanism's OCU check runs in phase B. `(lane, input, raw_result)`.
-    MarkedInt { dst: Reg, pair: bool, lanes: Vec<(usize, u64, u64)> },
-    /// A device-heap call. `(lane, size_or_ptr)`.
-    Heap { dst: Reg, pair: bool, malloc: bool, lanes: Vec<(usize, u64)> },
+    /// mechanism's OCU check runs in phase B over the lanes of `mask`,
+    /// with each lane's selected input operand and raw result.
+    MarkedInt {
+        dst: Reg,
+        pair: bool,
+        mask: LaneMask,
+        inputs: Box<Column64>,
+        results: Box<Column64>,
+    },
+    /// A device-heap call over the lanes of `mask`; `args` holds each
+    /// lane's size (malloc) or pointer (free).
+    Heap { dst: Reg, pair: bool, malloc: bool, mask: LaneMask, args: Box<Column64> },
     /// A non-constant memory access. Timing and data movement were routed
     /// into the per-bank queues during phase A; the leader's B-check only
     /// runs the mechanism and accounting on `lanes`.
@@ -259,13 +271,14 @@ pub(crate) struct MemVerdict {
 }
 
 /// Phase-B outcome of a deferred op, applied to the warp in phase C.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct OpResult {
     pub dst: Reg,
     pub pair: bool,
-    /// 8 ⇒ `write64` per lane, else 32-bit `write`.
-    pub write_width: u8,
-    pub writes: Vec<(usize, u64)>,
+    /// Lanes of `values` written back to the 64-bit pair at `dst`.
+    pub mask: LaneMask,
+    /// Pooled result column, returned to the pool after write-back.
+    pub values: Box<Column64>,
     pub ready_at: Option<u64>,
     pub verdict_at: Option<u64>,
     pub ready_mem_at: Option<u64>,
@@ -305,22 +318,39 @@ pub(crate) struct IssueEvent {
 }
 
 /// Typed freelists for the deferred-op payload buffers. Phase A draws
-/// empty (but capacity-retaining) `Vec`s, phase B/C return them after
-/// consumption, so in steady state no cycle touches the heap. Each SM owns
-/// one pool inside its [`CycleEvents`]; the single-leader apply phase has
-/// exclusive access to the owning SM's pool while applying its events.
+/// empty (but capacity-retaining) `Vec`s and boxed lane columns, phase B/C
+/// return them after consumption, so in steady state no cycle touches the
+/// heap. Each SM owns one pool inside its [`CycleEvents`]; the
+/// single-leader apply phase has exclusive access to the owning SM's pool
+/// while applying its events.
+///
+/// Every buffer a cycle takes comes back within that cycle, so the pool
+/// only allocates when a cycle needs more buffers at once than any cycle
+/// before it: the freelists never hold more than `created`, the per-cycle
+/// peak (`EventPool::is_bounded`).
 #[derive(Debug, Default)]
 pub(crate) struct EventPool {
     lane_mem: Vec<Vec<LaneMem>>,
-    pairs: Vec<Vec<(usize, u64)>>,
-    triples: Vec<Vec<(usize, u64, u64)>>,
+    // Boxed: a column changes hands (event → result → pool) by pointer.
+    #[allow(clippy::vec_box)]
+    cols: Vec<Box<Column64>>,
     lines: Vec<Vec<u64>>,
     atoms: Vec<Vec<AtomicU64>>,
+    /// Buffers allocated because a freelist was empty.
+    created: usize,
+}
+
+/// Pops a recycled buffer, allocating (and counting) one if none is left.
+fn take_from<T: Default>(list: &mut Vec<T>, created: &mut usize) -> T {
+    list.pop().unwrap_or_else(|| {
+        *created += 1;
+        T::default()
+    })
 }
 
 impl EventPool {
     pub fn take_lane_mem(&mut self) -> Vec<LaneMem> {
-        self.lane_mem.pop().unwrap_or_default()
+        take_from(&mut self.lane_mem, &mut self.created)
     }
 
     pub fn put_lane_mem(&mut self, mut v: Vec<LaneMem>) {
@@ -328,26 +358,17 @@ impl EventPool {
         self.lane_mem.push(v);
     }
 
-    pub fn take_pairs(&mut self) -> Vec<(usize, u64)> {
-        self.pairs.pop().unwrap_or_default()
+    /// A lane column with stale contents: the taker overwrites it.
+    pub fn take_col(&mut self) -> Box<Column64> {
+        take_from(&mut self.cols, &mut self.created)
     }
 
-    pub fn put_pairs(&mut self, mut v: Vec<(usize, u64)>) {
-        v.clear();
-        self.pairs.push(v);
-    }
-
-    pub fn take_triples(&mut self) -> Vec<(usize, u64, u64)> {
-        self.triples.pop().unwrap_or_default()
-    }
-
-    pub fn put_triples(&mut self, mut v: Vec<(usize, u64, u64)>) {
-        v.clear();
-        self.triples.push(v);
+    pub fn put_col(&mut self, col: Box<Column64>) {
+        self.cols.push(col);
     }
 
     pub fn take_lines(&mut self) -> Vec<u64> {
-        self.lines.pop().unwrap_or_default()
+        take_from(&mut self.lines, &mut self.created)
     }
 
     pub fn put_lines(&mut self, mut v: Vec<u64>) {
@@ -356,12 +377,21 @@ impl EventPool {
     }
 
     pub fn take_atoms(&mut self) -> Vec<AtomicU64> {
-        self.atoms.pop().unwrap_or_default()
+        take_from(&mut self.atoms, &mut self.created)
     }
 
     pub fn put_atoms(&mut self, mut v: Vec<AtomicU64>) {
         v.clear();
         self.atoms.push(v);
+    }
+
+    /// Whether the freelists hold no more buffers than were ever taken at
+    /// once. A buffer returned that the pool never handed out (say, an
+    /// empty `Vec` left behind by `mem::take`) breaks this, and would let
+    /// the freelists grow without bound.
+    pub fn is_bounded(&self) -> bool {
+        let free = self.lane_mem.len() + self.cols.len() + self.lines.len() + self.atoms.len();
+        free <= self.created
     }
 }
 
@@ -682,16 +712,12 @@ impl Sm {
                 pool.put_lane_mem(lanes);
                 pool.put_atoms(atoms);
             }
-            if let Some(mut r) = ev.result.take() {
+            if let Some(r) = ev.result.take() {
                 let warp = &mut self.warps[ev.warp];
-                for &(l, v) in &r.writes {
-                    if r.write_width == 8 {
-                        warp.write64(l, r.dst, v);
-                    } else {
-                        warp.write(l, r.dst, v as u32);
-                    }
+                if r.mask != 0 {
+                    warp.write64_col(r.dst, r.mask, &r.values);
                 }
-                pool.put_pairs(std::mem::take(&mut r.writes));
+                pool.put_col(r.values);
                 if let Some(t) = r.ready_at {
                     warp.set_ready_at(r.dst, t);
                     if r.pair {
@@ -983,13 +1009,16 @@ impl IssueCtx<'_> {
                 if di.hints.activate {
                     // The OCU check consults the mechanism — shared state —
                     // so the whole writeback defers to phase B.
-                    let input = if di.hints.select == 0 { &a } else { &b };
-                    let mut checked = self.pool.take_triples();
-                    checked.extend(lanes_of(exec_mask).map(|l| (l, input[l], v[l])));
+                    let mut inputs = self.pool.take_col();
+                    *inputs = if di.hints.select == 0 { a } else { b };
+                    let mut results = self.pool.take_col();
+                    *results = v;
                     ev.shared = Some(SharedOp::MarkedInt {
                         dst: di.dst,
                         pair: di.dst_pair,
-                        lanes: checked,
+                        mask: exec_mask,
+                        inputs,
+                        results,
                     });
                     return;
                 }
@@ -1024,14 +1053,14 @@ impl IssueCtx<'_> {
         // Heap calls always defer (even with no active lane the serial path
         // still counted the call and advanced pc — phase B reproduces that).
         let malloc = di.opcode == Opcode::Malloc;
-        let args = if malloc {
+        let mut args = self.pool.take_col();
+        *args = if malloc {
             self.launch.gather32(warp, &di.srcs[0]).map(u64::from)
         } else {
             self.launch.gather64(warp, &di.srcs[0])
         };
-        let mut lanes = self.pool.take_pairs();
-        lanes.extend(lanes_of(exec_mask).map(|l| (l, args[l])));
-        ev.shared = Some(SharedOp::Heap { dst: di.dst, pair: di.dst_pair, malloc, lanes });
+        ev.shared =
+            Some(SharedOp::Heap { dst: di.dst, pair: di.dst_pair, malloc, mask: exec_mask, args });
     }
 
     fn issue_mem(
@@ -1184,13 +1213,28 @@ impl IssueCtx<'_> {
     }
 }
 
-/// The lanes of `mask`, ascending.
-fn lanes_of(mut mask: LaneMask) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (mask != 0).then(|| {
-            let l = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            l
-        })
-    })
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn event_pool_freelists_stay_bounded_by_the_per_cycle_peak() {
+        let mut pool = EventPool::default();
+        for cycle in 0..100 {
+            // Up to five columns and one lane list live at once per cycle,
+            // every one returned before the next cycle.
+            let cols: Vec<_> = (0..cycle % 5 + 1).map(|_| pool.take_col()).collect();
+            let lanes = pool.take_lane_mem();
+            for col in cols {
+                pool.put_col(col);
+            }
+            pool.put_lane_mem(lanes);
+            assert!(pool.is_bounded());
+        }
+        assert_eq!(pool.created, 6, "only the per-cycle peak was ever allocated");
+        // A buffer the pool never handed out (the empty `Vec` a
+        // `mem::take` leaves behind) is what would grow it without bound.
+        pool.put_lines(Vec::new());
+        assert!(!pool.is_bounded());
+    }
 }

@@ -24,6 +24,17 @@ pub type Column = [u32; WARP_SIZE];
 /// One 64-bit register pair across the 32 lanes of a warp.
 pub type Column64 = [u64; WARP_SIZE];
 
+/// The lanes of `mask`, ascending.
+pub fn lanes_of(mut mask: LaneMask) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let l = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            l
+        })
+    })
+}
+
 /// What RZ and out-of-range registers read.
 static ZERO_COLUMN: Column = [0; WARP_SIZE];
 

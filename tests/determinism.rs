@@ -11,11 +11,17 @@
 //! be identical across thread counts at a fixed bank count).
 
 use lmi_alloc::AlignmentPolicy;
+use lmi_baselines::GpuShield;
+use lmi_compiler::ir::FunctionBuilder;
+use lmi_compiler::{compile, CompileOptions};
 use lmi_core::PtrConfig;
 use lmi_isa::{abi, HintBits, Instruction, MemRef, ProgramBuilder, Reg};
 use lmi_mem::layout;
 use lmi_runtime::{Runtime, RuntimeReport};
-use lmi_sim::{Gpu, GpuConfig, Launch, LmiMechanism, Mechanism, NullMechanism, SimStats};
+use lmi_sim::{
+    Gpu, GpuConfig, IntCheck, Launch, LmiMechanism, Mechanism, MemAccessCtx, MemCheck,
+    NullMechanism, SimStats,
+};
 use lmi_telemetry::{Scope, SplitMix64, TelemetrySink, TraceRecord};
 use lmi_workloads::{all_workloads, prepare, prepare_in, runtime_mixes, TrafficMix, WorkloadSpec};
 
@@ -391,11 +397,109 @@ fn metadata_fetch_storms_are_bank_invariant() {
     b.push(Instruction::exit());
     let launch = Launch::new(b.build()).grid(8).block(64).param(base);
     let mech = || {
-        let mut gs = lmi_baselines::GpuShield::with_rcache_entries(0);
+        let mut gs = GpuShield::with_rcache_entries(0);
         gs.register_buffer(base, 64 * 4);
         Box::new(gs) as Box<dyn Mechanism>
     };
     assert_bank_invariant(GpuConfig::small(), &launch, mech, &[base], "meta-storm");
+}
+
+/// Implements only the per-lane hooks, like an out-of-tree wrapper (a
+/// timing shim, say): the engine then reaches the wrapped mechanism
+/// through the provided warp-form loop, never through its overrides.
+struct PerLaneOnly<M>(M);
+
+impl<M: Mechanism> Mechanism for PerLaneOnly<M> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn on_marked_int(&mut self, input: u64, result: u64) -> IntCheck {
+        self.0.on_marked_int(input, result)
+    }
+
+    fn marked_int_delay(&self) -> u32 {
+        self.0.marked_int_delay()
+    }
+
+    fn on_mem_access(&mut self, ctx: &MemAccessCtx) -> MemCheck {
+        self.0.on_mem_access(ctx)
+    }
+
+    fn nullifies_on_free(&self) -> bool {
+        self.0.nullifies_on_free()
+    }
+}
+
+/// Runs `launch` under a bare mechanism and under [`PerLaneOnly`] around
+/// an identical one, at (1 thread, 1 bank) and (2 threads, 4 banks): the
+/// run images (stats with forensics, counters, traces) and the
+/// mechanisms' own `counters` must be identical.
+fn assert_per_lane_adapter_is_transparent<M: Mechanism>(
+    cfg: GpuConfig,
+    launch: &Launch,
+    make: impl Fn() -> M,
+    counters: impl Fn(&M) -> Vec<u64>,
+    label: &str,
+) {
+    for (threads, banks) in [(1, 1), (2, 4)] {
+        let mut bare = make();
+        let (bare_image, _) = run_banked_at(cfg, threads, banks, launch, &mut bare, &[]);
+        let mut wrapped = PerLaneOnly(make());
+        let (wrapped_image, _) = run_banked_at(cfg, threads, banks, launch, &mut wrapped, &[]);
+        let cell = format!("{label}: {threads} threads x {banks} banks");
+        assert_eq!(bare_image, wrapped_image, "{cell}: the per-lane adapter changed the run");
+        assert_eq!(counters(&bare), counters(&wrapped.0), "{cell}: mechanism counters diverged");
+    }
+}
+
+#[test]
+fn per_lane_only_wrappers_match_the_warp_forms() {
+    // LMI: an out-of-bounds store (the higher lanes of each 48-thread
+    // block step past a 32-byte allocation) and a use-after-free, so
+    // poisons, faults and poison-to-fault forensics all occur.
+    let mut b = FunctionBuilder::new("oob-uaf");
+    let size = b.const_i32(32);
+    let p = b.malloc(size);
+    let tid = b.tid();
+    let e = b.gep(p, tid, 16);
+    b.store(e, tid, 4);
+    b.free(p);
+    let e2 = b.gep(p, tid, 4);
+    b.store(e2, tid, 4);
+    b.ret();
+    let kernel = compile(&b.build(), CompileOptions::default()).unwrap();
+    let launch = Launch::new(kernel.program).grid(8).block(48);
+    let lmi = |m: &LmiMechanism| vec![m.poisoned_count, m.faults];
+    assert_per_lane_adapter_is_transparent(
+        GpuConfig::small(),
+        &launch,
+        LmiMechanism::default_config,
+        lmi,
+        "oob-uaf/lmi",
+    );
+    let mut mech = LmiMechanism::default_config();
+    let image = run_at(GpuConfig::small(), 1, &launch, &mut mech, &[]);
+    assert!(mech.poisoned_count > 0 && mech.faults > 0, "the kernel poisons and faults");
+    assert!(!image.stats.forensics.is_empty(), "faults carry poison provenance");
+
+    // GPUShield: needle thrashes the per-warp RCaches.
+    let prepared = prepare(&workload("needle").scaled_down(4), AlignmentPolicy::CudaDefault);
+    let shield = || {
+        let mut gs = GpuShield::new();
+        for &(base, size) in &prepared.buffers {
+            gs.register_buffer(base, size);
+        }
+        gs
+    };
+    let gs = |g: &GpuShield| vec![g.rcache_hits, g.rcache_misses, g.faults];
+    assert_per_lane_adapter_is_transparent(
+        GpuConfig::small(),
+        &prepared.launch,
+        shield,
+        gs,
+        "needle/gpushield",
+    );
 }
 
 /// Everything observable about one multi-stream runtime session.
