@@ -8,9 +8,11 @@
 //!   probe the SM-local L1, and route L1 misses + per-lane data movement
 //!   into per-SM per-bank queues.
 //! * **Phase B-check** — the leader (the calling thread) walks every SM's
-//!   events in ascending (slot, issue) order: statistics, counters,
-//!   mechanism checks (one warp-form call per instruction; each memory op
-//!   gets a [`MemVerdict`]), heap calls, violations and forensics.
+//!   events in ascending (slot, issue) order: statistics, dense counter
+//!   totals ([`RunCounters`], folded into the sink's registry once per
+//!   run), mechanism checks (one warp-form call per instruction; each
+//!   memory op gets a [`MemVerdict`]), heap calls, violations and
+//!   forensics.
 //!   Mechanism metadata fetches are routed to their owning banks. This is
 //!   the only genuinely serial section; its size is surfaced as
 //!   [`SimStats::phase_b_serial_items`] vs
@@ -56,7 +58,9 @@ use lmi_core::error::TemporalKind;
 use lmi_core::Violation;
 use lmi_isa::OpcodeClass;
 use lmi_mem::{BankRouter, BankedHierarchy, BankedMemory, Cache, MemBank, SparseMemory};
-use lmi_telemetry::{FaultEvent, PoisonEvent, Scope, TelemetrySink, TraceEventKind};
+use lmi_telemetry::{
+    CounterRegistry, FaultEvent, PoisonEvent, Scope, TelemetrySink, TraceEventKind,
+};
 
 use crate::config::{GpuConfig, WARP_SIZE};
 use crate::mechanism::{Mechanism, WarpMemAccess, WarpMemVerdict};
@@ -102,6 +106,9 @@ struct LeaderCtx<'l, 'a> {
     raw: Column64,
     vaddr: Column64,
     verdict: WarpMemVerdict,
+    /// This run's engine-emitted counters; `None` when the sink's registry
+    /// is disabled, so untelemetered runs neither allocate nor count.
+    counters: Option<RunCounters>,
 }
 
 impl<'l, 'a> LeaderCtx<'l, 'a> {
@@ -109,6 +116,150 @@ impl<'l, 'a> LeaderCtx<'l, 'a> {
     /// callers interleave slot access with `sink` access freely.
     fn kernel(&mut self, sm_id: usize) -> &mut KernelSlot<'a> {
         &mut self.kernels[self.kernel_of_sm[sm_id]]
+    }
+
+    /// Slot `slot_idx`'s counter row, if counters are on.
+    fn sm_counters(&mut self, slot_idx: usize) -> Option<&mut [u64]> {
+        self.counters.as_mut().map(|c| c.sm(slot_idx))
+    }
+}
+
+// Columns of a per-SM [`RunCounters`] row. `CHARGED` counts the memory ops
+// that reached the transaction charge: the `transactions` key exists iff
+// one did, even if every such op coalesced to zero lines.
+const ISSUED: usize = 0;
+const MEM_INSTS: usize = 1;
+const HEAP_CALLS: usize = 2;
+const TRANSACTIONS: usize = 3;
+const CHARGED: usize = 4;
+const STALLS: usize = 5;
+/// Per-SM columns before the per-warp `issued` columns.
+const SM_FIELDS: usize = STALLS + 4;
+/// Registry names of the plain per-SM columns, emitted when nonzero.
+const SM_NAMES: [(usize, &str); 7] = [
+    (ISSUED, "issued"),
+    (MEM_INSTS, "mem_insts"),
+    (HEAP_CALLS, "heap_calls"),
+    (STALLS, "stall.scoreboard"),
+    (STALLS + 1, "stall.lsu_busy"),
+    (STALLS + 2, "stall.ocu_verdict"),
+    (STALLS + 3, "stall.no_ready_warp"),
+];
+/// Per-kernel mechanism columns, emitted when nonzero.
+const MECH_NAMES: [&str; 3] = ["checks", "poisoned", "faults"];
+const CHECKS: usize = 0;
+const POISONED: usize = 1;
+const FAULTS: usize = 2;
+
+/// The engine-emitted counters of one run, kept as dense totals by the
+/// leader and folded into the sink's [`CounterRegistry`] once, after the
+/// cycle loop ([`RunCounters::flush`]): per event the leader bumps an
+/// array slot instead of searching the registry's ordered map. One flat
+/// buffer, sized at run start: a row per SM slot (the [`SM_FIELDS`]
+/// columns, then `issued` per warp), then [`MECH_NAMES`] per kernel.
+struct RunCounters {
+    /// Row length: `SM_FIELDS` plus the largest warp count of any slot.
+    stride: usize,
+    /// Index of kernel 0's mechanism columns.
+    mech_at: usize,
+    buf: Vec<u64>,
+}
+
+impl RunCounters {
+    fn new(slots: usize, max_warps: usize, kernels: usize) -> RunCounters {
+        let stride = SM_FIELDS + max_warps;
+        let mech_at = slots * stride;
+        RunCounters { stride, mech_at, buf: vec![0; mech_at + kernels * MECH_NAMES.len()] }
+    }
+
+    fn sm(&mut self, slot_idx: usize) -> &mut [u64] {
+        let at = slot_idx * self.stride;
+        &mut self.buf[at..at + self.stride]
+    }
+
+    /// Every slot's row with its SM id.
+    fn rows<'s, 'm>(
+        &'s self,
+        slots: &'s [RwLock<SmSlot<'m>>],
+    ) -> impl Iterator<Item = (&'s [u64], usize)> + use<'s, 'm> {
+        let ids = slots
+            .iter()
+            .map(|slot| slot.read().expect("counters are read only after a panic-free run").sm.id);
+        self.buf[..self.mech_at].chunks_exact(self.stride).zip(ids)
+    }
+
+    fn mech(&mut self, kernel: usize) -> &mut [u64] {
+        let at = self.mech_at + kernel * MECH_NAMES.len();
+        &mut self.buf[at..at + MECH_NAMES.len()]
+    }
+
+    /// Folds the totals into `registry`. A key is created exactly when the
+    /// per-event path would have created it: on the first event at its
+    /// site, so only for nonzero totals (and `transactions` once a charge
+    /// happened). Kernels whose mechanisms share a name share a scope;
+    /// `add` is order-independent, so the fold is exact.
+    fn flush(
+        &self,
+        slots: &[RwLock<SmSlot<'_>>],
+        kernels: &[KernelSlot<'_>],
+        registry: &mut CounterRegistry,
+    ) {
+        for (row, sm) in self.rows(slots) {
+            let scope = Scope::Sm(sm);
+            for (col, name) in SM_NAMES {
+                if row[col] > 0 {
+                    registry.add(scope, name, row[col]);
+                }
+            }
+            if row[CHARGED] > 0 {
+                registry.add(scope, "transactions", row[TRANSACTIONS]);
+            }
+            for (warp, &n) in row[SM_FIELDS..].iter().enumerate() {
+                if n > 0 {
+                    registry.add(Scope::Warp { sm, warp }, "issued", n);
+                }
+            }
+        }
+        let mechs = self.buf[self.mech_at..].chunks_exact(MECH_NAMES.len());
+        for (kernel, totals) in kernels.iter().zip(mechs) {
+            let scope = Scope::Mechanism(kernel.mechanism.name());
+            for (&n, name) in totals.iter().zip(MECH_NAMES) {
+                if n > 0 {
+                    registry.add(scope, name, n);
+                }
+            }
+        }
+    }
+
+    /// Debug cross-check at the flush: each kernel's per-SM totals equal
+    /// the [`SimStats`] fields its own events accumulated at the same
+    /// sites (every event is one `phase_b_serial_items` walk step).
+    fn debug_check(
+        &self,
+        slots: &[RwLock<SmSlot<'_>>],
+        kernels: &[KernelSlot<'_>],
+        kernel_of_sm: &[usize],
+    ) {
+        for (k, kernel) in kernels.iter().enumerate() {
+            let mut sum = [0u64; SM_FIELDS];
+            for (row, _) in self.rows(slots).filter(|&(_, sm)| kernel_of_sm[sm] == k) {
+                for (acc, &v) in sum.iter_mut().zip(row) {
+                    *acc += v;
+                }
+            }
+            let s = &kernel.stats;
+            let expect = [
+                (ISSUED, s.phase_b_serial_items),
+                (TRANSACTIONS, s.transactions),
+                (STALLS, s.stalls.scoreboard),
+                (STALLS + 1, s.stalls.lsu_busy),
+                (STALLS + 2, s.stalls.ocu_verdict),
+                (STALLS + 3, s.stalls.no_ready_warp),
+            ];
+            for (col, want) in expect {
+                assert_eq!(sum[col], want, "kernel {k}: dense counter column {col} != SimStats");
+            }
+        }
     }
 }
 
@@ -187,6 +338,10 @@ pub(crate) fn run(
         banks,
         tracer_on: sink.tracer.is_enabled(),
     };
+    let counters = sink.counters.is_enabled().then(|| {
+        let max_warps = sms.iter().map(|sm| sm.warps.len()).max().unwrap_or(0);
+        RunCounters::new(sms.len(), max_warps, kernels.len())
+    });
     let mut leader = LeaderCtx {
         kernels,
         kernel_of_sm,
@@ -195,6 +350,7 @@ pub(crate) fn run(
         raw: [0; WARP_SIZE],
         vaddr: [0; WARP_SIZE],
         verdict: WarpMemVerdict::default(),
+        counters,
     };
 
     let slots: Vec<RwLock<SmSlot>> = sms
@@ -231,12 +387,19 @@ pub(crate) fn run(
                 leader_loop(&slots, &machine, ranges[0].clone(), threads, &mut leader, &ctl);
         });
     }
+    let panicked = ctl.payload.lock().unwrap_or_else(|e| e.into_inner()).take();
+    if let (None, Some(c)) = (&panicked, &leader.counters) {
+        if cfg!(debug_assertions) {
+            c.debug_check(&slots, leader.kernels, leader.kernel_of_sm);
+        }
+        c.flush(&slots, leader.kernels, &mut leader.sink.counters);
+    }
     sms.extend(slots.into_iter().map(|m| {
         let slot = m.into_inner().unwrap_or_else(|e| e.into_inner());
         assert!(slot.events.pool.is_bounded(), "SM {}: event pool outgrew its peak", slot.sm.id);
         slot.sm
     }));
-    if let Some(payload) = ctl.payload.lock().unwrap_or_else(|e| e.into_inner()).take() {
+    if let Some(payload) = panicked {
         panic::resume_unwind(payload);
     }
     final_cycle
@@ -262,11 +425,9 @@ fn apply_cycle(
         stats.stalls.lsu_busy += s[1];
         stats.stalls.ocu_verdict += s[2];
         stats.stalls.no_ready_warp += s[3];
-        const NAMES: [&str; 4] =
-            ["stall.scoreboard", "stall.lsu_busy", "stall.ocu_verdict", "stall.no_ready_warp"];
-        for (count, name) in s.iter().zip(NAMES) {
-            if *count > 0 {
-                leader.sink.counters.add(Scope::Sm(sm_id), name, *count);
+        if let Some(row) = leader.sm_counters(slot_idx) {
+            for (total, count) in row[STALLS..SM_FIELDS].iter_mut().zip(s) {
+                *total += count;
             }
         }
     }
@@ -317,7 +478,12 @@ fn apply_event(
     }
     if let Some(space) = ev.mem_space {
         leader.kernel(sm_id).stats.record_mem(space);
-        leader.sink.counters.inc(Scope::Sm(sm_id), "mem_insts");
+    }
+    if let Some(row) = leader.sm_counters(slot_idx) {
+        row[ISSUED] += 1;
+        row[MEM_INSTS] += u64::from(ev.mem_space.is_some());
+        row[HEAP_CALLS] += u64::from(matches!(ev.shared, Some(SharedOp::Heap { .. })));
+        row[SM_FIELDS + ev.warp] += 1;
     }
     let mnemonic = ev.opcode.map(|op| op.mnemonic()).unwrap_or("");
     ev.result = match ev.shared.take() {
@@ -364,8 +530,6 @@ fn apply_event(
         }
         None => None,
     };
-    leader.sink.counters.inc(Scope::Sm(sm_id), "issued");
-    leader.sink.counters.inc(Scope::Warp { sm: sm_id, warp: ev.warp }, "issued");
     let retiring = ev.retired_local
         || ev.result.as_ref().is_some_and(|r| r.retire)
         || ev.verdict.is_some_and(|v| v.cancelled);
@@ -400,11 +564,16 @@ fn apply_marked_int(
 ) -> u32 {
     // `stats.issued` was already bumped for this instruction: every lane's
     // poison event shares it.
-    let slot = leader.kernel(sm_id);
+    let kernel = leader.kernel_of_sm[sm_id];
+    let slot = &mut leader.kernels[kernel];
     let issue_index = slot.stats.issued;
-    let mech_name = slot.mechanism.name();
     let poisoned = slot.mechanism.on_marked_int_warp(mask, inputs, results);
     let extra_delay = slot.mechanism.marked_int_delay();
+    if let Some(c) = &mut leader.counters {
+        let totals = c.mech(kernel);
+        totals[CHECKS] += 1;
+        totals[POISONED] += u64::from(poisoned.count_ones());
+    }
     let sink = &mut *leader.sink;
     for lane in lanes_of(poisoned) {
         // Delayed termination (§XII-A): remember where the pointer died
@@ -418,7 +587,6 @@ fn apply_marked_int(
             cycle: now,
             instr_index: issue_index,
         });
-        sink.counters.inc(Scope::Mechanism(mech_name), "poisoned");
         if sink.tracer.is_enabled() {
             sink.tracer.instant(
                 "poison",
@@ -430,7 +598,6 @@ fn apply_marked_int(
             );
         }
     }
-    sink.counters.inc(Scope::Mechanism(mech_name), "checks");
     if sink.tracer.is_enabled() {
         sink.tracer.complete_with(
             mnemonic,
@@ -497,7 +664,6 @@ fn apply_heap(
             }
         }
     }
-    leader.sink.counters.inc(Scope::Sm(sm_id), "heap_calls");
     if leader.sink.tracer.is_enabled() {
         leader.sink.tracer.complete_with(
             mnemonic,
@@ -541,8 +707,9 @@ fn check_mem(
         unreachable!("check_mem is only called for SharedOp::Mem");
     };
     let pc = ev.pc;
-    let LeaderCtx { kernels, kernel_of_sm, cfg, sink, raw, vaddr, verdict } = leader;
-    let slot = &mut kernels[kernel_of_sm[sm_id]];
+    let LeaderCtx { kernels, kernel_of_sm, cfg, sink, raw, vaddr, verdict, counters } = leader;
+    let kernel = kernel_of_sm[sm_id];
+    let slot = &mut kernels[kernel];
     let mut mask: LaneMask = 0;
     for lm in lanes {
         raw[lm.lane] = lm.raw;
@@ -566,7 +733,9 @@ fn check_mem(
     // unique id shared by every lane of this warp-level issue (forensics
     // stamps it on the fault).
     let issue_index = slot.stats.issued;
-    let mech_name = slot.mechanism.name();
+    if let Some(c) = counters {
+        c.mech(kernel)[FAULTS] += verdict.faults.len() as u64;
+    }
     for &(lane, violation) in &verdict.faults {
         slot.stats.violations.push(ViolationEvent {
             sm: sm_id,
@@ -575,7 +744,6 @@ fn check_mem(
             global_tid: ev.base_tid + lane as u64,
             violation,
         });
-        sink.counters.inc(Scope::Mechanism(mech_name), "faults");
         if sink.tracer.is_enabled() {
             sink.tracer.instant(
                 "fault",
@@ -610,7 +778,11 @@ fn check_mem(
     }
 
     slot.stats.transactions += line_count;
-    sink.counters.add(Scope::Sm(sm_id), "transactions", *line_count);
+    if let Some(c) = counters {
+        let row = c.sm(slot_idx);
+        row[TRANSACTIONS] += line_count;
+        row[CHARGED] += 1;
+    }
 
     // Route the mechanism's metadata fetches (bounds must be known before
     // the access may issue — check-before-access; the banks gate the data

@@ -4,9 +4,11 @@
 //! everything finer-grained — per-SM cache behavior, per-warp issue
 //! counts, per-mechanism check/poison/fault tallies, scheduler stall
 //! reasons — lands here, keyed by [`Scope`] and a static counter name.
-//! The registry is a plain sorted map: cheap enough to update from the
-//! simulator's issue loop, and its JSON export groups counters by scope
-//! so reports stay readable.
+//! The registry is a plain sorted map, written at run granularity: the
+//! simulator's engine keeps its per-event counters as dense totals and
+//! folds them in once per run, so no ordered-map search sits on the issue
+//! loop. Its JSON export groups counters by scope so reports stay
+//! readable.
 
 use std::collections::BTreeMap;
 

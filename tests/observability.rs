@@ -5,9 +5,14 @@
 //!   the trace-event format (monotonically non-decreasing timestamps,
 //!   `ph`/`ts`/`pid`/`tid` on every event, `dur` on complete spans).
 //! * **Counter/stats consistency**: across random well-typed kernels
-//!   (seeded SplitMix64, as in `differential_fuzz`), the scoped counter
-//!   registry always agrees with the `SimStats` totals the same run
-//!   reports — the two observability paths cannot drift apart.
+//!   (seeded SplitMix64, as in `differential_fuzz`), a memory-free kernel
+//!   and a heap-violation kernel, every engine-emitted counter agrees with
+//!   the `SimStats` or mechanism total the same run reports, and its key
+//!   exists exactly when its site was reached — the two observability
+//!   paths cannot drift apart.
+//! * **Golden registries**: the complete counter listings of three runs
+//!   (LMI heap violations, GPUShield `bfs`, a two-tenant LMI session) are
+//!   pinned in `tests/golden/` at two engine points.
 //! * **Profiler/metrics contract**: histogram merge is associative and
 //!   order-independent; a sampled multi-tenant session's metrics snapshot
 //!   is bit-identical at 1/2/8 sim threads; sampling off changes no
@@ -15,15 +20,18 @@
 //!   prints) round-trips against the JSON snapshot (what `profile --json`
 //!   prints), name for name, label for label, value for value.
 
+use lmi::alloc::AlignmentPolicy;
+use lmi::baselines::GpuShield;
 use lmi::compiler::ir::{Function, FunctionBuilder, IBinOp, Region, Ty};
 use lmi::compiler::{compile, CompileOptions};
 use lmi::core::{DevicePtr, PtrConfig};
+use lmi::isa::MemSpace;
 use lmi::mem::layout;
 use lmi::runtime::{MetricsSnapshot, Session};
 use lmi::sim::{Gpu, GpuConfig, Launch, LmiMechanism};
 use lmi::telemetry::export::metric_name;
 use lmi::telemetry::{json, parse_prometheus, Histogram, Scope, SplitMix64, TelemetrySink};
-use lmi::workloads::{prepare_in, runtime_mixes, TrafficMix};
+use lmi::workloads::{all_workloads, prepare, prepare_in, runtime_mixes, TrafficMix};
 
 /// A random-but-safe straight-line kernel: a few strided global accesses,
 /// some arithmetic, one published result per thread.
@@ -60,10 +68,52 @@ fn random_kernel(rng: &mut SplitMix64) -> Function {
     b.build()
 }
 
+/// A kernel that trips every mechanism counter the engine emits: a
+/// device-heap `malloc` of LMI's minimum extent (256 bytes), a marked
+/// 16-byte-per-thread bump that leaves it on lanes 16 and up (OCU poison),
+/// a store through it (EC fault), `free` (extent nullification), and a
+/// load and a marked bump through the dangling pointer (use-after-free).
+fn heap_violation_kernel() -> Function {
+    let mut b = FunctionBuilder::new("heap-violations");
+    let _data = b.param(Ty::Ptr(Region::Global));
+    let tid = b.tid();
+    let size = b.const_i32(256);
+    let p = b.malloc(size);
+    let e = b.gep(p, tid, 16);
+    b.store(e, tid, 4);
+    b.free(p);
+    let stale = b.load_i32(p);
+    let out = b.gep(p, stale, 4);
+    b.store(out, stale, 4);
+    b.ret();
+    b.build()
+}
+
+/// A kernel with no memory access at all: per-thread arithmetic only.
+fn arithmetic_kernel() -> Function {
+    let mut b = FunctionBuilder::new("alu-only");
+    let tid = b.tid();
+    let c = b.const_i32(7);
+    let _ = b.ibin(IBinOp::Mul, tid, c);
+    b.ret();
+    b.build()
+}
+
 fn run_telemetered_on(
     kernel: &Function,
     sink: &mut TelemetrySink,
     gpu_cfg: GpuConfig,
+) -> lmi::sim::SimStats {
+    run_lmi_on(kernel, sink, gpu_cfg, &mut LmiMechanism::default_config())
+}
+
+/// [`run_telemetered_on`] under a caller-owned LMI mechanism, so its own
+/// poison and fault tallies can be read back.
+fn run_lmi_on(
+    kernel: &Function,
+    sink: &mut TelemetrySink,
+    gpu_cfg: GpuConfig,
+    mechanism: &mut LmiMechanism,
 ) -> lmi::sim::SimStats {
     let cfg = PtrConfig::default();
     let bin = compile(kernel, CompileOptions::default()).unwrap();
@@ -74,7 +124,7 @@ fn run_telemetered_on(
     for i in 0..1024u64 {
         gpu.memory.write(base_addr + i * 4, i.wrapping_mul(2654435761), 4);
     }
-    gpu.try_run(&launch, &mut LmiMechanism::default_config(), sink).unwrap()
+    gpu.try_run(&launch, mechanism, sink).unwrap()
 }
 
 fn run_telemetered(kernel: &Function, sink: &mut TelemetrySink) -> lmi::sim::SimStats {
@@ -84,7 +134,10 @@ fn run_telemetered(kernel: &Function, sink: &mut TelemetrySink) -> lmi::sim::Sim
 /// Replays a whole traffic mix through a runtime session (the `profile`
 /// bin's submission pattern) and returns its metrics snapshot.
 fn run_traffic_session(mix: &TrafficMix, threads: usize, period: u64) -> MetricsSnapshot {
-    let cfg = GpuConfig::small().with_sim_threads(threads).with_sample_period(period);
+    traffic_session_on(mix, GpuConfig::small().with_sim_threads(threads).with_sample_period(period))
+}
+
+fn traffic_session_on(mix: &TrafficMix, cfg: GpuConfig) -> MetricsSnapshot {
     let mut rt = Session::new(cfg);
     let tenants: Vec<usize> =
         mix.tenants.iter().map(|&protected| rt.add_tenant(protected)).collect();
@@ -145,14 +198,42 @@ fn chrome_trace_export_is_valid_json_with_monotonic_timestamps() {
 
 #[test]
 fn registry_counters_agree_with_sim_stats_on_random_kernels() {
+    // Sixteen safe random kernels, then a kernel with no memory access at
+    // all and the heap-violation kernel, so every engine-emitted name is
+    // both present and absent somewhere.
     let mut rng = SplitMix64::new(0x0B5E);
-    for case in 0..16 {
-        let kernel = random_kernel(&mut rng);
+    let mut kernels: Vec<Function> = (0..16).map(|_| random_kernel(&mut rng)).collect();
+    kernels.push(arithmetic_kernel());
+    kernels.push(heap_violation_kernel());
+    for (case, kernel) in kernels.iter().enumerate() {
         let mut sink = TelemetrySink::counters_only();
-        let stats = run_telemetered(&kernel, &mut sink);
-        assert!(!stats.violated(), "case {case}");
+        let mut mech = LmiMechanism::default_config();
+        let stats = run_lmi_on(kernel, &mut sink, GpuConfig::small(), &mut mech);
+        assert_eq!(stats.violated(), case == kernels.len() - 1, "case {case}");
 
         let c = &sink.counters;
+        // A counter's key exists iff some event reached its site.
+        let has = |name: &str| c.iter().any(|(_, n, _)| n == name);
+        // Every LD/ST the SMs issued, constant-bank loads included.
+        let mem_insts = stats.mem_total() + stats.mem_count(MemSpace::Const);
+        assert_eq!(c.sum_sms("mem_insts"), mem_insts, "case {case}: mem_insts");
+        assert_eq!(has("mem_insts"), mem_insts > 0, "case {case}: mem_insts key");
+        assert_eq!(has("transactions"), mem_insts > 0, "case {case}: transactions key");
+        // One heap call per warp-instruction; every warp of the launch is
+        // full, so each call allocates or frees for 32 lanes.
+        let heap_lanes = stats.mallocs + stats.frees;
+        assert_eq!(c.sum_sms("heap_calls") * 32, heap_lanes, "case {case}: heap_calls");
+        assert_eq!(has("heap_calls"), heap_lanes > 0, "case {case}: heap_calls key");
+        // The mechanism scope: compiled code marks wide ops only, and the
+        // OCU checks each once; poison and fault tallies are the
+        // mechanism's own.
+        let lmi = Scope::Mechanism("lmi");
+        assert_eq!(c.get(lmi, "checks"), stats.marked_issued, "case {case}: checks");
+        assert_eq!(has("checks"), stats.marked_issued > 0, "case {case}: checks key");
+        assert_eq!(c.get(lmi, "poisoned"), mech.poisoned_count, "case {case}: poisoned");
+        assert_eq!(has("poisoned"), mech.poisoned_count > 0, "case {case}: poisoned key");
+        assert_eq!(c.get(lmi, "faults"), mech.faults, "case {case}: faults");
+        assert_eq!(has("faults"), mech.faults > 0, "case {case}: faults key");
         assert_eq!(c.sum_sms("issued"), stats.issued, "case {case}: issued");
         assert_eq!(c.sum_sms("transactions"), stats.transactions, "case {case}: transactions");
         assert_eq!(c.get(Scope::Gpu, "cycles"), stats.cycles, "case {case}: cycles");
@@ -190,6 +271,77 @@ fn registry_counters_agree_with_sim_stats_on_random_kernels() {
             .map(|(_, _, v)| v)
             .sum();
         assert_eq!(warp_issued, stats.issued, "case {case}: warp-scope issued");
+    }
+}
+
+/// A registry listing, one `scope name value` line per counter in the
+/// registry's own (scope, name) order.
+fn render(counters: impl Iterator<Item = (Scope, &'static str, u64)>) -> String {
+    counters.map(|(scope, name, v)| format!("{} {name} {v}\n", scope.label())).collect()
+}
+
+/// The engine point `(sim_threads, mem_banks)` on the 8-SM `small()` GPU.
+fn engine_point(threads: usize, banks: usize) -> GpuConfig {
+    GpuConfig::small().with_sim_threads(threads).with_mem_banks(banks)
+}
+
+/// LMI over [`heap_violation_kernel`]: poison, faults and heap calls.
+fn lmi_heap_violation_registry(threads: usize, banks: usize) -> String {
+    let mut sink = TelemetrySink::counters_only();
+    let kernel = heap_violation_kernel();
+    let mut mech = LmiMechanism::default_config();
+    let stats = run_lmi_on(&kernel, &mut sink, engine_point(threads, banks), &mut mech);
+    assert!(stats.violated() && mech.poisoned_count > 0, "the kernel poisons and faults");
+    render(sink.counters.iter())
+}
+
+/// GPUShield over a scaled-down `bfs` from the Fig 12 workload set.
+fn gpushield_workload_registry(threads: usize, banks: usize) -> String {
+    let spec = all_workloads().into_iter().find(|w| w.name == "bfs").expect("bfs").scaled_down(4);
+    let prepared = prepare(&spec, AlignmentPolicy::CudaDefault);
+    let mut shield = GpuShield::new();
+    for &(base, size) in &prepared.buffers {
+        shield.register_buffer(base, size);
+    }
+    let mut gpu = Gpu::new(engine_point(threads, banks));
+    let mut sink = TelemetrySink::counters_only();
+    let stats = gpu.try_run(&prepared.launch, &mut shield, &mut sink).unwrap();
+    assert!(!stats.violated());
+    render(sink.counters.iter())
+}
+
+/// The `dual-tenant` mix (two LMI tenants in one cohort) through a whole
+/// runtime session: engine counters under one merged `mech:lmi` scope,
+/// plus the stream and tenant scopes.
+fn dual_tenant_session_registry(threads: usize, banks: usize) -> String {
+    let mix = mix_named("dual-tenant");
+    assert!(mix.tenants.iter().all(|&protected| protected), "both tenants run LMI");
+    render(traffic_session_on(&mix, engine_point(threads, banks)).frame.counters.iter())
+}
+
+#[test]
+fn engine_counters_match_the_golden_registries() {
+    // The exact registries (every key, every value) of three runs, as
+    // rendered by `render`: a change to how the engine accumulates its
+    // counters must not move a single line. Identical at every engine
+    // point, so one listing serves both.
+    for (threads, banks) in [(1, 1), (2, 4)] {
+        let at = format!("sim_threads={threads} mem_banks={banks}");
+        assert_eq!(
+            lmi_heap_violation_registry(threads, banks),
+            include_str!("golden/registry_lmi_heap_violations.txt"),
+            "{at}: LMI heap-violation registry"
+        );
+        assert_eq!(
+            gpushield_workload_registry(threads, banks),
+            include_str!("golden/registry_gpushield_bfs.txt"),
+            "{at}: GPUShield bfs registry"
+        );
+        assert_eq!(
+            dual_tenant_session_registry(threads, banks),
+            include_str!("golden/registry_dual_tenant_session.txt"),
+            "{at}: dual-tenant session registry"
+        );
     }
 }
 
