@@ -37,6 +37,17 @@ impl MemSpace {
         }
     }
 
+    /// Lower-case name (`global`, `shared`, `local`, `const`), as reports
+    /// and [`fmt::Display`] spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            MemSpace::Global => "global",
+            MemSpace::Shared => "shared",
+            MemSpace::Local => "local",
+            MemSpace::Const => "const",
+        }
+    }
+
     /// Returns `true` for spaces that are attack targets in the paper's
     /// threat model (global, shared, local — registers/constant/texture are
     /// excluded, §II-A).
@@ -67,13 +78,7 @@ impl MemSpace {
 
 impl fmt::Display for MemSpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            MemSpace::Global => "global",
-            MemSpace::Shared => "shared",
-            MemSpace::Local => "local",
-            MemSpace::Const => "const",
-        };
-        f.write_str(name)
+        f.write_str(self.name())
     }
 }
 

@@ -8,11 +8,11 @@
 //!   probe the SM-local L1, and route L1 misses + per-lane data movement
 //!   into per-SM per-bank queues.
 //! * **Phase B-check** — the leader (the calling thread) walks every SM's
-//!   events in ascending (slot, issue) order: statistics, dense counter
-//!   totals ([`RunCounters`], folded into the sink's registry once per
-//!   run), mechanism checks (one warp-form call per instruction; each
-//!   memory op gets a [`MemVerdict`]), heap calls, violations and
-//!   forensics.
+//!   events in ascending (slot, issue) order: the run's dense per-event
+//!   totals ([`RunRecord`], folded once after the loop into each kernel's
+//!   [`SimStats`] and the sink's registry), mechanism checks (one
+//!   warp-form call per instruction; each memory op gets a
+//!   [`MemVerdict`]), heap calls, violations and forensics.
 //!   Mechanism metadata fetches are routed to their owning banks. This is
 //!   the only genuinely serial section; its size is surfaced as
 //!   [`SimStats::phase_b_serial_items`] vs
@@ -58,19 +58,19 @@ use lmi_core::error::TemporalKind;
 use lmi_core::Violation;
 use lmi_isa::OpcodeClass;
 use lmi_mem::{BankRouter, BankedHierarchy, BankedMemory, Cache, MemBank, SparseMemory};
-use lmi_telemetry::{
-    CounterRegistry, FaultEvent, PoisonEvent, Scope, TelemetrySink, TraceEventKind,
-};
+use lmi_telemetry::{FaultEvent, PoisonEvent, TelemetrySink, TraceEventKind};
 
 use crate::config::{GpuConfig, WARP_SIZE};
 use crate::mechanism::{Mechanism, WarpMemAccess, WarpMemVerdict};
 use crate::sm::{BankReq, CycleEvents, EventPool, IssueEvent, MemVerdict, OpResult, SharedOp, Sm};
-use crate::stats::{SimStats, ViolationEvent};
+use crate::stats::{RunRecord, SimStats, ViolationEvent};
 use crate::warp::{lanes_of, Column64, LaneMask};
 
 /// Per-kernel shared state: each kernel resident on the GPU owns its own
 /// mechanism instance, statistics, and device heap. A classic single-kernel
-/// run is the one-slot case.
+/// run is the one-slot case. The engine pushes only records into `stats`
+/// (violations, forensics, profile samples); its counted fields are folded
+/// from the [`RunRecord`] after the run.
 pub(crate) struct KernelSlot<'a> {
     pub mechanism: &'a mut dyn Mechanism,
     pub stats: &'a mut SimStats,
@@ -79,16 +79,17 @@ pub(crate) struct KernelSlot<'a> {
 
 /// The shared-state half of the machine, borrowed once per run. The
 /// banked hierarchy/store are split into per-bank cells by the engine;
-/// kernel-owned state lives in [`KernelSlot`]s, routed by `kernel_of_sm`
-/// so concurrent kernels on disjoint SM partitions keep their mechanisms,
-/// heaps and stats separate while *sharing* the L2/DRAM — contention
-/// between tenants is modeled, isolation of metadata is not compromised.
+/// kernel-owned state lives in [`KernelSlot`]s, routed by the record's
+/// per-slot kernel index so concurrent kernels on disjoint SM partitions
+/// keep their mechanisms, heaps and stats separate while *sharing* the
+/// L2/DRAM — contention between tenants is modeled, isolation of metadata
+/// is not compromised.
 pub(crate) struct SharedCtx<'a> {
     pub hierarchy: &'a mut BankedHierarchy,
     pub memory: &'a mut BankedMemory,
     pub kernels: Vec<KernelSlot<'a>>,
-    /// SM index → index into `kernels`.
-    pub kernel_of_sm: Vec<usize>,
+    /// The run's per-event totals, one row per SM slot and per kernel.
+    pub record: &'a mut RunRecord,
     pub cfg: &'a GpuConfig,
     pub sink: &'a mut TelemetrySink,
 }
@@ -98,7 +99,7 @@ pub(crate) struct SharedCtx<'a> {
 /// never cross a thread boundary.
 struct LeaderCtx<'l, 'a> {
     kernels: &'l mut Vec<KernelSlot<'a>>,
-    kernel_of_sm: &'l [usize],
+    record: &'l mut RunRecord,
     cfg: &'l GpuConfig,
     sink: &'l mut TelemetrySink,
     /// Reused per-op scratch of the memory check: the lanes' raw and
@@ -106,160 +107,20 @@ struct LeaderCtx<'l, 'a> {
     raw: Column64,
     vaddr: Column64,
     verdict: WarpMemVerdict,
-    /// This run's engine-emitted counters; `None` when the sink's registry
-    /// is disabled, so untelemetered runs neither allocate nor count.
-    counters: Option<RunCounters>,
 }
 
 impl<'l, 'a> LeaderCtx<'l, 'a> {
-    /// The kernel slot owning SM `sm_id`. Borrow is statement-scoped, so
-    /// callers interleave slot access with `sink` access freely.
-    fn kernel(&mut self, sm_id: usize) -> &mut KernelSlot<'a> {
-        &mut self.kernels[self.kernel_of_sm[sm_id]]
+    /// Slot `slot_idx`'s SM id and kernel index.
+    fn site(&self, slot_idx: usize) -> (usize, usize) {
+        let row = &self.record.sms[slot_idx];
+        (row.sm, row.kernel)
     }
 
-    /// Slot `slot_idx`'s counter row, if counters are on.
-    fn sm_counters(&mut self, slot_idx: usize) -> Option<&mut [u64]> {
-        self.counters.as_mut().map(|c| c.sm(slot_idx))
-    }
-}
-
-// Columns of a per-SM [`RunCounters`] row. `CHARGED` counts the memory ops
-// that reached the transaction charge: the `transactions` key exists iff
-// one did, even if every such op coalesced to zero lines.
-const ISSUED: usize = 0;
-const MEM_INSTS: usize = 1;
-const HEAP_CALLS: usize = 2;
-const TRANSACTIONS: usize = 3;
-const CHARGED: usize = 4;
-const STALLS: usize = 5;
-/// Per-SM columns before the per-warp `issued` columns.
-const SM_FIELDS: usize = STALLS + 4;
-/// Registry names of the plain per-SM columns, emitted when nonzero.
-const SM_NAMES: [(usize, &str); 7] = [
-    (ISSUED, "issued"),
-    (MEM_INSTS, "mem_insts"),
-    (HEAP_CALLS, "heap_calls"),
-    (STALLS, "stall.scoreboard"),
-    (STALLS + 1, "stall.lsu_busy"),
-    (STALLS + 2, "stall.ocu_verdict"),
-    (STALLS + 3, "stall.no_ready_warp"),
-];
-/// Per-kernel mechanism columns, emitted when nonzero.
-const MECH_NAMES: [&str; 3] = ["checks", "poisoned", "faults"];
-const CHECKS: usize = 0;
-const POISONED: usize = 1;
-const FAULTS: usize = 2;
-
-/// The engine-emitted counters of one run, kept as dense totals by the
-/// leader and folded into the sink's [`CounterRegistry`] once, after the
-/// cycle loop ([`RunCounters::flush`]): per event the leader bumps an
-/// array slot instead of searching the registry's ordered map. One flat
-/// buffer, sized at run start: a row per SM slot (the [`SM_FIELDS`]
-/// columns, then `issued` per warp), then [`MECH_NAMES`] per kernel.
-struct RunCounters {
-    /// Row length: `SM_FIELDS` plus the largest warp count of any slot.
-    stride: usize,
-    /// Index of kernel 0's mechanism columns.
-    mech_at: usize,
-    buf: Vec<u64>,
-}
-
-impl RunCounters {
-    fn new(slots: usize, max_warps: usize, kernels: usize) -> RunCounters {
-        let stride = SM_FIELDS + max_warps;
-        let mech_at = slots * stride;
-        RunCounters { stride, mech_at, buf: vec![0; mech_at + kernels * MECH_NAMES.len()] }
-    }
-
-    fn sm(&mut self, slot_idx: usize) -> &mut [u64] {
-        let at = slot_idx * self.stride;
-        &mut self.buf[at..at + self.stride]
-    }
-
-    /// Every slot's row with its SM id.
-    fn rows<'s, 'm>(
-        &'s self,
-        slots: &'s [RwLock<SmSlot<'m>>],
-    ) -> impl Iterator<Item = (&'s [u64], usize)> + use<'s, 'm> {
-        let ids = slots
-            .iter()
-            .map(|slot| slot.read().expect("counters are read only after a panic-free run").sm.id);
-        self.buf[..self.mech_at].chunks_exact(self.stride).zip(ids)
-    }
-
-    fn mech(&mut self, kernel: usize) -> &mut [u64] {
-        let at = self.mech_at + kernel * MECH_NAMES.len();
-        &mut self.buf[at..at + MECH_NAMES.len()]
-    }
-
-    /// Folds the totals into `registry`. A key is created exactly when the
-    /// per-event path would have created it: on the first event at its
-    /// site, so only for nonzero totals (and `transactions` once a charge
-    /// happened). Kernels whose mechanisms share a name share a scope;
-    /// `add` is order-independent, so the fold is exact.
-    fn flush(
-        &self,
-        slots: &[RwLock<SmSlot<'_>>],
-        kernels: &[KernelSlot<'_>],
-        registry: &mut CounterRegistry,
-    ) {
-        for (row, sm) in self.rows(slots) {
-            let scope = Scope::Sm(sm);
-            for (col, name) in SM_NAMES {
-                if row[col] > 0 {
-                    registry.add(scope, name, row[col]);
-                }
-            }
-            if row[CHARGED] > 0 {
-                registry.add(scope, "transactions", row[TRANSACTIONS]);
-            }
-            for (warp, &n) in row[SM_FIELDS..].iter().enumerate() {
-                if n > 0 {
-                    registry.add(Scope::Warp { sm, warp }, "issued", n);
-                }
-            }
-        }
-        let mechs = self.buf[self.mech_at..].chunks_exact(MECH_NAMES.len());
-        for (kernel, totals) in kernels.iter().zip(mechs) {
-            let scope = Scope::Mechanism(kernel.mechanism.name());
-            for (&n, name) in totals.iter().zip(MECH_NAMES) {
-                if n > 0 {
-                    registry.add(scope, name, n);
-                }
-            }
-        }
-    }
-
-    /// Debug cross-check at the flush: each kernel's per-SM totals equal
-    /// the [`SimStats`] fields its own events accumulated at the same
-    /// sites (every event is one `phase_b_serial_items` walk step).
-    fn debug_check(
-        &self,
-        slots: &[RwLock<SmSlot<'_>>],
-        kernels: &[KernelSlot<'_>],
-        kernel_of_sm: &[usize],
-    ) {
-        for (k, kernel) in kernels.iter().enumerate() {
-            let mut sum = [0u64; SM_FIELDS];
-            for (row, _) in self.rows(slots).filter(|&(_, sm)| kernel_of_sm[sm] == k) {
-                for (acc, &v) in sum.iter_mut().zip(row) {
-                    *acc += v;
-                }
-            }
-            let s = &kernel.stats;
-            let expect = [
-                (ISSUED, s.phase_b_serial_items),
-                (TRANSACTIONS, s.transactions),
-                (STALLS, s.stalls.scoreboard),
-                (STALLS + 1, s.stalls.lsu_busy),
-                (STALLS + 2, s.stalls.ocu_verdict),
-                (STALLS + 3, s.stalls.no_ready_warp),
-            ];
-            for (col, want) in expect {
-                assert_eq!(sum[col], want, "kernel {k}: dense counter column {col} != SimStats");
-            }
-        }
+    /// The kernel slot owning slot `slot_idx`'s SM. Borrow is
+    /// statement-scoped, so callers interleave slot access with `sink`
+    /// access freely.
+    fn kernel(&mut self, slot_idx: usize) -> &mut KernelSlot<'a> {
+        &mut self.kernels[self.record.sms[slot_idx].kernel]
     }
 }
 
@@ -295,6 +156,8 @@ struct Machine<'m> {
     bank_flag: AtomicBool,
     router: BankRouter,
     banks: usize,
+    /// Worker threads; bank `b` is applied by worker `b % threads`.
+    threads: usize,
     /// Run-constant: the tracer needs a leader-only B-final step.
     tracer_on: bool,
 }
@@ -320,7 +183,8 @@ pub(crate) fn run(
 ) -> u64 {
     let threads = threads.clamp(1, sms.len().max(1));
     assert_eq!(l1s.len(), sms.len(), "one L1 per SM");
-    let SharedCtx { hierarchy, memory, kernels, kernel_of_sm, cfg, sink } = shared;
+    let SharedCtx { hierarchy, memory, kernels, record, cfg, sink } = shared;
+    let cfg: &GpuConfig = cfg;
     let banks = hierarchy.num_banks();
     assert_eq!(banks, memory.num_banks(), "timing and store must shard identically");
     let router = hierarchy.router();
@@ -336,21 +200,17 @@ pub(crate) fn run(
         bank_flag: AtomicBool::new(false),
         router,
         banks,
+        threads,
         tracer_on: sink.tracer.is_enabled(),
     };
-    let counters = sink.counters.is_enabled().then(|| {
-        let max_warps = sms.iter().map(|sm| sm.warps.len()).max().unwrap_or(0);
-        RunCounters::new(sms.len(), max_warps, kernels.len())
-    });
     let mut leader = LeaderCtx {
         kernels,
-        kernel_of_sm,
+        record,
         cfg,
         sink,
         raw: [0; WARP_SIZE],
         vaddr: [0; WARP_SIZE],
         verdict: WarpMemVerdict::default(),
-        counters,
     };
 
     let slots: Vec<RwLock<SmSlot>> = sms
@@ -373,27 +233,19 @@ pub(crate) fn run(
         start += len;
     }
     let ctl = Ctl::new(threads);
-    let cfg_v = **cfg;
-    let mut final_cycle = 0u64;
-    if threads == 1 {
-        final_cycle = leader_loop(&slots, &machine, ranges[0].clone(), threads, &mut leader, &ctl);
+    let leader_range = ranges[0].clone();
+    let final_cycle = if threads == 1 {
+        cycle_loop(&slots, &machine, leader_range, 0, cfg, &ctl, Some(&mut leader))
     } else {
         std::thread::scope(|scope| {
             for (t, range) in ranges.iter().enumerate().skip(1) {
                 let (slots, machine, ctl, range) = (&slots, &machine, &ctl, range.clone());
-                scope.spawn(move || worker_loop(slots, machine, range, t, threads, &cfg_v, ctl));
+                scope.spawn(move || cycle_loop(slots, machine, range, t, cfg, ctl, None));
             }
-            final_cycle =
-                leader_loop(&slots, &machine, ranges[0].clone(), threads, &mut leader, &ctl);
-        });
-    }
+            cycle_loop(&slots, &machine, leader_range, 0, cfg, &ctl, Some(&mut leader))
+        })
+    };
     let panicked = ctl.payload.lock().unwrap_or_else(|e| e.into_inner()).take();
-    if let (None, Some(c)) = (&panicked, &leader.counters) {
-        if cfg!(debug_assertions) {
-            c.debug_check(&slots, leader.kernels, leader.kernel_of_sm);
-        }
-        c.flush(&slots, leader.kernels, &mut leader.sink.counters);
-    }
     sms.extend(slots.into_iter().map(|m| {
         let slot = m.into_inner().unwrap_or_else(|e| e.into_inner());
         assert!(slot.events.pool.is_bounded(), "SM {}: event pool outgrew its peak", slot.sm.id);
@@ -408,50 +260,39 @@ pub(crate) fn run(
 // ---------------------------------------------------------------------------
 // Phase B-check: canonical application of one SM's cycle events.
 
-/// Applies everything SM `sm_id` (slot `slot_idx`) deferred this cycle, in
-/// issue order, and routes its bank work.
+/// Applies everything slot `slot_idx`'s SM deferred this cycle, in issue
+/// order, and routes its bank work.
 fn apply_cycle(
-    sm_id: usize,
     slot_idx: usize,
     events: &mut CycleEvents,
     now: u64,
     machine: &Machine<'_>,
     leader: &mut LeaderCtx<'_, '_>,
 ) {
-    if events.stalls != [0; 4] {
-        let s = &events.stalls;
-        let stats = &mut *leader.kernel(sm_id).stats;
-        stats.stalls.scoreboard += s[0];
-        stats.stalls.lsu_busy += s[1];
-        stats.stalls.ocu_verdict += s[2];
-        stats.stalls.no_ready_warp += s[3];
-        if let Some(row) = leader.sm_counters(slot_idx) {
-            for (total, count) in row[STALLS..SM_FIELDS].iter_mut().zip(s) {
-                *total += count;
-            }
-        }
+    let row = &mut leader.record.sms[slot_idx];
+    for (total, count) in row.stalls.iter_mut().zip(&events.stalls) {
+        *total += count;
     }
     if let Some(sample) = events.sample.take() {
         // Absorb the phase-A profiler sample into the owning kernel's
         // profile. Runs here (single thread, ascending SM order) so the
         // merged profile is canonical at every thread count.
+        let (sm_id, _) = leader.site(slot_idx);
         let period = leader.cfg.sample_period;
-        let profile = &mut leader.kernel(sm_id).stats.profile;
+        let profile = &mut leader.kernel(slot_idx).stats.profile;
         profile.period = period;
         profile.absorb(sm_id, &sample);
     }
     let CycleEvents { issues, pool, bank_q, .. } = events;
     for (op_idx, ev) in issues.iter_mut().enumerate() {
-        apply_event(sm_id, slot_idx, op_idx as u32, ev, pool, now, machine, leader);
+        apply_event(slot_idx, op_idx as u32, ev, pool, now, machine, leader);
     }
     if bank_q.iter().any(|q| !q.is_empty()) {
         machine.bank_flag.store(true, SeqCst);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn apply_event(
-    sm_id: usize,
     slot_idx: usize,
     op_idx: u32,
     ev: &mut IssueEvent,
@@ -460,36 +301,33 @@ fn apply_event(
     machine: &Machine<'_>,
     leader: &mut LeaderCtx<'_, '_>,
 ) {
-    // Every event costs the leader one walk step — the serial half of the
-    // `phase_b_serial_fraction` stat. Deterministic: the issue list is
-    // identical at every thread and bank count.
-    leader.kernel(sm_id).stats.phase_b_serial_items += 1;
+    // Every event is one issued instruction (a warp falling off the
+    // program end issues an implicit `EXIT`) and costs the leader one walk
+    // step — the serial half of the `phase_b_serial_fraction` stat.
+    // Deterministic: the issue list is identical at every thread and bank
+    // count.
+    let record = &mut *leader.record;
+    *record.warp_issued(slot_idx, ev.warp) += 1;
+    let row = &mut record.sms[slot_idx];
+    let kernel = &mut record.kernels[row.kernel];
+    kernel.issued += 1;
     if let Some(op) = ev.opcode {
-        let stats = &mut *leader.kernel(sm_id).stats;
-        stats.issued += 1;
         match op.class() {
-            OpcodeClass::IntAlu => stats.int_issued += 1,
-            OpcodeClass::Fpu => stats.fpu_issued += 1,
+            OpcodeClass::IntAlu => kernel.int_issued += 1,
+            OpcodeClass::Fpu => kernel.fpu_issued += 1,
             _ => {}
         }
-        if ev.activate {
-            stats.marked_issued += 1;
-        }
+        kernel.marked_issued += u64::from(ev.activate);
     }
     if let Some(space) = ev.mem_space {
-        leader.kernel(sm_id).stats.record_mem(space);
+        row.mem[space as usize] += 1;
     }
-    if let Some(row) = leader.sm_counters(slot_idx) {
-        row[ISSUED] += 1;
-        row[MEM_INSTS] += u64::from(ev.mem_space.is_some());
-        row[HEAP_CALLS] += u64::from(matches!(ev.shared, Some(SharedOp::Heap { .. })));
-        row[SM_FIELDS + ev.warp] += 1;
-    }
+    row.heap_calls += u64::from(matches!(ev.shared, Some(SharedOp::Heap { .. })));
     let mnemonic = ev.opcode.map(|op| op.mnemonic()).unwrap_or("");
     ev.result = match ev.shared.take() {
         Some(SharedOp::MarkedInt { dst, pair, mask, inputs, mut results }) => {
             let delay =
-                apply_marked_int(sm_id, ev, mnemonic, mask, &inputs, &mut results, now, leader);
+                apply_marked_int(slot_idx, ev, mnemonic, mask, &inputs, &mut results, now, leader);
             pool.put_col(inputs);
             let done_at = now + leader.cfg.int_latency as u64;
             Some(OpResult {
@@ -505,7 +343,7 @@ fn apply_event(
             })
         }
         Some(SharedOp::Heap { dst, pair, malloc, mask, mut args }) => {
-            let retire = apply_heap(sm_id, ev, mnemonic, malloc, mask, &mut args, now, leader);
+            let retire = apply_heap(slot_idx, ev, mnemonic, malloc, mask, &mut args, now, leader);
             Some(OpResult {
                 dst,
                 pair,
@@ -523,7 +361,7 @@ fn apply_event(
             // The mechanism check runs here (serial, canonical); timing and
             // data movement were already routed to the banks in phase A and
             // stay gated on this verdict. The op itself rides to phase C.
-            let verdict = check_mem(sm_id, slot_idx, op_idx, ev, &op, machine, leader, now);
+            let verdict = check_mem(slot_idx, op_idx, ev, &op, machine, leader, now);
             ev.verdict = Some(verdict);
             ev.shared = Some(op);
             None
@@ -535,6 +373,7 @@ fn apply_event(
         || ev.verdict.is_some_and(|v| v.cancelled);
     if retiring && leader.sink.tracer.is_enabled() {
         // The warp retires this cycle: emit its residency span.
+        let (sm_id, _) = leader.site(slot_idx);
         leader.sink.tracer.complete_with(
             "warp",
             TraceEventKind::WarpSpan,
@@ -553,7 +392,7 @@ fn apply_event(
 /// mechanism's extra verdict delay.
 #[allow(clippy::too_many_arguments)]
 fn apply_marked_int(
-    sm_id: usize,
+    slot_idx: usize,
     ev: &IssueEvent,
     mnemonic: &'static str,
     mask: LaneMask,
@@ -562,18 +401,16 @@ fn apply_marked_int(
     now: u64,
     leader: &mut LeaderCtx<'_, '_>,
 ) -> u32 {
-    // `stats.issued` was already bumped for this instruction: every lane's
-    // poison event shares it.
-    let kernel = leader.kernel_of_sm[sm_id];
-    let slot = &mut leader.kernels[kernel];
-    let issue_index = slot.stats.issued;
+    // The kernel's `issued` was already bumped for this instruction: every
+    // lane's poison event shares it.
+    let (sm_id, k) = leader.site(slot_idx);
+    let slot = &mut leader.kernels[k];
     let poisoned = slot.mechanism.on_marked_int_warp(mask, inputs, results);
     let extra_delay = slot.mechanism.marked_int_delay();
-    if let Some(c) = &mut leader.counters {
-        let totals = c.mech(kernel);
-        totals[CHECKS] += 1;
-        totals[POISONED] += u64::from(poisoned.count_ones());
-    }
+    let totals = &mut leader.record.kernels[k];
+    let issue_index = totals.issued;
+    totals.checks += 1;
+    totals.poisoned += u64::from(poisoned.count_ones());
     let sink = &mut *leader.sink;
     for lane in lanes_of(poisoned) {
         // Delayed termination (§XII-A): remember where the pointer died
@@ -618,7 +455,7 @@ fn apply_marked_int(
 /// double free under `halt_on_violation`).
 #[allow(clippy::too_many_arguments)]
 fn apply_heap(
-    sm_id: usize,
+    slot_idx: usize,
     ev: &IssueEvent,
     mnemonic: &'static str,
     malloc: bool,
@@ -628,15 +465,21 @@ fn apply_heap(
     leader: &mut LeaderCtx<'_, '_>,
 ) -> bool {
     let mut violation = None;
-    let issue_index = leader.kernel(sm_id).stats.issued;
+    let (sm_id, k) = leader.site(slot_idx);
+    let totals = &mut leader.record.kernels[k];
+    let issue_index = totals.issued;
+    let lanes = u64::from(mask.count_ones());
+    if malloc {
+        totals.mallocs += lanes;
+    } else {
+        totals.frees += lanes;
+    }
     for l in lanes_of(mask) {
         let gtid = ev.base_tid + l as u64;
-        let slot = leader.kernel(sm_id);
+        let slot = &mut leader.kernels[k];
         if malloc {
             args[l] = slot.heap.malloc(gtid as usize, args[l]).unwrap_or(0);
-            slot.stats.mallocs += 1;
         } else {
-            slot.stats.frees += 1;
             match slot.heap.free(args[l]) {
                 Err(e) => {
                     let kind = match e {
@@ -676,7 +519,7 @@ fn apply_heap(
         );
     }
     let Some((lane, v)) = violation else { return false };
-    leader.kernel(sm_id).stats.violations.push(ViolationEvent {
+    leader.kernels[k].stats.violations.push(ViolationEvent {
         sm: sm_id,
         warp: ev.warp,
         pc: ev.pc,
@@ -692,9 +535,7 @@ fn apply_heap(
 /// violations and forensics follow in ascending lane order. Also charges
 /// the transaction statistics and routes metadata fetches to their owning
 /// banks.
-#[allow(clippy::too_many_arguments)]
 fn check_mem(
-    sm_id: usize,
     slot_idx: usize,
     op_idx: u32,
     ev: &IssueEvent,
@@ -707,9 +548,9 @@ fn check_mem(
         unreachable!("check_mem is only called for SharedOp::Mem");
     };
     let pc = ev.pc;
-    let LeaderCtx { kernels, kernel_of_sm, cfg, sink, raw, vaddr, verdict, counters } = leader;
-    let kernel = kernel_of_sm[sm_id];
-    let slot = &mut kernels[kernel];
+    let (sm_id, k) = leader.site(slot_idx);
+    let LeaderCtx { kernels, record, cfg, sink, raw, vaddr, verdict } = leader;
+    let slot = &mut kernels[k];
     let mut mask: LaneMask = 0;
     for lm in lanes {
         raw[lm.lane] = lm.raw;
@@ -729,13 +570,12 @@ fn check_mem(
     verdict.clear();
     slot.mechanism.on_mem_access_warp(&access, verdict);
 
-    // `stats.issued` was already bumped for this instruction, so it is a
-    // unique id shared by every lane of this warp-level issue (forensics
-    // stamps it on the fault).
-    let issue_index = slot.stats.issued;
-    if let Some(c) = counters {
-        c.mech(kernel)[FAULTS] += verdict.faults.len() as u64;
-    }
+    // The kernel's `issued` was already bumped for this instruction, so it
+    // is a unique id shared by every lane of this warp-level issue
+    // (forensics stamps it on the fault).
+    let totals = &mut record.kernels[k];
+    let issue_index = totals.issued;
+    totals.faults += verdict.faults.len() as u64;
     for &(lane, violation) in &verdict.faults {
         slot.stats.violations.push(ViolationEvent {
             sm: sm_id,
@@ -777,12 +617,9 @@ fn check_mem(
         return MemVerdict { survivors, cancelled: true, extra_cycles };
     }
 
-    slot.stats.transactions += line_count;
-    if let Some(c) = counters {
-        let row = c.sm(slot_idx);
-        row[TRANSACTIONS] += line_count;
-        row[CHARGED] += 1;
-    }
+    let row = &mut record.sms[slot_idx];
+    row.transactions += line_count;
+    row.charged += 1;
 
     // Route the mechanism's metadata fetches (bounds must be known before
     // the access may issue — check-before-access; the banks gate the data
@@ -801,31 +638,25 @@ fn check_mem(
         }
         machine.meta_flag.store(true, SeqCst);
     }
-    slot.stats.phase_b_banked_items += *bank_items as u64 + metas.len() as u64;
+    record.kernels[k].banked_items += *bank_items as u64 + metas.len() as u64;
     MemVerdict { survivors, cancelled: false, extra_cycles }
 }
 
 // ---------------------------------------------------------------------------
 // Bank passes.
 
-/// The banks this worker owns: a fixed interleaved assignment, so a bank is
+/// The banks worker `t` owns: a fixed interleaved assignment, so a bank is
 /// applied by the same thread every cycle (cache-warm) and by construction
 /// never by two threads at once.
-fn owned_banks(banks: usize, t: usize, threads: usize) -> impl Iterator<Item = usize> {
-    (t..banks).step_by(threads.max(1))
+fn owned_banks(machine: &Machine<'_>, t: usize) -> impl Iterator<Item = usize> {
+    (t..machine.banks).step_by(machine.threads)
 }
 
 /// Metadata pass: each bank performs its queued metadata fetches in
 /// canonical (slot, op, address) order — exactly the order the leader
 /// enqueued them — and publishes each op's completion cycle.
-fn meta_pass(
-    slots: &[RwLock<SmSlot<'_>>],
-    machine: &Machine<'_>,
-    now: u64,
-    t: usize,
-    threads: usize,
-) {
-    for b in owned_banks(machine.banks, t, threads) {
+fn meta_pass(slots: &[RwLock<SmSlot<'_>>], machine: &Machine<'_>, now: u64, t: usize) {
+    for b in owned_banks(machine, t) {
         let mut q = machine.meta_q[b].lock().unwrap();
         if q.is_empty() {
             continue;
@@ -843,14 +674,8 @@ fn meta_pass(
 /// Bank pass: each bank drains every SM's queue for it, slots ascending,
 /// queue order within a slot — the canonical order restricted to this
 /// bank's (disjoint) slice of the address space.
-fn bank_pass(
-    slots: &[RwLock<SmSlot<'_>>],
-    machine: &Machine<'_>,
-    now: u64,
-    t: usize,
-    threads: usize,
-) {
-    for b in owned_banks(machine.banks, t, threads) {
+fn bank_pass(slots: &[RwLock<SmSlot<'_>>], machine: &Machine<'_>, now: u64, t: usize) {
+    for b in owned_banks(machine, t) {
         let mut cell = machine.cells[b].lock().unwrap();
         let BankCell { timing, store } = &mut *cell;
         for slot in slots {
@@ -1096,18 +921,17 @@ fn bank_sync_phases(
     machine: &Machine<'_>,
     now: u64,
     t: usize,
-    threads: usize,
     ctl: &Ctl,
     sense: &mut bool,
 ) -> bool {
     if machine.meta_flag.load(SeqCst) {
-        ctl.guard(|| meta_pass(slots, machine, now, t, threads));
+        ctl.guard(|| meta_pass(slots, machine, now, t));
         if !ctl.sync(sense) {
             return false;
         }
     }
     if machine.bank_flag.load(SeqCst) {
-        ctl.guard(|| bank_pass(slots, machine, now, t, threads));
+        ctl.guard(|| bank_pass(slots, machine, now, t));
         if !ctl.sync(sense) {
             return false;
         }
@@ -1115,15 +939,20 @@ fn bank_sync_phases(
     true
 }
 
-fn worker_loop(
+/// The cycle loop of worker `t` over the SM slots in `range`; returns the
+/// final cycle. Every worker runs it; the one holding the `leader` context
+/// (the calling thread, `t == 0`) also runs the serial B-check and
+/// B-final steps, while the others wait at the same barriers, so every
+/// thread passes the same number of barriers by construction.
+fn cycle_loop(
     slots: &[RwLock<SmSlot<'_>>],
     machine: &Machine<'_>,
     range: Range<usize>,
     t: usize,
-    threads: usize,
     cfg: &GpuConfig,
     ctl: &Ctl,
-) {
+    mut leader: Option<&mut LeaderCtx<'_, '_>>,
+) -> u64 {
     let mut sense = false;
     let mut now = 0u64;
     let mut parity = 0usize;
@@ -1132,74 +961,39 @@ fn worker_loop(
         if !ctl.sync(&mut sense) {
             break; // A-done
         }
-        if !ctl.sync(&mut sense) {
-            break; // B-check done (the leader ran the serial section)
+        if let Some(leader) = leader.as_deref_mut() {
+            // Phase B-check: the serial section, ascending slot order. The
+            // schedule flags are published before the barrier releases, so
+            // every thread agrees on this cycle's barrier count.
+            ctl.guard(|| {
+                machine.meta_flag.store(false, SeqCst);
+                machine.bank_flag.store(false, SeqCst);
+                for (slot_idx, slot) in slots.iter().enumerate() {
+                    let mut s = slot.write().unwrap();
+                    apply_cycle(slot_idx, &mut s.events, now, machine, leader);
+                }
+                // Workers are parked between the A and C barriers: safe to
+                // recycle the off-parity accumulator for the next cycle.
+                ctl.acc[parity ^ 1].reset();
+            });
         }
-        if !bank_sync_phases(slots, machine, now, t, threads, ctl, &mut sense) {
+        if !ctl.sync(&mut sense) {
+            break; // B-check done
+        }
+        if !bank_sync_phases(slots, machine, now, t, ctl, &mut sense) {
             break;
         }
-        if machine.tracer_on && !ctl.sync(&mut sense) {
-            break; // B-final done (leader-only span emission)
+        if machine.tracer_on {
+            if let Some(leader) = leader.as_deref_mut() {
+                ctl.guard(|| b_final(slots, leader, now));
+            }
+            if !ctl.sync(&mut sense) {
+                break; // B-final done (leader-only span emission)
+            }
         }
         ctl.guard(|| phase_c_range(slots, &range, now, cfg, &ctl.acc[parity]));
         if !ctl.sync(&mut sense) {
             break; // C-done
-        }
-        match advance(now, &ctl.acc[parity]) {
-            Some(next) => now = next,
-            None => break,
-        }
-        parity ^= 1;
-    }
-}
-
-fn leader_loop(
-    slots: &[RwLock<SmSlot<'_>>],
-    machine: &Machine<'_>,
-    range: Range<usize>,
-    threads: usize,
-    leader: &mut LeaderCtx<'_, '_>,
-    ctl: &Ctl,
-) -> u64 {
-    let cfg = *leader.cfg;
-    let mut sense = false;
-    let mut now = 0u64;
-    let mut parity = 0usize;
-    loop {
-        ctl.guard(|| phase_a_range(slots, machine, &range, now, &cfg, &ctl.acc[parity]));
-        if !ctl.sync(&mut sense) {
-            break;
-        }
-        // Phase B-check: the serial section, ascending slot order. The
-        // schedule flags are published before the barrier releases, so
-        // every thread agrees on this cycle's barrier count.
-        ctl.guard(|| {
-            machine.meta_flag.store(false, SeqCst);
-            machine.bank_flag.store(false, SeqCst);
-            for (slot_idx, slot) in slots.iter().enumerate() {
-                let mut s = slot.write().unwrap();
-                let SmSlot { sm, events, .. } = &mut *s;
-                apply_cycle(sm.id, slot_idx, events, now, machine, leader);
-            }
-            // Workers are parked between the A and C barriers: safe to
-            // recycle the off-parity accumulator for the next cycle.
-            ctl.acc[parity ^ 1].reset();
-        });
-        if !ctl.sync(&mut sense) {
-            break;
-        }
-        if !bank_sync_phases(slots, machine, now, 0, threads, ctl, &mut sense) {
-            break;
-        }
-        if machine.tracer_on {
-            ctl.guard(|| b_final(slots, leader, now));
-            if !ctl.sync(&mut sense) {
-                break;
-            }
-        }
-        ctl.guard(|| phase_c_range(slots, &range, now, &cfg, &ctl.acc[parity]));
-        if !ctl.sync(&mut sense) {
-            break;
         }
         match advance(now, &ctl.acc[parity]) {
             Some(next) => now = next,

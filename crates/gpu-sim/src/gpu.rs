@@ -11,14 +11,14 @@ use lmi_alloc::{AlignmentPolicy, DeviceHeap};
 use lmi_core::PtrConfig;
 use lmi_isa::DecodedStream;
 use lmi_mem::{layout, BankedHierarchy, BankedMemory, Cache, CacheStats};
-use lmi_telemetry::{Scope, TelemetrySink};
+use lmi_telemetry::TelemetrySink;
 
 use crate::config::GpuConfig;
 use crate::engine::{self, KernelSlot, SharedCtx};
 use crate::launch::{Launch, LaunchError};
 use crate::mechanism::Mechanism;
 use crate::sm::{LaunchCtx, Sm};
-use crate::stats::SimStats;
+use crate::stats::{RunRecord, SimStats};
 
 /// Per-resident-kernel stride separating the *layout* tids that back local
 /// windows: concurrent kernels' stacks can never alias as long as one
@@ -282,7 +282,6 @@ impl Gpu {
         // round-robin within the partition, and delay every warp by the
         // kernel's admission offset.
         let mut sms: Vec<Sm> = Vec::with_capacity(jobs.iter().map(|j| j.partition.len()).sum());
-        let mut kernel_of_sm = vec![0usize; self.cfg.num_sms];
         for (k, job) in jobs.iter().enumerate() {
             let launch = job.launch;
             // Lower the program to its flat decoded form exactly once; the
@@ -308,7 +307,6 @@ impl Gpu {
                 part[block % plen].add_block(block, launch, regs);
             }
             for sm in &mut part {
-                kernel_of_sm[sm.id] = k;
                 for warp in &mut sm.warps {
                     warp.start_cycle += job.start_offset;
                 }
@@ -318,11 +316,11 @@ impl Gpu {
         // Canonical phase-B order is ascending SM id, independent of the
         // cohort's submission order.
         sms.sort_by_key(|sm| sm.id);
+        let mut record = RunRecord::new(&sms, jobs);
 
         // The hierarchy counters persist across launches: snapshot them so
         // the outcome reports this run's delta, not the lifetime totals.
-        let l1_before: Vec<CacheStats> =
-            (0..self.cfg.num_sms).map(|sm| self.l1[sm].stats()).collect();
+        let l1_before: Vec<CacheStats> = sms.iter().map(|sm| self.l1[sm.id].stats()).collect();
         let l2_before = self.hierarchy.l2_stats();
         let mshr_before = self.hierarchy.mshr_merges();
         let dram_before = self.hierarchy.dram_transactions();
@@ -343,7 +341,7 @@ impl Gpu {
                 hierarchy: &mut self.hierarchy,
                 memory: &mut self.memory,
                 kernels,
-                kernel_of_sm,
+                record: &mut record,
                 cfg: &self.cfg,
                 sink: &mut *sink,
             };
@@ -358,10 +356,11 @@ impl Gpu {
             hits: after.hits - before.hits,
             misses: after.misses - before.misses,
         };
-        let l2 = delta(self.hierarchy.l2_stats(), l2_before);
-        let mshr_merges = self.hierarchy.mshr_merges() - mshr_before;
-        let dram_transactions = self.hierarchy.dram_transactions() - dram_before;
-
+        let l1: Vec<CacheStats> = sms
+            .iter()
+            .zip(l1_before)
+            .map(|(sm, before)| delta(self.l1[sm.id].stats(), before))
+            .collect();
         let mut kernels = Vec::with_capacity(jobs.len());
         for (job, mut st) in jobs.iter().zip(stats) {
             let completed_at = sms
@@ -371,32 +370,17 @@ impl Gpu {
                 .max()
                 .unwrap_or(job.start_offset);
             st.cycles = completed_at.saturating_sub(job.start_offset).max(1);
-            st.l1_per_sm =
-                job.partition.clone().map(|sm| delta(self.l1[sm].stats(), l1_before[sm])).collect();
             kernels.push(KernelOutcome { stats: st, completed_at });
         }
-
-        if sink.counters.is_enabled() {
-            sink.counters.add(Scope::Gpu, "cycles", makespan.max(1));
-            sink.counters.add(Scope::Gpu, "mshr_merges", mshr_merges);
-            sink.counters.add(Scope::Gpu, "dram_transactions", dram_transactions);
-            sink.counters.add(Scope::Gpu, "l2.hits", l2.hits);
-            sink.counters.add(Scope::Gpu, "l2.misses", l2.misses);
-            for (job, outcome) in jobs.iter().zip(&kernels) {
-                for (i, sm) in job.partition.clone().enumerate() {
-                    let l1 = outcome.stats.l1_per_sm[i];
-                    sink.counters.add(Scope::Sm(sm), "l1.hits", l1.hits);
-                    sink.counters.add(Scope::Sm(sm), "l1.misses", l1.misses);
-                }
-            }
-        }
-        Ok(ResidentOutcome {
+        let mut outcome = ResidentOutcome {
             kernels,
             makespan: makespan.max(1),
-            l2,
-            mshr_merges,
-            dram_transactions,
-        })
+            l2: delta(self.hierarchy.l2_stats(), l2_before),
+            mshr_merges: self.hierarchy.mshr_merges() - mshr_before,
+            dram_transactions: self.hierarchy.dram_transactions() - dram_before,
+        };
+        record.fold(jobs, &l1, &mut outcome, &mut sink.counters);
+        Ok(outcome)
     }
 }
 

@@ -165,7 +165,7 @@ pub(crate) struct Sm {
 /// next instruction). Feeds [`crate::stats::StallBreakdown`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StallReason {
-    /// Launch-ramp delay, fell off the program, or no candidate at all.
+    /// Launch-ramp delay, or no candidate at all.
     NoReadyWarp,
     /// Waiting on an ALU-produced register or predicate.
     Scoreboard,
@@ -293,7 +293,8 @@ pub(crate) struct IssueEvent {
     pub warp: usize,
     /// pc of the issued instruction (pre-advance).
     pub pc: usize,
-    /// `None`: the warp fell off the program end and retired instead.
+    /// `None`: the warp fell off the program end and retired (an implicit
+    /// `EXIT`).
     pub opcode: Option<Opcode>,
     pub activate: bool,
     /// Set for every memory instruction, including the locally-executed
@@ -643,10 +644,7 @@ impl Sm {
                 WarpState::Barrier
             } else {
                 let (r, reason) = ready_info(&self.stream, warp, cfg.lsu_verdict_overlap);
-                if r == u64::MAX {
-                    // Fell off the program end; retires at next issue.
-                    WarpState::Retired
-                } else if r <= now {
+                if r <= now {
                     // Eligible, but this cycle's scheduler slots went to
                     // greedier/older warps.
                     WarpState::Ready
@@ -788,8 +786,9 @@ impl Sm {
 fn ready_info(stream: &DecodedStream, warp: &Warp, verdict_overlap: u32) -> (u64, StallReason) {
     let di = match stream.get(warp.pc) {
         Some(d) => d,
-        // Fell off the program: treated as exit at issue.
-        None => return (u64::MAX, StallReason::NoReadyWarp),
+        // Fell off the program: nothing to wait for but the dispatch ramp;
+        // the issue retires the warp as an implicit `EXIT`.
+        None => return (warp.start_cycle, StallReason::NoReadyWarp),
     };
     // The launch/dispatch ramp: not a pipeline hazard.
     let mut ready = warp.start_cycle;

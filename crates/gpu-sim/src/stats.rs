@@ -5,7 +5,10 @@ use std::collections::BTreeMap;
 use lmi_core::Violation;
 use lmi_isa::MemSpace;
 use lmi_mem::CacheStats;
-use lmi_telemetry::{ForensicsRecord, Json, KernelProfile};
+use lmi_telemetry::{CounterRegistry, ForensicsRecord, Json, KernelProfile, Scope};
+
+use crate::gpu::{ResidentKernel, ResidentOutcome};
+use crate::sm::Sm;
 
 /// A recorded memory-safety violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +40,8 @@ pub struct StallBreakdown {
     /// A candidate existed, but the OCU verdict of an earlier marked
     /// instruction had not resolved (LMI's §XI-C pipeline delay).
     pub ocu_verdict: u64,
-    /// No candidate at all: every warp on the slot was retired, not yet
-    /// dispatched, or past the program end.
+    /// No candidate at all: every warp on the slot was retired or not yet
+    /// dispatched.
     pub no_ready_warp: u64,
 }
 
@@ -101,10 +104,13 @@ pub struct SimStats {
     /// Sampling-profiler output (warp states, stall reasons, hot PCs per
     /// SM). Empty unless [`crate::GpuConfig::sample_period`] is set.
     pub profile: KernelProfile,
-    /// Phase-B work units that must run on the single leader thread
-    /// (per-event mechanism checks, stats/counter absorption, heap calls).
-    /// Counted in deterministic work units — not wall time — so the value
-    /// is bit-identical across `sim_threads` and `mem_banks`.
+    /// Phase-B work units that must run on the single leader thread: one
+    /// per issue event, which the leader walks in canonical order for its
+    /// mechanism checks, heap calls and the run record's per-event totals
+    /// that this record is folded from (so it always equals
+    /// [`SimStats::issued`]). Counted in deterministic work units — not
+    /// wall time — so the value is bit-identical across `sim_threads` and
+    /// `mem_banks`.
     pub phase_b_serial_items: u64,
     /// Phase-B work units routed to the bank-parallel passes (L1-missed
     /// line fills, per-lane data movement, metadata fetches). Same
@@ -113,26 +119,20 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    pub(crate) fn record_mem(&mut self, space: MemSpace) {
-        let key = match space {
-            MemSpace::Global => "global",
-            MemSpace::Shared => "shared",
-            MemSpace::Local => "local",
-            MemSpace::Const => "const",
-        };
-        *self.mem_by_space.entry(key).or_insert(0) += 1;
+    /// Adds per-space warp-level load/store counts, indexed in
+    /// [`MemSpace::ALL`] order; spaces with no access get no entry.
+    pub(crate) fn add_mem_counts(&mut self, counts: &[u64; 4]) {
+        for (space, &n) in MemSpace::ALL.iter().zip(counts) {
+            if n > 0 {
+                *self.mem_by_space.entry(space.name()).or_insert(0) += n;
+            }
+        }
     }
 
     /// Warp-level loads/stores to `space` (Fig. 1's LDG/STG vs LDS/STS vs
     /// LDL/STL classification).
     pub fn mem_count(&self, space: MemSpace) -> u64 {
-        let key = match space {
-            MemSpace::Global => "global",
-            MemSpace::Shared => "shared",
-            MemSpace::Local => "local",
-            MemSpace::Const => "const",
-        };
-        self.mem_by_space.get(key).copied().unwrap_or(0)
+        self.mem_by_space.get(space.name()).copied().unwrap_or(0)
     }
 
     /// Total loads/stores to attack-relevant spaces (global+shared+local).
@@ -338,6 +338,176 @@ impl std::fmt::Display for SimStats {
     }
 }
 
+/// One SM slot's per-run totals.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct SmRecord {
+    /// The SM's id and the index of the kernel it runs.
+    pub sm: usize,
+    pub kernel: usize,
+    /// Warp-level loads/stores per space, indexed by `space as usize`
+    /// (the [`MemSpace::ALL`] order).
+    pub mem: [u64; 4],
+    /// Warp-level device-heap calls.
+    pub heap_calls: u64,
+    /// Coalesced memory transactions charged.
+    pub transactions: u64,
+    /// Memory ops that reached the transaction charge: the registry's
+    /// `transactions` key exists iff one did, even at zero lines.
+    pub charged: u64,
+    /// Scheduler-slot stall cycles, indexed by `StallReason::index`.
+    pub stalls: [u64; 4],
+}
+
+/// One kernel's per-run totals.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct KernelRecord {
+    /// Warp-level instructions issued so far. Every issue event is one
+    /// instruction and one leader walk step, so this one column is both
+    /// `issued` and `phase_b_serial_items`; while the run is live it is
+    /// the issue index forensics stamp on poison and fault events.
+    pub issued: u64,
+    pub int_issued: u64,
+    pub fpu_issued: u64,
+    pub marked_issued: u64,
+    pub mallocs: u64,
+    pub frees: u64,
+    pub banked_items: u64,
+    /// Mechanism tallies: OCU checks, poisoned lanes, faulting lanes.
+    pub checks: u64,
+    pub poisoned: u64,
+    pub faults: u64,
+}
+
+/// Registry names of [`SmRecord::stalls`], in `StallReason::index` order.
+const STALL_NAMES: [&str; 4] =
+    ["stall.scoreboard", "stall.lsu_busy", "stall.ocu_verdict", "stall.no_ready_warp"];
+
+/// The per-event statistics of one run: dense totals that the engine's
+/// leader increments in its canonical walk — the only per-event statistics
+/// it keeps — and [`RunRecord::fold`]s once, after the cycle loop, into
+/// both outputs: each kernel's [`SimStats`] and the sink's counter
+/// registry. Sized at run start: a row per SM slot, `issued` per warp of
+/// each slot, a row per kernel.
+pub(crate) struct RunRecord {
+    /// One row per SM slot, in ascending SM-id order.
+    pub sms: Vec<SmRecord>,
+    /// `issued` per warp, `warps` columns per slot.
+    warp_issued: Vec<u64>,
+    /// The largest warp count of any slot.
+    warps: usize,
+    /// One row per kernel, in submission order.
+    pub kernels: Vec<KernelRecord>,
+}
+
+impl RunRecord {
+    /// An all-zero record for `sms` (ascending id) running `jobs`, each
+    /// SM the job whose partition holds it.
+    pub(crate) fn new(sms: &[Sm], jobs: &[ResidentKernel<'_>]) -> RunRecord {
+        let warps = sms.iter().map(|sm| sm.warps.len()).max().unwrap_or(0);
+        RunRecord {
+            sms: sms
+                .iter()
+                .map(|sm| SmRecord {
+                    sm: sm.id,
+                    kernel: jobs
+                        .iter()
+                        .position(|job| job.partition.contains(&sm.id))
+                        .expect("every SM belongs to one partition"),
+                    ..SmRecord::default()
+                })
+                .collect(),
+            warp_issued: vec![0; sms.len() * warps],
+            warps,
+            kernels: vec![KernelRecord::default(); jobs.len()],
+        }
+    }
+
+    /// Slot `slot`'s `issued` count for warp `warp`.
+    pub(crate) fn warp_issued(&mut self, slot: usize, warp: usize) -> &mut u64 {
+        &mut self.warp_issued[slot * self.warps + warp]
+    }
+
+    /// Folds the run into its outputs. Every kernel's [`SimStats`] in
+    /// `outcome` gets its counted fields and its `l1_per_sm` (from `l1`,
+    /// the per-slot L1 deltas). When `registry` is enabled it gets every
+    /// counter the run emits: the GPU keys, the per-SM and per-warp keys
+    /// and the mechanism keys of `jobs`. An engine key exists only if its
+    /// total is nonzero (`transactions` once an op was charged); kernels
+    /// whose mechanisms share a name share a scope.
+    pub(crate) fn fold(
+        &self,
+        jobs: &[ResidentKernel<'_>],
+        l1: &[CacheStats],
+        outcome: &mut ResidentOutcome,
+        registry: &mut CounterRegistry,
+    ) {
+        for (k, out) in self.kernels.iter().zip(&mut outcome.kernels) {
+            let st = &mut out.stats;
+            st.issued = k.issued;
+            st.phase_b_serial_items = k.issued;
+            st.int_issued = k.int_issued;
+            st.fpu_issued = k.fpu_issued;
+            st.marked_issued = k.marked_issued;
+            st.mallocs = k.mallocs;
+            st.frees = k.frees;
+            st.phase_b_banked_items = k.banked_items;
+        }
+        for (row, l1) in self.sms.iter().zip(l1) {
+            let st = &mut outcome.kernels[row.kernel].stats;
+            st.add_mem_counts(&row.mem);
+            st.transactions += row.transactions;
+            let [scoreboard, lsu_busy, ocu_verdict, no_ready_warp] = row.stalls;
+            st.stalls.scoreboard += scoreboard;
+            st.stalls.lsu_busy += lsu_busy;
+            st.stalls.ocu_verdict += ocu_verdict;
+            st.stalls.no_ready_warp += no_ready_warp;
+            st.l1_per_sm.push(*l1);
+        }
+        if !registry.is_enabled() {
+            return;
+        }
+        registry.add(Scope::Gpu, "cycles", outcome.makespan);
+        registry.add(Scope::Gpu, "mshr_merges", outcome.mshr_merges);
+        registry.add(Scope::Gpu, "dram_transactions", outcome.dram_transactions);
+        registry.add(Scope::Gpu, "l2.hits", outcome.l2.hits);
+        registry.add(Scope::Gpu, "l2.misses", outcome.l2.misses);
+        for (slot, (row, l1)) in self.sms.iter().zip(l1).enumerate() {
+            let warps = &self.warp_issued[slot * self.warps..(slot + 1) * self.warps];
+            let sm = row.sm;
+            let scope = Scope::Sm(sm);
+            let totals = [
+                ("issued", warps.iter().sum()),
+                ("mem_insts", row.mem.iter().sum()),
+                ("heap_calls", row.heap_calls),
+            ];
+            for (name, n) in totals.into_iter().chain(STALL_NAMES.into_iter().zip(row.stalls)) {
+                if n > 0 {
+                    registry.add(scope, name, n);
+                }
+            }
+            if row.charged > 0 {
+                registry.add(scope, "transactions", row.transactions);
+            }
+            registry.add(scope, "l1.hits", l1.hits);
+            registry.add(scope, "l1.misses", l1.misses);
+            for (warp, &n) in warps.iter().enumerate() {
+                if n > 0 {
+                    registry.add(Scope::Warp { sm, warp }, "issued", n);
+                }
+            }
+        }
+        for (job, k) in jobs.iter().zip(&self.kernels) {
+            let scope = Scope::Mechanism(job.mechanism.name());
+            for (name, n) in [("checks", k.checks), ("poisoned", k.poisoned), ("faults", k.faults)]
+            {
+                if n > 0 {
+                    registry.add(scope, name, n);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,13 +515,7 @@ mod tests {
     #[test]
     fn mem_ratios_sum_to_one_over_protected_spaces() {
         let mut s = SimStats::default();
-        for _ in 0..6 {
-            s.record_mem(MemSpace::Global);
-        }
-        for _ in 0..3 {
-            s.record_mem(MemSpace::Shared);
-        }
-        s.record_mem(MemSpace::Local);
+        s.add_mem_counts(&[6, 3, 1, 0]);
         assert_eq!(s.mem_total(), 10);
         let sum = s.mem_ratio(MemSpace::Global)
             + s.mem_ratio(MemSpace::Shared)
@@ -363,8 +527,9 @@ mod tests {
     #[test]
     fn const_accesses_do_not_skew_fig1_ratios() {
         let mut s = SimStats::default();
-        s.record_mem(MemSpace::Const);
-        s.record_mem(MemSpace::Global);
+        s.add_mem_counts(&[1, 0, 0, 1]);
+        assert_eq!(s.mem_count(MemSpace::Const), 1);
+        assert!(!s.mem_by_space.contains_key("shared"), "untouched spaces get no entry");
         assert_eq!(s.mem_total(), 1);
         assert_eq!(s.mem_ratio(MemSpace::Global), 1.0);
     }

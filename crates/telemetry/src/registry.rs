@@ -1,14 +1,15 @@
 //! A scoped counter registry.
 //!
-//! `SimStats` keeps the handful of headline numbers every run needs;
-//! everything finer-grained — per-SM cache behavior, per-warp issue
-//! counts, per-mechanism check/poison/fault tallies, scheduler stall
-//! reasons — lands here, keyed by [`Scope`] and a static counter name.
-//! The registry is a plain sorted map, written at run granularity: the
-//! simulator's engine keeps its per-event counters as dense totals and
-//! folds them in once per run, so no ordered-map search sits on the issue
-//! loop. Its JSON export groups counters by scope so reports stay
-//! readable.
+//! The simulator keeps one record of each run's per-event statistics —
+//! dense totals its engine increments per event — and folds it once per
+//! run into two outputs: `SimStats`, the handful of per-kernel headline
+//! numbers every run needs, and this registry, which holds everything
+//! finer-grained — per-SM cache behavior, per-warp issue counts,
+//! per-mechanism check/poison/fault tallies, scheduler stall reasons —
+//! keyed by [`Scope`] and a static counter name. The registry is a plain
+//! sorted map, written at run granularity, so no ordered-map search sits
+//! on the issue loop. Its JSON export groups counters by scope so reports
+//! stay readable.
 
 use std::collections::BTreeMap;
 

@@ -644,3 +644,32 @@ fn fast_forward_skips_identically_across_thread_counts() {
         stats.issued,
     );
 }
+
+#[test]
+fn kernel_without_exit_retires_at_the_program_end() {
+    // One MOV and no trailing EXIT: every warp runs off the end of the
+    // program, which retires it as an implicit EXIT — an issued
+    // instruction like any other — at every engine point.
+    let mut b = ProgramBuilder::new("no-exit");
+    b.push(Instruction::mov(Reg(2), 7));
+    let launch = Launch::new(b.build()).grid(2).block(64);
+    let warps = 2 * 2;
+    let run = |threads, banks| {
+        let cfg = GpuConfig::small().with_sim_threads(threads).with_mem_banks(banks);
+        let mut sink = TelemetrySink::counters_only();
+        let stats = Gpu::new(cfg).try_run(&launch, &mut NullMechanism, &mut sink).unwrap();
+        (stats, sink.counters)
+    };
+    let (serial, counters) = run(1, 1);
+    let (banked, banked_counters) = run(2, 4);
+    assert_eq!(serial, banked, "SimStats diverged at 2 threads x 4 banks");
+    assert_eq!(counters, banked_counters, "counters diverged at 2 threads x 4 banks");
+    assert_eq!(serial.issued, 2 * warps, "each warp issues its MOV and an implicit EXIT");
+    assert_eq!(counters.sum_sms("issued"), serial.issued);
+    let per_warp: Vec<u64> = counters
+        .iter()
+        .filter(|(scope, name, _)| matches!(scope, Scope::Warp { .. }) && *name == "issued")
+        .map(|(_, _, n)| n)
+        .collect();
+    assert_eq!(per_warp, vec![2; warps as usize], "every warp retired after its two issues");
+}

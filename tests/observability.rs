@@ -235,6 +235,9 @@ fn registry_counters_agree_with_sim_stats_on_random_kernels() {
         assert_eq!(c.get(lmi, "faults"), mech.faults, "case {case}: faults");
         assert_eq!(has("faults"), mech.faults > 0, "case {case}: faults key");
         assert_eq!(c.sum_sms("issued"), stats.issued, "case {case}: issued");
+        // One record column counts both: every issue event is one leader
+        // walk step.
+        assert_eq!(stats.issued, stats.phase_b_serial_items, "case {case}: serial items");
         assert_eq!(c.sum_sms("transactions"), stats.transactions, "case {case}: transactions");
         assert_eq!(c.get(Scope::Gpu, "cycles"), stats.cycles, "case {case}: cycles");
         assert_eq!(
