@@ -8,8 +8,11 @@
 //! (launch lowering, warp tables, pool warm-up), none to steady state.
 //!
 //! Counting is process-global and lock-free (one relaxed atomic per
-//! alloc), cheap enough that `simbench` keeps it installed while timing
-//! and reports `allocs_per_kcycle` next to `kips`.
+//! alloc), cheap enough that perfbench keeps it installed while timing and
+//! reports `allocs_per_kcycle` next to `kips`. Because it is
+//! process-global, an audit must own every thread that can allocate in
+//! its measured window: `tests/alloc_audit.rs` runs without a test harness
+//! for that reason.
 //!
 //! ```no_run
 //! use lmi_bench::alloc_audit::CountingAlloc;
@@ -31,9 +34,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// without a reference to the installed allocator.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Bytes requested across all allocations since program start.
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
 /// A [`System`]-backed global allocator that counts every allocation.
 ///
 /// `realloc` counts as one allocation (it may move); `dealloc` is not
@@ -50,11 +50,6 @@ impl CountingAlloc {
     pub fn allocations() -> u64 {
         ALLOCATIONS.load(Ordering::Relaxed)
     }
-
-    /// Total bytes requested by the process so far.
-    pub fn allocated_bytes() -> u64 {
-        ALLOCATED_BYTES.load(Ordering::Relaxed)
-    }
 }
 
 impl Default for CountingAlloc {
@@ -64,17 +59,15 @@ impl Default for CountingAlloc {
 }
 
 // SAFETY: delegates directly to `System`, which upholds the `GlobalAlloc`
-// contract; the counters are side effects with no aliasing.
+// contract; the counter is a side effect with no aliasing.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
@@ -84,7 +77,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }

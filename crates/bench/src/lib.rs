@@ -1,12 +1,12 @@
 //! # lmi-bench — experiment harness
 //!
 //! Shared machinery for the figure/table regeneration binaries (one binary
-//! per paper table/figure, see `src/bin/`) and the hand-rolled
-//! micro-benchmarks (`benches/`). The per-experiment index lives in
-//! `DESIGN.md`; measured-vs-paper numbers are recorded in `EXPERIMENTS.md`.
+//! per paper table/figure, see `src/bin/`) and the counting allocator of
+//! the allocation audits. Host time is measured by `perfbench/` alone. The
+//! per-experiment index lives in `DESIGN.md`; measured-vs-paper numbers
+//! are recorded in `EXPERIMENTS.md`.
 
 pub mod alloc_audit;
-pub mod harness;
 pub mod report;
 
 use lmi_alloc::AlignmentPolicy;
@@ -184,18 +184,13 @@ pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
     }
 }
 
-/// Formats an aligned row: name column then fixed-width numeric columns.
-pub fn format_row(name: &str, cols: &[String]) -> String {
+/// Prints an aligned row: name column then fixed-width numeric columns.
+pub fn print_row(name: &str, cols: &[String]) {
     let mut row = format!("{name:<24}");
     for c in cols {
         row.push_str(&format!(" {c:>12}"));
     }
-    row
-}
-
-/// Prints an aligned row: name column then fixed-width numeric columns.
-pub fn print_row(name: &str, cols: &[String]) {
-    println!("{}", format_row(name, cols));
+    println!("{row}");
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ pub fn emit(doc: &Json) {
 
 /// Short git revision of the working tree (`-dirty` suffixed when the
 /// tree has local changes), falling back to `GITHUB_SHA` then "unknown".
-/// Stamped into the committed benchmark baselines for provenance.
+/// Stamped into the `profile --json` report for provenance.
 pub fn git_rev() -> String {
     let out = std::process::Command::new("git").args(["rev-parse", "--short", "HEAD"]).output();
     if let Ok(out) = out {

@@ -145,7 +145,8 @@ pub struct RuntimeReport {
 }
 
 impl RuntimeReport {
-    /// Machine-readable export (used by `runtimebench --json`).
+    /// Machine-readable export (each mix's `concurrent` record in
+    /// `runtimebench --json`).
     pub fn to_json(&self) -> Json {
         let kernels = self
             .kernels

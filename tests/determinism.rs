@@ -167,19 +167,40 @@ fn assert_bank_invariant(
 
 #[test]
 fn seeded_workloads_are_bit_identical_across_thread_counts() {
-    // Three contrasting profiles: compute-heavy, barrier/wavefront, and
-    // uncoalesced-memory-heavy.
-    for name in ["hotspot", "needle", "bfs"] {
+    // Four contrasting profiles — compute-heavy, barrier/wavefront,
+    // pointer-op-dense and uncoalesced-memory-heavy — under every hardware
+    // mechanism, at every thread × bank cell.
+    for name in ["hotspot", "needle", "gaussian", "bfs"] {
         let spec = workload(name).scaled_down(4);
-        let prepared = prepare(&spec, AlignmentPolicy::PowerOfTwo);
-        let probe: Vec<u64> = prepared.buffers.iter().map(|&(base, _)| base).collect();
-        assert_thread_invariant(
-            GpuConfig::small(),
-            &prepared.launch,
-            || Box::new(LmiMechanism::default_config()),
-            &probe,
-            name,
-        );
+        for mech in ["null", "lmi", "gpushield"] {
+            // LMI needs 2ⁿ-aligned, extent-carrying pointers.
+            let policy = match mech {
+                "lmi" => AlignmentPolicy::PowerOfTwo,
+                _ => AlignmentPolicy::CudaDefault,
+            };
+            let prepared = prepare(&spec, policy);
+            let probe: Vec<u64> = prepared.buffers.iter().map(|&(base, _)| base).collect();
+            let mechanism = || -> Box<dyn Mechanism> {
+                match mech {
+                    "null" => Box::new(NullMechanism),
+                    "lmi" => Box::new(LmiMechanism::default_config()),
+                    _ => {
+                        let mut gs = GpuShield::new();
+                        for &(base, size) in &prepared.buffers {
+                            gs.register_buffer(base, size);
+                        }
+                        Box::new(gs)
+                    }
+                }
+            };
+            assert_bank_invariant(
+                GpuConfig::small(),
+                &prepared.launch,
+                mechanism,
+                &probe,
+                &format!("{name}/{mech}"),
+            );
+        }
     }
 }
 
