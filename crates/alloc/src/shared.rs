@@ -101,11 +101,6 @@ impl SharedLayout {
         }
     }
 
-    /// Total bytes consumed by static placements.
-    pub fn static_bytes(&self) -> u64 {
-        self.cursor - self.window_base
-    }
-
     /// Ground truth: the static object containing `addr`.
     pub fn static_containing(&self, addr: u64) -> Option<(u64, u64, u64)> {
         self.statics

@@ -100,11 +100,6 @@ impl CanaryAllocator {
         }
         detected
     }
-
-    /// Number of guarded buffers.
-    pub fn guarded_count(&self) -> usize {
-        self.buffers.len()
-    }
 }
 
 #[cfg(test)]

@@ -163,11 +163,6 @@ impl GpuShield {
     fn region_index_of(&self, vaddr: u64) -> Option<usize> {
         self.regions.iter().position(|r| vaddr >= r.base && vaddr < r.base + r.size)
     }
-
-    /// Region-level spatial check used by the security suite directly.
-    pub fn check_global(&self, vaddr: u64) -> bool {
-        self.region_index_of(vaddr).is_some()
-    }
 }
 
 impl Mechanism for GpuShield {

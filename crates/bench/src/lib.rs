@@ -43,15 +43,19 @@ impl Mechanism {
             Mechanism::Memcheck => "memcheck",
         }
     }
+
+    /// The allocation policy of the workload's buffers and device heap.
+    pub fn policy(self) -> AlignmentPolicy {
+        match self {
+            // LMI and Baggy need 2ⁿ-aligned, extent-carrying pointers.
+            Mechanism::Lmi | Mechanism::BaggySoftware => AlignmentPolicy::PowerOfTwo,
+            _ => AlignmentPolicy::CudaDefault,
+        }
+    }
 }
 
 fn prepared_for(spec: &WorkloadSpec, mechanism: Mechanism) -> PreparedWorkload {
-    let policy = match mechanism {
-        // LMI and Baggy need 2ⁿ-aligned, extent-carrying pointers.
-        Mechanism::Lmi | Mechanism::BaggySoftware => AlignmentPolicy::PowerOfTwo,
-        _ => AlignmentPolicy::CudaDefault,
-    };
-    let mut prepared = prepare(spec, policy);
+    let mut prepared = prepare(spec, mechanism.policy());
     match mechanism {
         Mechanism::BaggySoftware => {
             prepared.launch.program = instrument_baggy(&prepared.launch.program);
@@ -70,26 +74,7 @@ fn prepared_for(spec: &WorkloadSpec, mechanism: Mechanism) -> PreparedWorkload {
 /// Runs `spec` once under `mechanism` on the scaled-down (8-SM) Table IV
 /// configuration; returns the statistics.
 pub fn run_workload(spec: &WorkloadSpec, mechanism: Mechanism) -> SimStats {
-    let prepared = prepared_for(spec, mechanism);
-    let mut gpu = Gpu::with_heap_policy(
-        GpuConfig::small(),
-        match mechanism {
-            Mechanism::Lmi | Mechanism::BaggySoftware => AlignmentPolicy::PowerOfTwo,
-            _ => AlignmentPolicy::CudaDefault,
-        },
-    );
-    let stats = match mechanism {
-        Mechanism::Lmi => {
-            let mut m = LmiMechanism::default_config();
-            gpu.run(&prepared.launch, &mut m)
-        }
-        Mechanism::GpuShield => {
-            let mut m = GpuShield::new();
-            prepared.register_with(&mut ShieldAdapter(&mut m));
-            gpu.run(&prepared.launch, &mut m)
-        }
-        _ => gpu.run(&prepared.launch, &mut NullMechanism),
-    };
+    let stats = run_at_phase(spec, mechanism, 0);
     assert!(
         stats.violations.is_empty(),
         "{} under {}: benign workload must not fault: {:?}",
@@ -115,13 +100,7 @@ pub const PHASES: [u64; 4] = [0, 3, 7, 12];
 fn run_at_phase(spec: &WorkloadSpec, mechanism: Mechanism, phase: u64) -> SimStats {
     let mut prepared = prepared_for(spec, mechanism);
     prepared.launch.phase = phase;
-    let mut gpu = Gpu::with_heap_policy(
-        GpuConfig::small(),
-        match mechanism {
-            Mechanism::Lmi | Mechanism::BaggySoftware => AlignmentPolicy::PowerOfTwo,
-            _ => AlignmentPolicy::CudaDefault,
-        },
-    );
+    let mut gpu = Gpu::with_heap_policy(GpuConfig::small(), mechanism.policy());
     match mechanism {
         Mechanism::Lmi => {
             let mut m = LmiMechanism::default_config();

@@ -20,8 +20,7 @@
 //! * [`corpus`] round-trips cases through JSON for corpus persistence.
 //!
 //! The `fuzz` binary in `crates/bench` drives these pieces from the
-//! command line; `tests/differential_fuzz.rs` and `tests/conformance.rs`
-//! pin the invariants in CI.
+//! command line; `tests/conformance.rs` pins the invariants in CI.
 
 #![warn(missing_docs)]
 

@@ -132,11 +132,6 @@ impl Recipe {
             );
         }
     }
-
-    /// `true` when any op targets the device heap.
-    pub fn uses_heap(&self) -> bool {
-        self.heap_elems > 0
-    }
 }
 
 /// Draws an in-envelope offset for an op shape.

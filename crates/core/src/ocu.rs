@@ -68,11 +68,6 @@ impl Ocu {
         Ocu { cfg, delay_cycles: 3 }
     }
 
-    /// An OCU with custom latency (for ablation studies).
-    pub fn with_delay(cfg: PtrConfig, delay_cycles: u32) -> Ocu {
-        Ocu { cfg, delay_cycles }
-    }
-
     /// The pointer-format configuration the OCU masks against.
     pub fn config(&self) -> &PtrConfig {
         &self.cfg

@@ -277,11 +277,6 @@ impl DevicePtr {
         self.size(cfg).map(|s| self.addr() >> s.trailing_zeros())
     }
 
-    /// The mask of modifiable address bits (`size - 1`).
-    pub fn modifiable_mask(self, cfg: &PtrConfig) -> Option<u64> {
-        self.size(cfg).map(|s| s - 1)
-    }
-
     /// Returns `true` if `addr` lies within the pointer's buffer.
     pub fn contains(self, addr: u64, cfg: &PtrConfig) -> bool {
         match (self.base(cfg), self.size(cfg)) {

@@ -60,11 +60,11 @@ use lmi_isa::OpcodeClass;
 use lmi_mem::{BankRouter, BankedHierarchy, BankedMemory, Cache, MemBank, SparseMemory};
 use lmi_telemetry::{FaultEvent, PoisonEvent, TelemetrySink, TraceEventKind};
 
-use crate::config::{GpuConfig, WARP_SIZE};
+use crate::config::GpuConfig;
 use crate::mechanism::{Mechanism, WarpMemAccess, WarpMemVerdict};
-use crate::sm::{BankReq, CycleEvents, EventPool, IssueEvent, MemVerdict, OpResult, SharedOp, Sm};
+use crate::sm::{BankReq, CycleEvents, IssueEvent, MemOp, MemVerdict, OpResult, SharedOp, Sm};
 use crate::stats::{RunRecord, SimStats, ViolationEvent};
-use crate::warp::{lanes_of, Column64, LaneMask};
+use crate::warp::{lanes_of, LaneMask};
 
 /// Per-kernel shared state: each kernel resident on the GPU owns its own
 /// mechanism instance, statistics, and device heap. A classic single-kernel
@@ -102,10 +102,7 @@ struct LeaderCtx<'l, 'a> {
     record: &'l mut RunRecord,
     cfg: &'l GpuConfig,
     sink: &'l mut TelemetrySink,
-    /// Reused per-op scratch of the memory check: the lanes' raw and
-    /// stripped addresses as columns, and the mechanism's verdict.
-    raw: Column64,
-    vaddr: Column64,
+    /// Reused per-op scratch of the memory check: the mechanism's verdict.
     verdict: WarpMemVerdict,
 }
 
@@ -203,22 +200,13 @@ pub(crate) fn run(
         threads,
         tracer_on: sink.tracer.is_enabled(),
     };
-    let mut leader = LeaderCtx {
-        kernels,
-        record,
-        cfg,
-        sink,
-        raw: [0; WARP_SIZE],
-        vaddr: [0; WARP_SIZE],
-        verdict: WarpMemVerdict::default(),
-    };
+    let mut leader = LeaderCtx { kernels, record, cfg, sink, verdict: WarpMemVerdict::default() };
 
     let slots: Vec<RwLock<SmSlot>> = sms
         .drain(..)
         .zip(l1s)
         .map(|(sm, l1)| {
-            let mut events = CycleEvents::default();
-            events.ensure_banks(banks);
+            let events = CycleEvents::new(banks, cfg.schedulers_per_sm);
             RwLock::new(SmSlot { sm, l1, events })
         })
         .collect();
@@ -246,11 +234,7 @@ pub(crate) fn run(
         })
     };
     let panicked = ctl.payload.lock().unwrap_or_else(|e| e.into_inner()).take();
-    sms.extend(slots.into_iter().map(|m| {
-        let slot = m.into_inner().unwrap_or_else(|e| e.into_inner());
-        assert!(slot.events.pool.is_bounded(), "SM {}: event pool outgrew its peak", slot.sm.id);
-        slot.sm
-    }));
+    sms.extend(slots.into_iter().map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).sm));
     if let Some(payload) = panicked {
         panic::resume_unwind(payload);
     }
@@ -283,11 +267,10 @@ fn apply_cycle(
         profile.period = period;
         profile.absorb(sm_id, &sample);
     }
-    let CycleEvents { issues, pool, bank_q, .. } = events;
-    for (op_idx, ev) in issues.iter_mut().enumerate() {
-        apply_event(slot_idx, op_idx as u32, ev, pool, now, machine, leader);
+    for (op_idx, ev) in events.live_mut().iter_mut().enumerate() {
+        apply_event(slot_idx, op_idx as u32, ev, now, machine, leader);
     }
-    if bank_q.iter().any(|q| !q.is_empty()) {
+    if events.bank_q.iter().any(|q| !q.is_empty()) {
         machine.bank_flag.store(true, SeqCst);
     }
 }
@@ -296,7 +279,6 @@ fn apply_event(
     slot_idx: usize,
     op_idx: u32,
     ev: &mut IssueEvent,
-    pool: &mut EventPool,
     now: u64,
     machine: &Machine<'_>,
     leader: &mut LeaderCtx<'_, '_>,
@@ -324,17 +306,14 @@ fn apply_event(
     }
     row.heap_calls += u64::from(matches!(ev.shared, Some(SharedOp::Heap { .. })));
     let mnemonic = ev.opcode.map(|op| op.mnemonic()).unwrap_or("");
-    ev.result = match ev.shared.take() {
-        Some(SharedOp::MarkedInt { dst, pair, mask, inputs, mut results }) => {
-            let delay =
-                apply_marked_int(slot_idx, ev, mnemonic, mask, &inputs, &mut results, now, leader);
-            pool.put_col(inputs);
+    ev.result = match ev.shared {
+        Some(SharedOp::MarkedInt { dst, pair, mask }) => {
+            let delay = apply_marked_int(slot_idx, ev, mnemonic, mask, now, leader);
             let done_at = now + leader.cfg.int_latency as u64;
             Some(OpResult {
                 dst,
                 pair,
                 mask,
-                values: results,
                 ready_at: Some(done_at),
                 verdict_at: Some(done_at + delay as u64),
                 ready_mem_at: None,
@@ -342,14 +321,13 @@ fn apply_event(
                 retire: false,
             })
         }
-        Some(SharedOp::Heap { dst, pair, malloc, mask, mut args }) => {
-            let retire = apply_heap(slot_idx, ev, mnemonic, malloc, mask, &mut args, now, leader);
+        Some(SharedOp::Heap { dst, pair, malloc, mask }) => {
+            let retire = apply_heap(slot_idx, ev, mnemonic, malloc, mask, now, leader);
             Some(OpResult {
                 dst,
                 pair,
                 // `free` writes nothing back; `malloc` its pointers.
                 mask: if malloc { mask } else { 0 },
-                values: args,
                 ready_at: None,
                 verdict_at: None,
                 ready_mem_at: malloc.then(|| now + leader.cfg.heap_call_latency as u64),
@@ -357,13 +335,11 @@ fn apply_event(
                 retire,
             })
         }
-        Some(op @ SharedOp::Mem { .. }) => {
+        Some(SharedOp::Mem(op)) => {
             // The mechanism check runs here (serial, canonical); timing and
             // data movement were already routed to the banks in phase A and
             // stay gated on this verdict. The op itself rides to phase C.
-            let verdict = check_mem(slot_idx, op_idx, ev, &op, machine, leader, now);
-            ev.verdict = Some(verdict);
-            ev.shared = Some(op);
+            ev.verdict = Some(check_mem(slot_idx, op_idx, ev, &op, machine, leader, now));
             None
         }
         None => None,
@@ -387,17 +363,14 @@ fn apply_event(
 }
 
 /// OCU check of a hint-marked wide integer op (LMI's bounds pipeline): one
-/// warp-wide mechanism call, checked values written into `results`, then
-/// the poisoned lanes' forensics in ascending lane order. Returns the
-/// mechanism's extra verdict delay.
-#[allow(clippy::too_many_arguments)]
+/// warp-wide mechanism call, checked values written into the event's
+/// `values`, then the poisoned lanes' forensics in ascending lane order.
+/// Returns the mechanism's extra verdict delay.
 fn apply_marked_int(
     slot_idx: usize,
-    ev: &IssueEvent,
+    ev: &mut IssueEvent,
     mnemonic: &'static str,
     mask: LaneMask,
-    inputs: &Column64,
-    results: &mut Column64,
     now: u64,
     leader: &mut LeaderCtx<'_, '_>,
 ) -> u32 {
@@ -405,7 +378,7 @@ fn apply_marked_int(
     // lane's poison event shares it.
     let (sm_id, k) = leader.site(slot_idx);
     let slot = &mut leader.kernels[k];
-    let poisoned = slot.mechanism.on_marked_int_warp(mask, inputs, results);
+    let poisoned = slot.mechanism.on_marked_int_warp(mask, &ev.inputs, &mut ev.values);
     let extra_delay = slot.mechanism.marked_int_delay();
     let totals = &mut leader.record.kernels[k];
     let issue_index = totals.issued;
@@ -451,16 +424,14 @@ fn apply_marked_int(
 
 /// Device-heap `malloc`/`free` over the lanes of `mask`, serialized
 /// through the shared allocator; `malloc` overwrites each lane's size in
-/// `args` with its pointer. Returns whether the warp halts (an invalid or
-/// double free under `halt_on_violation`).
-#[allow(clippy::too_many_arguments)]
+/// the event's `values` with its pointer. Returns whether the warp halts
+/// (an invalid or double free under `halt_on_violation`).
 fn apply_heap(
     slot_idx: usize,
-    ev: &IssueEvent,
+    ev: &mut IssueEvent,
     mnemonic: &'static str,
     malloc: bool,
     mask: LaneMask,
-    args: &mut Column64,
     now: u64,
     leader: &mut LeaderCtx<'_, '_>,
 ) -> bool {
@@ -477,10 +448,11 @@ fn apply_heap(
     for l in lanes_of(mask) {
         let gtid = ev.base_tid + l as u64;
         let slot = &mut leader.kernels[k];
+        let arg = &mut ev.values[l];
         if malloc {
-            args[l] = slot.heap.malloc(gtid as usize, args[l]).unwrap_or(0);
+            *arg = slot.heap.malloc(gtid as usize, *arg).unwrap_or(0);
         } else {
-            match slot.heap.free(args[l]) {
+            match slot.heap.free(*arg) {
                 Err(e) => {
                     let kind = match e {
                         AllocError::DoubleFree(_) => TemporalKind::DoubleFree,
@@ -539,33 +511,24 @@ fn check_mem(
     slot_idx: usize,
     op_idx: u32,
     ev: &IssueEvent,
-    op: &SharedOp,
+    op: &MemOp,
     machine: &Machine<'_>,
     leader: &mut LeaderCtx<'_, '_>,
     now: u64,
 ) -> MemVerdict {
-    let SharedOp::Mem { width, is_store, space, lanes, line_count, bank_items, .. } = op else {
-        unreachable!("check_mem is only called for SharedOp::Mem");
-    };
     let pc = ev.pc;
     let (sm_id, k) = leader.site(slot_idx);
-    let LeaderCtx { kernels, record, cfg, sink, raw, vaddr, verdict } = leader;
+    let LeaderCtx { kernels, record, cfg, sink, verdict } = leader;
     let slot = &mut kernels[k];
-    let mut mask: LaneMask = 0;
-    for lm in lanes {
-        raw[lm.lane] = lm.raw;
-        vaddr[lm.lane] = lm.vaddr;
-        mask |= 1 << lm.lane;
-    }
     let access = WarpMemAccess {
-        space: *space,
-        width: *width,
-        is_store: *is_store,
+        space: op.space,
+        width: op.width,
+        is_store: op.is_store,
         pc,
         base_tid: ev.base_tid,
-        mask,
-        raw,
-        vaddr,
+        mask: op.mask,
+        raw: &ev.inputs,
+        vaddr: &ev.values,
     };
     verdict.clear();
     slot.mechanism.on_mem_access_warp(&access, verdict);
@@ -618,7 +581,7 @@ fn check_mem(
     }
 
     let row = &mut record.sms[slot_idx];
-    row.transactions += line_count;
+    row.transactions += op.line_count;
     row.charged += 1;
 
     // Route the mechanism's metadata fetches (bounds must be known before
@@ -638,7 +601,7 @@ fn check_mem(
         }
         machine.meta_flag.store(true, SeqCst);
     }
-    record.kernels[k].banked_items += *bank_items as u64 + metas.len() as u64;
+    record.kernels[k].banked_items += op.bank_items as u64 + metas.len() as u64;
     MemVerdict { survivors, cancelled: false, extra_cycles }
 }
 
@@ -665,7 +628,7 @@ fn meta_pass(slots: &[RwLock<SmSlot<'_>>], machine: &Machine<'_>, now: u64, t: u
         for req in q.iter() {
             let done = cell.timing.access(req.local, now);
             let s = slots[req.slot as usize].read().unwrap();
-            s.events.issues[req.op as usize].meta_done.fetch_max(done, SeqCst);
+            s.events.live()[req.op as usize].meta_done.fetch_max(done, SeqCst);
         }
         q.clear();
     }
@@ -680,10 +643,11 @@ fn bank_pass(slots: &[RwLock<SmSlot<'_>>], machine: &Machine<'_>, now: u64, t: u
         let BankCell { timing, store } = &mut *cell;
         for slot in slots {
             let s = slot.read().unwrap();
+            let issues = s.events.live();
             for req in &s.events.bank_q[b] {
                 match *req {
                     BankReq::Fill { op, local } => {
-                        let ev = &s.events.issues[op as usize];
+                        let ev = &issues[op as usize];
                         let v = ev.verdict.expect("mem op verdict set in B-check");
                         if v.cancelled {
                             continue;
@@ -692,23 +656,16 @@ fn bank_pass(slots: &[RwLock<SmSlot<'_>>], machine: &Machine<'_>, now: u64, t: u
                         let done = timing.access(local, start);
                         ev.data_done.fetch_max(done, SeqCst);
                     }
-                    BankReq::Move { op, lane_pos, local, width, shift, value } => {
-                        let ev = &s.events.issues[op as usize];
-                        let v = ev.verdict.expect("mem op verdict set in B-check");
-                        if v.cancelled {
-                            continue;
-                        }
-                        let Some(SharedOp::Mem { is_store, lanes, atoms, .. }) = &ev.shared else {
-                            unreachable!("Move targets a memory op");
-                        };
-                        if v.survivors & (1 << lanes[lane_pos as usize].lane) == 0 {
-                            continue;
-                        }
-                        if *is_store {
+                    BankReq::Store { op, lane, local, width, value } => {
+                        if issues[op as usize].lane_survives(lane) {
                             store.write(local, value, width);
-                        } else {
+                        }
+                    }
+                    BankReq::Load { op, lane, local, width, shift } => {
+                        let ev = &issues[op as usize];
+                        if ev.lane_survives(lane) {
                             let part = store.read(local, width) << (8 * shift as u32);
-                            atoms[lane_pos as usize].fetch_or(part, SeqCst);
+                            ev.atoms[lane as usize].fetch_or(part, SeqCst);
                         }
                     }
                 }
@@ -722,8 +679,8 @@ fn bank_pass(slots: &[RwLock<SmSlot<'_>>], machine: &Machine<'_>, now: u64, t: u
 fn b_final(slots: &[RwLock<SmSlot<'_>>], leader: &mut LeaderCtx<'_, '_>, now: u64) {
     for slot in slots {
         let s = slot.read().unwrap();
-        for ev in &s.events.issues {
-            let Some(SharedOp::Mem { line_count, .. }) = &ev.shared else {
+        for ev in s.events.live() {
+            let Some(SharedOp::Mem(op)) = ev.shared else {
                 continue;
             };
             let Some(v) = ev.verdict else { continue };
@@ -741,7 +698,7 @@ fn b_final(slots: &[RwLock<SmSlot<'_>>], leader: &mut LeaderCtx<'_, '_>, now: u6
                 done.saturating_sub(now).max(1),
                 &[
                     ("pc", ev.pc as u64),
-                    ("lines", *line_count),
+                    ("lines", op.line_count),
                     ("lanes", v.survivors.count_ones() as u64),
                 ],
             );

@@ -414,11 +414,11 @@ mod tests {
     }
 
     #[test]
-    fn event_pools_stay_bounded_across_long_runs() {
+    fn every_deferred_kind_survives_long_runs() {
         // Marked pointer bumps, device-heap calls and memory ops every
-        // trip: each takes pooled columns or lists that must all come
-        // back. `engine::run` asserts every SM's pool bound at the end.
-        let mut b = ProgramBuilder::new("pool-bound");
+        // trip: each reuses its issue slot's lane columns and atoms, so a
+        // payload left over from an earlier cycle would corrupt a later one.
+        let mut b = ProgramBuilder::new("deferred-loop");
         b.push(Instruction::mov(Reg(1), 64));
         b.push(Instruction::mov(Reg(2), 0));
         let top = b.label();

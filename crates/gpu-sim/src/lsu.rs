@@ -12,7 +12,7 @@ pub fn coalesce(addrs: impl IntoIterator<Item = u64>, line_bytes: u64) -> Vec<u6
 }
 
 /// [`coalesce`] into a caller-provided buffer — the allocation-free form
-/// the cycle loop uses with pooled line lists. `out` is cleared first.
+/// the cycle loop uses with each SM's line scratch. `out` is cleared first.
 pub fn coalesce_into(addrs: impl IntoIterator<Item = u64>, line_bytes: u64, out: &mut Vec<u64>) {
     out.clear();
     out.extend(addrs.into_iter().map(|a| a & !(line_bytes - 1)));

@@ -267,13 +267,6 @@ impl LmiMechanism {
     pub fn default_config() -> LmiMechanism {
         LmiMechanism::new(PtrConfig::default())
     }
-
-    /// LMI with a custom OCU delay (ablation).
-    pub fn with_ocu_delay(cfg: PtrConfig, delay: u32) -> LmiMechanism {
-        let mut m = LmiMechanism::new(cfg);
-        m.ocu = Ocu::with_delay(cfg, delay);
-        m
-    }
 }
 
 impl Mechanism for LmiMechanism {

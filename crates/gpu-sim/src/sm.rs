@@ -12,7 +12,7 @@
 //!   are routed into per-bank queues (`BankReq`) for the bank-parallel
 //!   apply. Operations that must touch genuinely global state (the device
 //!   heap, the mechanism, statistics, telemetry) are recorded as
-//!   `SharedOp`s on the cycle's `IssueEvent` list.
+//!   `SharedOp`s on the cycle's `IssueEvent` slots.
 //! * **Phase B** (`engine`) — a thin leader step walks every SM's events
 //!   in canonical (sm, scheduler) order: mechanism checks (producing a
 //!   `MemVerdict` per memory op), heap calls, stats/counter/tracer
@@ -37,8 +37,9 @@
 //! [`lmi_isa::DecodedStream`] lowered once at launch, the GTO scheduler
 //! iterates its warp slice in place instead of collecting candidate lists,
 //! lane sets walk the execution mask bit-by-bit, and every deferred-op
-//! payload (`SharedOp`/`OpResult` lane columns, lane and line lists) is
-//! drawn from the per-SM `EventPool` and returned to it after application.
+//! payload lives in place: each scheduler's `IssueEvent` slot, sized once
+//! per run and overwritten by each issue, owns its op's lane columns and
+//! load atoms, and the coalesced line list is one per-SM scratch `Vec`.
 //!
 //! ## Warp-wide execution
 //!
@@ -48,10 +49,12 @@
 //! exec mask. Scheduler readiness is memoized per warp
 //! (`Warp::ready_memo`) and cleared wherever the warp's state changes: its
 //! issue here and its results in `Sm::apply_results`. Deferred ops stay
-//! warp-wide across the barrier: a marked op or heap call carries its exec
-//! mask and pooled lane columns to the leader, whose mechanism check is one
-//! warp-form call per instruction, and its result comes back as a mask and
-//! one column written with a single `Warp::write64_col` in phase C.
+//! warp-wide columns from phase A to phase C: a marked op, heap call or
+//! memory access leaves its exec mask in a `Copy` descriptor and its lane
+//! columns in its issue slot, the leader's mechanism check is one
+//! warp-form call per instruction on those columns in place, and the
+//! result is written back from the slot with a single `Warp::write64_col`
+//! in phase C.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -150,6 +153,8 @@ pub(crate) struct Sm {
     stream: Arc<DecodedStream>,
     launch: Arc<LaunchCtx>,
     pub warps: Vec<Warp>,
+    /// Phase-A scratch: one memory op's coalesced line list.
+    lines: Vec<u64>,
     /// Greedy warp per scheduler (GTO: greedy-then-oldest).
     greedy: Vec<Option<usize>>,
     /// Blocks resident on this SM (for barrier release).
@@ -187,74 +192,63 @@ impl StallReason {
     }
 }
 
-/// One lane of a deferred memory access.
+/// A shared-state operation deferred from phase A to phase B: a `Copy`
+/// descriptor of the op. Its lane payloads live in the issuing
+/// [`IssueEvent`]'s own columns and atoms.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneMem {
-    pub lane: usize,
-    /// Raw register value plus offset (may carry extent bits).
-    pub raw: u64,
-    /// Virtual address after metadata stripping.
-    pub vaddr: u64,
-    /// Address used for coalescing/timing (local-space interleaving).
-    pub timing_addr: u64,
-    /// Store data (zero for loads).
-    pub store_value: u64,
-}
-
-/// A shared-state operation deferred from phase A to phase B.
-#[derive(Debug)]
 pub(crate) enum SharedOp {
     /// A hint-marked wide integer op with at least one active lane: the
-    /// mechanism's OCU check runs in phase B over the lanes of `mask`,
-    /// with each lane's selected input operand and raw result.
-    MarkedInt {
-        dst: Reg,
-        pair: bool,
-        mask: LaneMask,
-        inputs: Box<Column64>,
-        results: Box<Column64>,
-    },
-    /// A device-heap call over the lanes of `mask`; `args` holds each
-    /// lane's size (malloc) or pointer (free).
-    Heap { dst: Reg, pair: bool, malloc: bool, mask: LaneMask, args: Box<Column64> },
-    /// A non-constant memory access. Timing and data movement were routed
-    /// into the per-bank queues during phase A; the leader's B-check only
-    /// runs the mechanism and accounting on `lanes`.
-    Mem {
-        dst: Reg,
-        pair: bool,
-        width: u8,
-        is_store: bool,
-        space: MemSpace,
-        lanes: Vec<LaneMem>,
-        /// Coalesced line count (1 for shared-space ops): the transaction
-        /// count charged by the B-check.
-        line_count: u64,
-        /// At least one coalesced line hit the SM-local L1 in phase A.
-        l1_hit: bool,
-        /// Bank-queue entries this op contributed (fills + moves), for the
-        /// `phase_b_banked_items` stat.
-        bank_items: u32,
-        /// Per-lane load data, OR-combined by the owning bank(s); indexed
-        /// like `lanes`. Empty for stores.
-        atoms: Vec<AtomicU64>,
-    },
+    /// mechanism's OCU check runs in phase B over the lanes of `mask`, on
+    /// the event's `inputs` (each lane's selected operand) and `values`
+    /// (its raw result, checked in place).
+    MarkedInt { dst: Reg, pair: bool, mask: LaneMask },
+    /// A device-heap call over the lanes of `mask`; the event's `values`
+    /// hold each lane's size (malloc, replaced by its pointer) or pointer
+    /// (free).
+    Heap { dst: Reg, pair: bool, malloc: bool, mask: LaneMask },
+    /// A non-constant memory access over the lanes of `mask`; the event's
+    /// `inputs` hold each lane's raw address and `values` its stripped
+    /// virtual address.
+    Mem(MemOp),
+}
+
+/// A deferred memory access. Timing and data movement were routed into
+/// the per-bank queues during phase A; the leader's B-check only runs the
+/// mechanism and accounting.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemOp {
+    pub dst: Reg,
+    pub pair: bool,
+    pub width: u8,
+    pub is_store: bool,
+    pub space: MemSpace,
+    pub mask: LaneMask,
+    /// Coalesced line count (1 for shared-space ops): the transaction
+    /// count charged by the B-check.
+    pub line_count: u64,
+    /// At least one coalesced line hit the SM-local L1 in phase A.
+    pub l1_hit: bool,
+    /// Bank-queue entries this op contributed (fills + stores/loads), for
+    /// the `phase_b_banked_items` stat.
+    pub bank_items: u32,
 }
 
 /// One entry of a per-SM per-bank queue, enqueued during phase A and
 /// applied by the owning bank's worker in canonical (SM, issue, queue)
-/// order. `op` indexes the SM's [`CycleEvents::issues`] list; addresses
-/// are bank-compacted ([`BankRouter::localize`]).
+/// order. `op` indexes the SM's live issue events ([`CycleEvents::live`]);
+/// addresses are bank-compacted ([`BankRouter::localize`]). A lane's
+/// access that straddles a line boundary splits into two entries.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum BankReq {
     /// Timing: an L1-missed coalesced line fill through the bank's
     /// L2/MSHR/DRAM slice.
     Fill { op: u32, local: u64 },
-    /// Functional: one lane's data movement (one part of it, if the access
-    /// straddles a line boundary). For stores `value` carries the
-    /// pre-shifted store bytes; for loads the bank ORs
-    /// `read(local, width) << 8*shift` into the op's lane atom.
-    Move { op: u32, lane_pos: u16, local: u64, width: u8, shift: u8, value: u64 },
+    /// Functional: one lane's store bytes (pre-shifted for the second part
+    /// of a straddling access).
+    Store { op: u32, lane: u8, local: u64, width: u8, value: u64 },
+    /// Functional: one lane's load; the bank ORs
+    /// `read(local, width) << 8*shift` into the op's atom for `lane`.
+    Load { op: u32, lane: u8, local: u64, width: u8, shift: u8 },
 }
 
 /// The leader B-check's verdict on one memory op, consumed by the bank
@@ -271,14 +265,13 @@ pub(crate) struct MemVerdict {
 }
 
 /// Phase-B outcome of a deferred op, applied to the warp in phase C.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct OpResult {
     pub dst: Reg,
     pub pair: bool,
-    /// Lanes of `values` written back to the 64-bit pair at `dst`.
+    /// Lanes of the event's `values` written back to the 64-bit pair at
+    /// `dst`.
     pub mask: LaneMask,
-    /// Pooled result column, returned to the pool after write-back.
-    pub values: Box<Column64>,
     pub ready_at: Option<u64>,
     pub verdict_at: Option<u64>,
     pub ready_mem_at: Option<u64>,
@@ -288,7 +281,9 @@ pub(crate) struct OpResult {
 }
 
 /// One warp-level issue, recorded in phase A for phase B's canonical walk.
-#[derive(Debug)]
+/// Each SM owns one event per scheduler, reused in place every cycle, so
+/// an event also owns its op's lane payloads.
+#[derive(Debug, Default)]
 pub(crate) struct IssueEvent {
     pub warp: usize,
     /// pc of the issued instruction (pre-advance).
@@ -316,108 +311,48 @@ pub(crate) struct IssueEvent {
     /// Completion cycle of this op's slowest L1-missed line fill
     /// (`fetch_max`ed by the banks' data pass; 0 when every line hit L1).
     pub data_done: AtomicU64,
-}
-
-/// Typed freelists for the deferred-op payload buffers. Phase A draws
-/// empty (but capacity-retaining) `Vec`s and boxed lane columns, phase B/C
-/// return them after consumption, so in steady state no cycle touches the
-/// heap. Each SM owns one pool inside its [`CycleEvents`]; the
-/// single-leader apply phase has exclusive access to the owning SM's pool
-/// while applying its events.
-///
-/// Every buffer a cycle takes comes back within that cycle, so the pool
-/// only allocates when a cycle needs more buffers at once than any cycle
-/// before it: the freelists never hold more than `created`, the per-cycle
-/// peak (`EventPool::is_bounded`).
-#[derive(Debug, Default)]
-pub(crate) struct EventPool {
-    lane_mem: Vec<Vec<LaneMem>>,
-    // Boxed: a column changes hands (event → result → pool) by pointer.
-    #[allow(clippy::vec_box)]
-    cols: Vec<Box<Column64>>,
-    lines: Vec<Vec<u64>>,
-    atoms: Vec<Vec<AtomicU64>>,
-    /// Buffers allocated because a freelist was empty.
-    created: usize,
-}
-
-/// Pops a recycled buffer, allocating (and counting) one if none is left.
-fn take_from<T: Default>(list: &mut Vec<T>, created: &mut usize) -> T {
-    list.pop().unwrap_or_else(|| {
-        *created += 1;
-        T::default()
-    })
-}
-
-impl EventPool {
-    pub fn take_lane_mem(&mut self) -> Vec<LaneMem> {
-        take_from(&mut self.lane_mem, &mut self.created)
-    }
-
-    pub fn put_lane_mem(&mut self, mut v: Vec<LaneMem>) {
-        v.clear();
-        self.lane_mem.push(v);
-    }
-
-    /// A lane column with stale contents: the taker overwrites it.
-    pub fn take_col(&mut self) -> Box<Column64> {
-        take_from(&mut self.cols, &mut self.created)
-    }
-
-    pub fn put_col(&mut self, col: Box<Column64>) {
-        self.cols.push(col);
-    }
-
-    pub fn take_lines(&mut self) -> Vec<u64> {
-        take_from(&mut self.lines, &mut self.created)
-    }
-
-    pub fn put_lines(&mut self, mut v: Vec<u64>) {
-        v.clear();
-        self.lines.push(v);
-    }
-
-    pub fn take_atoms(&mut self) -> Vec<AtomicU64> {
-        take_from(&mut self.atoms, &mut self.created)
-    }
-
-    pub fn put_atoms(&mut self, mut v: Vec<AtomicU64>) {
-        v.clear();
-        self.atoms.push(v);
-    }
-
-    /// Whether the freelists hold no more buffers than were ever taken at
-    /// once. A buffer returned that the pool never handed out (say, an
-    /// empty `Vec` left behind by `mem::take`) breaks this, and would let
-    /// the freelists grow without bound.
-    pub fn is_bounded(&self) -> bool {
-        let free = self.lane_mem.len() + self.cols.len() + self.lines.len() + self.atoms.len();
-        free <= self.created
-    }
+    /// The deferred op's input lane column (see [`SharedOp`]).
+    pub inputs: Column64,
+    /// The deferred op's value lane column (see [`SharedOp`]); phase C
+    /// writes an [`OpResult`] back from it.
+    pub values: Column64,
+    /// A deferred load's data per lane, OR-combined by the owning bank(s).
+    pub atoms: [AtomicU64; WARP_SIZE],
 }
 
 /// Everything one SM produced in one cycle.
 #[derive(Debug, Default)]
 pub(crate) struct CycleEvents {
-    pub issues: Vec<IssueEvent>,
+    /// One event per scheduler, sized once per run; only the first `live`
+    /// were issued this cycle ([`CycleEvents::live`]), the rest are stale.
+    issues: Vec<IssueEvent>,
+    live: usize,
     /// Idle scheduler-slot counts, indexed by [`StallReason::index`].
     pub stalls: [u64; 4],
     /// Profiler sample taken this cycle (phase A, SM-local), absorbed by
     /// the apply phase into the kernel's profile. `None` when sampling is
     /// off or the cycle is not on the period.
     pub sample: Option<SmSample>,
-    /// Recycled payload buffers; survives `clear()` by design.
-    pub pool: EventPool,
     /// Per-bank request queues filled during phase A and drained by the
     /// banks' apply passes, in canonical intra-SM order. Sized once per
-    /// run ([`CycleEvents::ensure_banks`]); inner capacity survives
-    /// `clear()` so the steady state stays allocation-free.
+    /// run; inner capacity survives `clear()` so the steady state stays
+    /// allocation-free.
     pub bank_q: Vec<Vec<BankReq>>,
 }
 
 impl CycleEvents {
+    /// Events for an SM with `schedulers` issue slots over `banks` banks
+    /// (run start).
+    pub fn new(banks: usize, schedulers: usize) -> CycleEvents {
+        CycleEvents {
+            issues: (0..schedulers).map(|_| IssueEvent::default()).collect(),
+            bank_q: vec![Vec::new(); banks],
+            ..CycleEvents::default()
+        }
+    }
+
     pub fn clear(&mut self) {
-        self.issues.clear();
+        self.live = 0;
         self.stalls = [0; 4];
         self.sample = None;
         for q in &mut self.bank_q {
@@ -425,11 +360,14 @@ impl CycleEvents {
         }
     }
 
-    /// Sizes the per-bank queues for `banks` banks (run start).
-    pub fn ensure_banks(&mut self, banks: usize) {
-        if self.bank_q.len() != banks {
-            self.bank_q.resize_with(banks, Vec::new);
-        }
+    /// This cycle's issues, in issue order.
+    pub fn live(&self) -> &[IssueEvent] {
+        &self.issues[..self.live]
+    }
+
+    /// [`CycleEvents::live`], mutably.
+    pub fn live_mut(&mut self) -> &mut [IssueEvent] {
+        &mut self.issues[..self.live]
     }
 }
 
@@ -441,7 +379,7 @@ impl IssueEvent {
     /// the mechanism's extra latency. `None` for non-memory events and for
     /// cancelled (halting) accesses.
     pub fn mem_done_at(&self, now: u64, cfg: &GpuConfig) -> Option<u64> {
-        let Some(SharedOp::Mem { space, l1_hit, .. }) = &self.shared else {
+        let Some(SharedOp::Mem(op)) = self.shared else {
             return None;
         };
         let v = self.verdict.as_ref()?;
@@ -450,13 +388,20 @@ impl IssueEvent {
         }
         let start = now.max(self.meta_done.load(SeqCst));
         let mut done = start.max(self.data_done.load(SeqCst));
-        if *l1_hit {
+        if op.l1_hit {
             done = done.max(start + cfg.hierarchy.l1.hit_latency as u64);
         }
-        if *space == MemSpace::Shared {
+        if op.space == MemSpace::Shared {
             done = done.max(start + cfg.hierarchy.shared_latency as u64);
         }
         Some(done + v.extra_cycles as u64)
+    }
+
+    /// Whether the bank passes move `lane`'s data: the op was not
+    /// cancelled and the lane passed the mechanism check.
+    pub fn lane_survives(&self, lane: u8) -> bool {
+        let v = self.verdict.expect("mem op verdict set in B-check");
+        !v.cancelled && v.survivors & (1 << lane) != 0
     }
 }
 
@@ -474,6 +419,7 @@ impl Sm {
             stream,
             launch: ctx,
             warps: Vec::new(),
+            lines: Vec::new(),
             greedy: Vec::new(),
             blocks: Vec::new(),
             done_cycle: None,
@@ -522,7 +468,7 @@ impl Sm {
         }
         // Disjoint field borrows: the decoded stream and launch context
         // are read while the warps are mutated.
-        let Sm { stream, launch, warps, greedy, .. } = self;
+        let Sm { stream, launch, warps, lines, greedy, .. } = self;
         let overlap = cfg.lsu_verdict_overlap;
         let mut issued_any = false;
         let mut next_ready = u64::MAX;
@@ -592,20 +538,21 @@ impl Sm {
             }
             match picked {
                 Some(w) => {
-                    let CycleEvents { issues, pool, bank_q, .. } = out;
+                    let CycleEvents { issues, live, bank_q, .. } = out;
                     let warp = &mut warps[w];
                     let di = stream.get(warp.pc);
                     let mut ctx = IssueCtx {
                         now,
                         cfg,
                         launch,
-                        pool,
                         bank_q,
-                        op_idx: issues.len() as u32,
+                        lines,
+                        op_idx: *live as u32,
                         l1,
                         router,
                     };
-                    issues.push(ctx.issue(warp, w, di));
+                    ctx.issue(&mut issues[*live], warp, w, di);
+                    *live += 1;
                     *greedy_slot = Some(w);
                     issued_any = true;
                     // The warp can issue again next cycle (in-order).
@@ -619,7 +566,7 @@ impl Sm {
         }
 
         if cfg.sample_period > 0 && now.is_multiple_of(cfg.sample_period) {
-            out.sample = Some(self.sample_warps(now, cfg, &out.issues));
+            out.sample = Some(self.sample_warps(now, cfg, out.live()));
         }
 
         StepOutcome { issued_any, next_ready }
@@ -669,18 +616,12 @@ impl Sm {
     /// assembled here from the bank-written atomics (SM-local again, so
     /// phase C stays fully parallel). `now` stamps `done_cycle` the first
     /// time the SM drains.
-    pub fn apply_results(&mut self, events: &mut CycleEvents, now: u64, cfg: &GpuConfig) {
-        let CycleEvents { issues, pool, .. } = events;
-        for ev in issues.iter_mut() {
+    pub fn apply_results(&mut self, events: &CycleEvents, now: u64, cfg: &GpuConfig) {
+        for ev in events.live() {
             // Every result below changes the issuing warp's pc, scoreboard
             // or lanes: its readiness memo is stale.
             self.warps[ev.warp].ready_memo = None;
-            // Completion time first: `mem_done_at` borrows the shared op
-            // this branch consumes.
-            let mem_done = ev.mem_done_at(now, cfg);
-            if let Some(SharedOp::Mem { dst, pair, width, is_store, lanes, atoms, .. }) =
-                ev.shared.take()
-            {
+            if let Some(SharedOp::Mem(op)) = ev.shared {
                 let v = ev.verdict.expect("mem op carries a B-check verdict");
                 let warp = &mut self.warps[ev.warp];
                 if v.cancelled {
@@ -689,33 +630,27 @@ impl Sm {
                     warp.stack.clear();
                     warp.retire_lanes(warp.mask);
                 } else {
-                    if !is_store {
-                        let done = mem_done.expect("live mem op has a completion time");
-                        let mut values: Column64 = [0; WARP_SIZE];
-                        for (lm, atom) in lanes.iter().zip(&atoms) {
-                            values[lm.lane] = atom.load(SeqCst);
-                        }
-                        if width == 8 {
-                            warp.write64_col(dst, v.survivors, &values);
+                    if !op.is_store {
+                        let done = ev.mem_done_at(now, cfg).expect("live mem op completes");
+                        let values: Column64 = ev.atoms.each_ref().map(|a| a.load(SeqCst));
+                        if op.width == 8 {
+                            warp.write64_col(op.dst, v.survivors, &values);
                         } else {
-                            warp.write_col(dst, v.survivors, &values.map(|v| v as u32));
+                            warp.write_col(op.dst, v.survivors, &values.map(|v| v as u32));
                         }
-                        warp.set_ready_at_mem(dst, done);
-                        if pair {
-                            warp.set_ready_at_mem(dst.pair_high(), done);
+                        warp.set_ready_at_mem(op.dst, done);
+                        if op.pair {
+                            warp.set_ready_at_mem(op.dst.pair_high(), done);
                         }
                     }
                     warp.pc += 1;
                 }
-                pool.put_lane_mem(lanes);
-                pool.put_atoms(atoms);
             }
-            if let Some(r) = ev.result.take() {
+            if let Some(r) = ev.result {
                 let warp = &mut self.warps[ev.warp];
                 if r.mask != 0 {
-                    warp.write64_col(r.dst, r.mask, &r.values);
+                    warp.write64_col(r.dst, r.mask, &ev.values);
                 }
-                pool.put_col(r.values);
                 if let Some(t) = r.ready_at {
                     warp.set_ready_at(r.dst, t);
                     if r.pair {
@@ -858,15 +793,15 @@ fn ready_memo(stream: &DecodedStream, warp: &mut Warp, verdict_overlap: u32) -> 
     }
 }
 
-/// What one issue reads or fills besides the issuing warp: the SM's launch
-/// context and L1, the cycle's pooled buffers and bank queues, and this
-/// issue's index `op_idx` in the cycle's event list.
+/// What one issue reads or fills besides the issuing warp and its event
+/// slot: the SM's launch context, L1 and line scratch, the cycle's bank
+/// queues, and this issue's index `op_idx` among the cycle's live events.
 struct IssueCtx<'a> {
     now: u64,
     cfg: &'a GpuConfig,
     launch: &'a LaunchCtx,
-    pool: &'a mut EventPool,
     bank_q: &'a mut [Vec<BankReq>],
+    lines: &'a mut Vec<u64>,
     op_idx: u32,
     l1: &'a mut Cache,
     router: &'a BankRouter,
@@ -874,33 +809,30 @@ struct IssueCtx<'a> {
 
 impl IssueCtx<'_> {
     /// Issues `warp`'s next instruction `di` (`None`: it fell off the
-    /// program): local work executes now, warp-wide; shared work is
-    /// recorded on the returned event (memory timing/data routed into
-    /// `bank_q` under `op_idx`).
-    fn issue(&mut self, warp: &mut Warp, w: usize, di: Option<&DecodedInstr>) -> IssueEvent {
+    /// program) into the event slot `ev`, overwriting last cycle's issue:
+    /// local work executes now, warp-wide; shared work is recorded on the
+    /// event (memory timing/data routed into `bank_q` under `op_idx`).
+    fn issue(&mut self, ev: &mut IssueEvent, warp: &mut Warp, w: usize, di: Option<&DecodedInstr>) {
         // Whatever issues changes this warp's pc or scoreboard.
         warp.ready_memo = None;
         let now = self.now;
-        let mut ev = IssueEvent {
-            warp: w,
-            pc: warp.pc,
-            opcode: None,
-            activate: false,
-            mem_space: None,
-            base_tid: warp.base_tid,
-            block: warp.block,
-            start_cycle: warp.start_cycle,
-            retired_local: false,
-            shared: None,
-            result: None,
-            verdict: None,
-            meta_done: AtomicU64::new(0),
-            data_done: AtomicU64::new(0),
-        };
+        ev.warp = w;
+        ev.pc = warp.pc;
+        ev.opcode = None;
+        ev.activate = false;
+        ev.mem_space = None;
+        ev.base_tid = warp.base_tid;
+        ev.block = warp.block;
+        ev.start_cycle = warp.start_cycle;
+        ev.shared = None;
+        ev.result = None;
+        ev.verdict = None;
+        *ev.meta_done.get_mut() = 0;
+        *ev.data_done.get_mut() = 0;
         let Some(di) = di else {
             warp.retire_lanes(warp.mask);
             ev.retired_local = warp.done;
-            return ev;
+            return;
         };
         warp.last_issue = now;
         ev.opcode = Some(di.opcode);
@@ -966,8 +898,8 @@ impl IssueCtx<'_> {
                 warp.set_pred_ready_at(pred, now + 2);
                 warp.pc += 1;
             }
-            Opcode::Malloc | Opcode::Free => self.issue_heap(warp, di, exec_mask, &mut ev),
-            op if op.class() == OpcodeClass::IntAlu => self.issue_int(warp, di, exec_mask, &mut ev),
+            Opcode::Malloc | Opcode::Free => self.issue_heap(warp, di, exec_mask, ev),
+            op if op.class() == OpcodeClass::IntAlu => self.issue_int(warp, di, exec_mask, ev),
             op if op.class() == OpcodeClass::Fpu => {
                 if exec_mask != 0 {
                     let a = self.launch.gather32(warp, &di.srcs[0]);
@@ -983,11 +915,10 @@ impl IssueCtx<'_> {
                 warp.set_ready_at(di.dst, now + lat as u64);
                 warp.pc += 1;
             }
-            op if op.is_mem() => self.issue_mem(warp, di, exec_mask, &mut ev),
+            op if op.is_mem() => self.issue_mem(warp, di, exec_mask, ev),
             other => panic!("unhandled opcode {other}"),
         }
         ev.retired_local = warp.done;
-        ev
     }
 
     fn issue_int(
@@ -1008,16 +939,12 @@ impl IssueCtx<'_> {
                 if di.hints.activate {
                     // The OCU check consults the mechanism — shared state —
                     // so the whole writeback defers to phase B.
-                    let mut inputs = self.pool.take_col();
-                    *inputs = if di.hints.select == 0 { a } else { b };
-                    let mut results = self.pool.take_col();
-                    *results = v;
+                    ev.inputs = if di.hints.select == 0 { a } else { b };
+                    ev.values = v;
                     ev.shared = Some(SharedOp::MarkedInt {
                         dst: di.dst,
                         pair: di.dst_pair,
                         mask: exec_mask,
-                        inputs,
-                        results,
                     });
                     return;
                 }
@@ -1052,14 +979,13 @@ impl IssueCtx<'_> {
         // Heap calls always defer (even with no active lane the serial path
         // still counted the call and advanced pc — phase B reproduces that).
         let malloc = di.opcode == Opcode::Malloc;
-        let mut args = self.pool.take_col();
-        *args = if malloc {
+        ev.values = if malloc {
             self.launch.gather32(warp, &di.srcs[0]).map(u64::from)
         } else {
             self.launch.gather64(warp, &di.srcs[0])
         };
         ev.shared =
-            Some(SharedOp::Heap { dst: di.dst, pair: di.dst_pair, malloc, mask: exec_mask, args });
+            Some(SharedOp::Heap { dst: di.dst, pair: di.dst_pair, malloc, mask: exec_mask });
     }
 
     fn issue_mem(
@@ -1126,34 +1052,25 @@ impl IssueCtx<'_> {
             }
             lmi_mem::layout::LOCAL_BASE + (warp_base * stack_bytes) + offset * 32 + lane as u64 * 4
         };
-        let mut lanes = self.pool.take_lane_mem();
-        lanes.extend(lanes_of(exec_mask).map(|l| {
-            let raw = addrs[l].wrapping_add(mem.offset as i64 as u64);
-            let vaddr = raw & ADDR_MASK;
-            LaneMem {
-                lane: l,
-                raw,
-                vaddr,
-                timing_addr: timing_addr(l, vaddr),
-                store_value: store_values[l],
-            }
-        }));
+        ev.inputs = addrs.map(|a| a.wrapping_add(mem.offset as i64 as u64));
+        ev.values = ev.inputs.map(|raw| raw & ADDR_MASK);
+        let vaddrs = &ev.values;
         // Timing: probe this SM's own L1 on the coalesced lines right here
         // in phase A (SM-local state — hits never cross the barrier) and
         // route the misses to their owning banks. Shared-space accesses use
         // the fixed shared-memory path and count as one transaction.
         let router = self.router;
         let bank_q = &mut *self.bank_q;
-        let op_idx = self.op_idx;
+        let op = self.op_idx;
         let mut line_count = 1u64;
         let mut l1_hit = false;
         let mut bank_items = 0u32;
         if space != MemSpace::Shared {
-            let mut lines = self.pool.take_lines();
+            let lines = &mut *self.lines;
             coalesce_into(
-                lanes.iter().map(|m| m.timing_addr),
+                lanes_of(exec_mask).map(|l| timing_addr(l, vaddrs[l])),
                 cfg.hierarchy.l1.line_bytes,
-                &mut lines,
+                lines,
             );
             line_count = lines.len() as u64;
             for &line in lines.iter() {
@@ -1161,79 +1078,49 @@ impl IssueCtx<'_> {
                     l1_hit = true;
                 } else {
                     bank_q[router.bank_of(line)]
-                        .push(BankReq::Fill { op: op_idx, local: router.localize(line) });
+                        .push(BankReq::Fill { op, local: router.localize(line) });
                     bank_items += 1;
                 }
             }
-            self.pool.put_lines(lines);
         }
         // Data movement: route every lane's bytes to the bank(s) owning its
         // virtual address (a straddling access splits at the line boundary).
-        // Loads draw a pooled atom per lane for the banks to OR into.
-        let mut atoms = self.pool.take_atoms();
-        for (pos, lm) in lanes.iter().enumerate() {
-            if !is_store {
-                atoms.push(AtomicU64::new(0));
+        // Loads OR into the event's per-lane atoms, zeroed here.
+        if !is_store {
+            for atom in &mut ev.atoms {
+                *atom.get_mut() = 0;
             }
-            let (w1, rest) = router.split(lm.vaddr, mem.width as u64);
-            bank_q[router.bank_of(lm.vaddr)].push(BankReq::Move {
-                op: op_idx,
-                lane_pos: pos as u16,
-                local: router.localize(lm.vaddr),
-                width: w1 as u8,
-                shift: 0,
-                value: lm.store_value,
-            });
+        }
+        // One lane's part of `width` bytes at `addr`, `shift` bytes into
+        // the access.
+        let part = |l: usize, addr: u64, width: u64, shift: u64| {
+            let (lane, local, width) = (l as u8, router.localize(addr), width as u8);
+            if is_store {
+                BankReq::Store { op, lane, local, width, value: store_values[l] >> (8 * shift) }
+            } else {
+                BankReq::Load { op, lane, local, width, shift: shift as u8 }
+            }
+        };
+        for l in lanes_of(exec_mask) {
+            let vaddr = vaddrs[l];
+            let (w1, rest) = router.split(vaddr, mem.width as u64);
+            bank_q[router.bank_of(vaddr)].push(part(l, vaddr, w1, 0));
             bank_items += 1;
             if let Some((addr2, w2)) = rest {
-                bank_q[router.bank_of(addr2)].push(BankReq::Move {
-                    op: op_idx,
-                    lane_pos: pos as u16,
-                    local: router.localize(addr2),
-                    width: w2 as u8,
-                    shift: w1 as u8,
-                    value: lm.store_value >> (8 * w1),
-                });
+                bank_q[router.bank_of(addr2)].push(part(l, addr2, w2, w1));
                 bank_items += 1;
             }
         }
-        ev.shared = Some(SharedOp::Mem {
+        ev.shared = Some(SharedOp::Mem(MemOp {
             dst: di.dst,
             pair: mem.width == 8 && di.dst_pair,
             width: mem.width,
             is_store,
             space,
-            lanes,
+            mask: exec_mask,
             line_count,
             l1_hit,
             bank_items,
-            atoms,
-        });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn event_pool_freelists_stay_bounded_by_the_per_cycle_peak() {
-        let mut pool = EventPool::default();
-        for cycle in 0..100 {
-            // Up to five columns and one lane list live at once per cycle,
-            // every one returned before the next cycle.
-            let cols: Vec<_> = (0..cycle % 5 + 1).map(|_| pool.take_col()).collect();
-            let lanes = pool.take_lane_mem();
-            for col in cols {
-                pool.put_col(col);
-            }
-            pool.put_lane_mem(lanes);
-            assert!(pool.is_bounded());
-        }
-        assert_eq!(pool.created, 6, "only the per-cycle peak was ever allocated");
-        // A buffer the pool never handed out (the empty `Vec` a
-        // `mem::take` leaves behind) is what would grow it without bound.
-        pool.put_lines(Vec::new());
-        assert!(!pool.is_bounded());
+        }));
     }
 }

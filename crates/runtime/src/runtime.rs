@@ -236,12 +236,6 @@ impl Runtime {
         self
     }
 
-    /// Overrides the copy-engine cost model.
-    pub fn with_copy_config(mut self, copy_cfg: CopyConfig) -> Runtime {
-        self.copy_cfg = copy_cfg;
-        self
-    }
-
     /// Registers a tenant; `protected` selects LMI vs the unprotected
     /// baseline. Returns the tenant id.
     pub fn add_tenant(&mut self, protected: bool) -> usize {

@@ -3,8 +3,8 @@
 //! The hot-path contract (DESIGN.md, *Hot path & allocation discipline*):
 //! after warm-up, the cycle loop performs **zero heap allocations per
 //! cycle**. Every allocation belongs to launch-time setup — program
-//! lowering into a [`lmi_isa::DecodedStream`], warp tables, event-pool
-//! warm-up — never to steady state.
+//! lowering into a [`lmi_isa::DecodedStream`], warp tables, issue slots,
+//! queue and line-scratch warm-up — never to steady state.
 //!
 //! The audit installs a counting `#[global_allocator]` and runs the same
 //! seeded multi-SM workload at `N` and `2N` loop iterations on fresh GPUs,
@@ -42,12 +42,12 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 const BUFFER: u64 = layout::GLOBAL_BASE + 0x4_0000;
 const BUFFER_BYTES: u64 = 256;
 
-/// A heap-quiet looping kernel that exercises every pooled payload path:
+/// A heap-quiet looping kernel that exercises every deferred payload path:
 /// kernel malloc (a heap column, outside the loop), loads and stores
-/// through extent-carrying heap and argument-buffer pointers (lane records,
-/// coalesced lines and GPUShield's RCache), a marked pointer add checked
-/// by the OCU (input and result columns), and predicate/branch control
-/// flow — `iters` round trips per lane.
+/// through extent-carrying heap and argument-buffer pointers (address
+/// columns, lane atoms, coalesced lines and GPUShield's RCache), a marked
+/// pointer add checked by the OCU (input and result columns), and
+/// predicate/branch control flow — `iters` round trips per lane.
 fn audit_launch(iters: i32) -> Launch {
     let mut b = ProgramBuilder::new("alloc-audit");
     b.push(Instruction::s2r(Reg(0), lmi_isa::op::SpecialReg::TidX));
@@ -118,10 +118,9 @@ fn assert_cycle_loop_allocation_free(counters: bool) {
     // times slower: at N = 100 both unoptimized audits take about 30 s on
     // a 2-core host, and the release N would take several times that.
     const N: i32 = if cfg!(debug_assertions) { 100 } else { 400 };
-    // The banked configurations exercise the per-SM per-bank queues and
-    // the lane atoms: their capacity must be pool-retained like every
-    // other per-cycle buffer, so sharding adds launch-time allocations
-    // only, never per-cycle ones.
+    // The banked configurations exercise the per-SM per-bank queues: their
+    // capacity must survive every cycle like the line scratch's, so
+    // sharding adds launch-time allocations only, never per-cycle ones.
     for (mech, threads, banks) in ["null", "lmi", "gpushield"]
         .into_iter()
         .flat_map(|m| [(m, 1, 1), (m, 2, 1), (m, 1, 4), (m, 2, 4)])

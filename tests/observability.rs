@@ -5,7 +5,7 @@
 //!   the trace-event format (monotonically non-decreasing timestamps,
 //!   `ph`/`ts`/`pid`/`tid` on every event, `dur` on complete spans).
 //! * **Counter/stats consistency**: across random well-typed kernels
-//!   (seeded SplitMix64, as in `differential_fuzz`), a memory-free kernel
+//!   (seeded SplitMix64, as in `conformance`), a memory-free kernel
 //!   and a heap-violation kernel, every engine-emitted counter agrees with
 //!   the `SimStats` or mechanism total the same run reports, and its key
 //!   exists exactly when its site was reached — the two observability
