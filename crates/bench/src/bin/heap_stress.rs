@@ -23,8 +23,7 @@ fn main() {
 
     let prepared = prepare(&spec, AlignmentPolicy::PowerOfTwo);
     let mut gpu = Gpu::with_heap_policy(GpuConfig::small(), AlignmentPolicy::PowerOfTwo);
-    let mut mech = LmiMechanism::default_config();
-    let lmi = gpu.run(&prepared.launch, &mut mech);
+    let lmi = gpu.run(&prepared.launch, &mut LmiMechanism::default_config());
 
     println!("baseline: {} cycles, {} mallocs, {} frees", base.cycles, base.mallocs, base.frees);
     println!("LMI:      {} cycles, {} mallocs, {} frees", lmi.cycles, lmi.mallocs, lmi.frees);
@@ -32,7 +31,7 @@ fn main() {
         "LMI overhead: {:+.3}%  (violations: {}, pointers poisoned: {})",
         (lmi.cycles as f64 / base.cycles as f64 - 1.0) * 100.0,
         lmi.violations.len(),
-        mech.poisoned_count
+        lmi.poisoned
     );
     println!("device heap after run: {} live allocations (all freed)", gpu.heap().stats().live);
     assert!(lmi.violations.is_empty(), "benign stress must be violation-free");

@@ -13,9 +13,10 @@
 //! `&DecodedInstr` and never touches the allocator or a decoder again.
 //!
 //! Lowering is also where corrupt microcode surfaces: a bad `ISETP`
-//! comparison immediate or an unknown `S2R` selector is a typed
-//! [`DecodeError`] at launch, not a silently misexecuted instruction at
-//! cycle three million.
+//! comparison immediate, an unknown `S2R` selector or a memory reference
+//! on the wrong opcode is a typed [`DecodeError`] at launch, not a
+//! silently misexecuted instruction (or a host panic) at cycle three
+//! million.
 
 use std::fmt;
 
@@ -25,10 +26,11 @@ use crate::program::Program;
 use crate::reg::Reg;
 use crate::space::MemSpace;
 
-/// Upper bound on the scoreboard sources of one instruction: three operand
-/// slots that may each be a register pair, but at most two of them wide
-/// (`IADD64`), plus a 64-bit address pair — the worst case over the ISA is
-/// six 32-bit registers.
+/// Upper bound on the scoreboard sources of one instruction, in 32-bit
+/// registers. At most two operand slots are pairs (`IADD64`: 2 + 2 + 1),
+/// and lowering admits a memory reference only on a load/store, whose
+/// operands are single registers (3 + a 64-bit address pair), so no
+/// instruction reads more than five.
 pub const MAX_SRC_REGS: usize = 6;
 
 /// Why a program cannot be lowered to a [`DecodedStream`].
@@ -60,6 +62,20 @@ pub enum DecodeError {
         /// The unknown selector value.
         selector: i64,
     },
+    /// A load/store with no memory reference to address.
+    MissingMemRef {
+        /// Instruction index of the offending load/store.
+        pc: usize,
+        /// Its opcode.
+        opcode: Opcode,
+    },
+    /// A memory reference on an opcode that does not access memory.
+    StrayMemRef {
+        /// Instruction index of the offending instruction.
+        pc: usize,
+        /// Its opcode.
+        opcode: Opcode,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -73,6 +89,12 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::BadSpecialSelector { pc, selector } => {
                 write!(f, "S2R at pc {pc} reads unknown special-register selector {selector}")
+            }
+            DecodeError::MissingMemRef { pc, opcode } => {
+                write!(f, "{} at pc {pc} has no memory reference", opcode.mnemonic())
+            }
+            DecodeError::StrayMemRef { pc, opcode } => {
+                write!(f, "{} at pc {pc} carries a memory reference", opcode.mnemonic())
             }
         }
     }
@@ -136,6 +158,12 @@ impl DecodedInstr {
     }
 
     fn lower(pc: usize, ins: &Instruction) -> Result<DecodedInstr, DecodeError> {
+        let opcode = ins.opcode;
+        match (opcode.mem_space(), ins.mem) {
+            (Some(_), None) => return Err(DecodeError::MissingMemRef { pc, opcode }),
+            (None, Some(_)) => return Err(DecodeError::StrayMemRef { pc, opcode }),
+            _ => {}
+        }
         let mut src_regs = [Reg::RZ; MAX_SRC_REGS];
         let mut n = 0usize;
         let pair_slots = ins.pair_source_slots();
@@ -313,6 +341,33 @@ mod tests {
         assert_eq!(
             DecodedStream::lower(&p),
             Err(DecodeError::BadSpecialSelector { pc: 0, selector: 42 })
+        );
+    }
+
+    #[test]
+    fn memory_references_only_ride_on_loads_and_stores() {
+        // A corrupted mem-valid bit yields both shapes: a load with no
+        // address, and an ALU op with an address (whose IADD64 sources
+        // plus the address pair would overflow `MAX_SRC_REGS`).
+        let mut b = ProgramBuilder::new("t");
+        b.push(Instruction::ldg(Reg(8), MemRef::new(Reg(4), 0, 4)));
+        b.push(Instruction::exit());
+        let mut p = b.build();
+        p.instructions[0].mem = None;
+        assert_eq!(
+            DecodedStream::lower(&p),
+            Err(DecodeError::MissingMemRef { pc: 0, opcode: Opcode::Ldg })
+        );
+
+        let mut b = ProgramBuilder::new("t");
+        b.push(Instruction::exit());
+        b.push(Instruction::iadd64(Reg(4), Reg(6), Reg(2)));
+        let mut p = b.build();
+        p.instructions[1].srcs[2] = Operand::Reg(Reg(10));
+        p.instructions[1].mem = Some(MemRef::new(Reg(12), 0, 8));
+        assert_eq!(
+            DecodedStream::lower(&p),
+            Err(DecodeError::StrayMemRef { pc: 1, opcode: Opcode::Iadd64 })
         );
     }
 

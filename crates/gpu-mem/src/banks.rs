@@ -265,11 +265,6 @@ impl BankedHierarchy {
         self.banks[bank].access(local, now)
     }
 
-    /// Performs a shared-memory access (fixed low latency, no cache path).
-    pub fn access_shared(&self, now: u64) -> u64 {
-        now + self.cfg.shared_latency as u64
-    }
-
     /// L2 statistics summed across banks.
     pub fn l2_stats(&self) -> CacheStats {
         self.banks.iter().fold(CacheStats::default(), |acc, b| {
@@ -460,13 +455,6 @@ mod tests {
         let done = h.access(0x10_0000, 1000);
         assert_eq!(done, 1000 + 200);
         assert_eq!(h.dram_transactions(), 1);
-    }
-
-    #[test]
-    fn shared_memory_is_fast_and_uncached() {
-        let h = banked(1);
-        assert_eq!(h.access_shared(500), 525);
-        assert_eq!(h.dram_transactions(), 0);
     }
 
     #[test]

@@ -144,23 +144,9 @@ impl Cache {
         self.sets[index].iter().any(|l| l.valid && l.tag == tag)
     }
 
-    /// Invalidates every line.
-    pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = false;
-            }
-        }
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Resets statistics (keeps contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
     }
 }
 
@@ -213,14 +199,6 @@ mod tests {
         }
         let resident = (0..64).filter(|i| c.probe(i * 64)).count();
         assert!(resident <= 4, "at most sets*ways lines resident, got {resident}");
-    }
-
-    #[test]
-    fn flush_invalidates_everything() {
-        let mut c = tiny();
-        c.access(0x1000);
-        c.flush();
-        assert!(!c.probe(0x1000));
     }
 
     /// The fused single-pass `access` must be observationally identical to
@@ -276,7 +254,5 @@ mod tests {
         c.access(0);
         c.access(0);
         assert!((c.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses(), 0);
     }
 }

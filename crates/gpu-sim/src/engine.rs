@@ -58,7 +58,7 @@ use lmi_core::error::TemporalKind;
 use lmi_core::Violation;
 use lmi_isa::OpcodeClass;
 use lmi_mem::{BankRouter, BankedHierarchy, BankedMemory, Cache, MemBank, SparseMemory};
-use lmi_telemetry::{FaultEvent, PoisonEvent, TelemetrySink, TraceEventKind};
+use lmi_telemetry::{FaultEvent, ForensicsLog, PoisonEvent, TelemetrySink, TraceEventKind};
 
 use crate::config::GpuConfig;
 use crate::mechanism::{Mechanism, WarpMemAccess, WarpMemVerdict};
@@ -100,6 +100,10 @@ pub(crate) struct SharedCtx<'a> {
 struct LeaderCtx<'l, 'a> {
     kernels: &'l mut Vec<KernelSlot<'a>>,
     record: &'l mut RunRecord,
+    /// The run's pending poisons, matched against its EC faults. Run
+    /// scoped like `record`: a poison lives in a register, so it cannot
+    /// outlive the run that made it.
+    forensics: ForensicsLog,
     cfg: &'l GpuConfig,
     sink: &'l mut TelemetrySink,
     /// Reused per-op scratch of the memory check: the mechanism's verdict.
@@ -200,7 +204,14 @@ pub(crate) fn run(
         threads,
         tracer_on: sink.tracer.is_enabled(),
     };
-    let mut leader = LeaderCtx { kernels, record, cfg, sink, verdict: WarpMemVerdict::default() };
+    let mut leader = LeaderCtx {
+        kernels,
+        record,
+        forensics: ForensicsLog::new(),
+        cfg,
+        sink,
+        verdict: WarpMemVerdict::default(),
+    };
 
     let slots: Vec<RwLock<SmSlot>> = sms
         .drain(..)
@@ -388,7 +399,7 @@ fn apply_marked_int(
     for lane in lanes_of(poisoned) {
         // Delayed termination (§XII-A): remember where the pointer died
         // so a later EC fault can report it.
-        sink.forensics.record_poison(PoisonEvent {
+        leader.forensics.record_poison(PoisonEvent {
             sm: sm_id,
             warp: ev.warp,
             lane,
@@ -465,7 +476,7 @@ fn apply_heap(
                 // pointer is poisoned *here*. Remember the site so a later
                 // use-after-free fault reports its poison-to-fault latency.
                 Ok(()) if slot.mechanism.nullifies_on_free() => {
-                    leader.sink.forensics.record_poison(PoisonEvent {
+                    leader.forensics.record_poison(PoisonEvent {
                         sm: sm_id,
                         warp: ev.warp,
                         lane: l,
@@ -518,7 +529,7 @@ fn check_mem(
 ) -> MemVerdict {
     let pc = ev.pc;
     let (sm_id, k) = leader.site(slot_idx);
-    let LeaderCtx { kernels, record, cfg, sink, verdict } = leader;
+    let LeaderCtx { kernels, record, forensics, cfg, sink, verdict } = leader;
     let slot = &mut kernels[k];
     let access = WarpMemAccess {
         space: op.space,
@@ -560,7 +571,7 @@ fn check_mem(
         // Close the poison→fault provenance loop (§XII-A): if this lane's
         // pointer was poisoned earlier, report the latency between
         // poisoning and detection.
-        if let Some(record) = sink.forensics.record_fault(FaultEvent {
+        if let Some(record) = forensics.record_fault(FaultEvent {
             sm: sm_id,
             warp: ev.warp,
             lane,

@@ -221,8 +221,10 @@ impl Gpu {
     }
 
     /// Runs one kernel to completion under `mechanism`, recording scoped
-    /// counters, timeline events and forensics into `sink`; invalid
-    /// launches are rejected with a typed [`LaunchError`].
+    /// counters and timeline events into `sink`; invalid launches are
+    /// rejected with a typed [`LaunchError`]. Forensics are the run's own
+    /// ([`SimStats::forensics`]): nothing the sink saw in an earlier run
+    /// reaches this one.
     ///
     /// The launch is a one-job cohort of [`Gpu::run_resident`] owning every
     /// SM. Because the kernel owns the whole GPU, the run-level L2, MSHR
@@ -552,10 +554,9 @@ mod tests {
         b.push(Instruction::exit());
         let launch = Launch::new(b.build()).grid(1).block(1).param(buf);
         let mut gpu = Gpu::new(GpuConfig::security());
-        let mut mech = LmiMechanism::default_config();
-        let stats = gpu.run(&launch, &mut mech);
+        let stats = gpu.run(&launch, &mut LmiMechanism::default_config());
         assert!(stats.violated());
-        assert_eq!(mech.poisoned_count, 1);
+        assert_eq!(stats.poisoned, 1);
         // The OOB store must not have landed.
         assert_eq!(gpu.memory.read(layout::GLOBAL_BASE + 0x10000 + 256, 4), 0);
         // Forensics: the poison (IADD64 at pc 1) is matched to the fault
@@ -598,11 +599,10 @@ mod tests {
         b.push(Instruction::exit());
         let launch = Launch::new(b.build()).grid(2).block(48).param(buf);
         let mut gpu = Gpu::new(GpuConfig::small());
-        let mut mech = LmiMechanism::default_config();
-        let stats = gpu.run(&launch, &mut mech);
+        let stats = gpu.run(&launch, &mut LmiMechanism::default_config());
         assert_eq!(stats.issued, 11 * 4, "every instruction issues on all four warps");
         assert!(!stats.violated());
-        assert_eq!(mech.poisoned_count, 0, "no lane reached the OCU");
+        assert_eq!(stats.poisoned, 0, "no lane reached the OCU");
         assert_eq!(gpu.memory.read(addr, 4), 0x40E0_0000, "R2 and R4 kept their values");
     }
 
@@ -640,18 +640,28 @@ mod tests {
         let mut b = ProgramBuilder::new("spans");
         b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
         b.push(Instruction::ldg(Reg(8), MemRef::new(Reg(4), 0, 4)));
+        b.push(Instruction::ldc(Reg(6), abi::LAUNCH_BANK, abi::SHARED_BASE_OFFSET, 8));
+        b.push(Instruction::lds(Reg(9), MemRef::new(Reg(6), 0, 4)));
         b.push(Instruction::exit());
         let launch = Launch::new(b.build()).grid(2).block(64).param(base);
-        let mut gpu = Gpu::new(GpuConfig::small());
+        let cfg = GpuConfig::small();
+        let shared_latency = cfg.hierarchy.shared_latency as u64;
+        let mut gpu = Gpu::new(cfg);
         let mut sink = TelemetrySink::with_trace_capacity(1024);
         gpu.try_run(&launch, &mut NullMechanism, &mut sink).unwrap();
         use lmi_telemetry::TraceEventKind;
         let warps = sink.tracer.records().filter(|r| r.kind == TraceEventKind::WarpSpan).count();
         assert_eq!(warps, 4, "one residency span per retired warp");
-        assert!(
-            sink.tracer.records().any(|r| r.kind == TraceEventKind::MemTransaction),
-            "the LDG produced a transaction span"
-        );
+        let spans = |name| {
+            sink.tracer
+                .records()
+                .filter(|r| r.kind == TraceEventKind::MemTransaction && r.name == name)
+                .map(|r| r.dur)
+                .collect::<Vec<_>>()
+        };
+        assert!(!spans("LDG").is_empty(), "the LDG produced a transaction span");
+        // A shared load completes `shared_latency` cycles after it issues.
+        assert_eq!(spans("LDS"), vec![shared_latency; 4], "one LDS span per warp");
     }
 
     #[test]
@@ -666,10 +676,47 @@ mod tests {
         b.push(Instruction::exit());
         let launch = Launch::new(b.build()).grid(1).block(1).param(buf);
         let mut gpu = Gpu::new(GpuConfig::security());
-        let mut mech = LmiMechanism::default_config();
-        let stats = gpu.run(&launch, &mut mech);
+        let stats = gpu.run(&launch, &mut LmiMechanism::default_config());
         assert!(!stats.violated(), "delayed termination: no access, no fault");
-        assert_eq!(mech.poisoned_count, 1, "the pointer was still poisoned");
+        assert_eq!(stats.poisoned, 1, "the pointer was still poisoned");
+    }
+
+    #[test]
+    fn a_poison_never_outlives_its_run() {
+        // Run 1 poisons every lane's pointer and exits without a
+        // dereference; run 2, on the same SM/warp/lanes, faults on a
+        // pointer the host invalidated. The poison died with run 1's
+        // registers, so run 2's faults have no provenance — a sink shared
+        // across runs must not change that.
+        let cfg = PtrConfig::default();
+        let addr = layout::GLOBAL_BASE + 0x28000;
+        let buf = lmi_core::DevicePtr::encode(addr, 256, &cfg).unwrap().raw();
+        let mut b = ProgramBuilder::new("poison");
+        b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+        b.push(Instruction::iadd64(Reg(4), Reg(4), 256).with_hints(HintBits::check_operand(0)));
+        b.push(Instruction::exit());
+        let poison = Launch::new(b.build()).grid(1).block(32).param(buf);
+        let mut b = ProgramBuilder::new("stale");
+        b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+        b.push(Instruction::ldg(Reg(6), MemRef::new(Reg(4), 0, 4)));
+        b.push(Instruction::exit());
+        let stale =
+            Launch::new(b.build()).grid(1).block(32).param(lmi_core::invalidate_extent(buf));
+
+        let second_run = |shared_sink: bool| {
+            let mut gpu = Gpu::new(GpuConfig::small());
+            let mut sink = TelemetrySink::counters_only();
+            let first = gpu.try_run(&poison, &mut LmiMechanism::default_config(), &mut sink);
+            assert_eq!(first.unwrap().poisoned, 32);
+            if !shared_sink {
+                sink = TelemetrySink::counters_only();
+            }
+            gpu.try_run(&stale, &mut LmiMechanism::default_config(), &mut sink).unwrap()
+        };
+        let shared = second_run(true);
+        assert_eq!(shared.violations.len(), 32, "every lane dereferences the stale pointer");
+        assert!(shared.forensics.is_empty(), "run 1's poisons are not run 2's provenance");
+        assert_eq!(shared, second_run(false));
     }
 
     #[test]

@@ -995,7 +995,7 @@ impl IssueCtx<'_> {
         exec_mask: LaneMask,
         ev: &mut IssueEvent,
     ) {
-        let mem = di.mem.expect("memory instruction carries a MemRef");
+        let mem = di.mem.expect("lowering admits a load/store only with a MemRef");
         let space = di.mem_space.unwrap_or(MemSpace::Global);
         ev.mem_space = Some(space);
         let cfg = self.cfg;

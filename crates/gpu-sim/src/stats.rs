@@ -98,6 +98,10 @@ pub struct SimStats {
     pub dram_transactions: u64,
     /// Detected violations.
     pub violations: Vec<ViolationEvent>,
+    /// Lanes whose pointer a marked instruction's OCU check poisoned.
+    /// Under delayed termination (§XII-A) a poisoning is not a violation:
+    /// it becomes one only if the pointer is dereferenced later.
+    pub poisoned: u64,
     /// Poison-to-fault provenance for each violation whose pointer was
     /// poisoned by the OCU earlier in the run (delayed termination, §XII-A).
     pub forensics: Vec<ForensicsRecord>,
@@ -257,6 +261,7 @@ impl SimStats {
                     .with("banked_items", self.phase_b_banked_items)
                     .with("serial_fraction", self.phase_b_serial_fraction()),
             )
+            .with("poisoned", self.poisoned)
             .with("violations", Json::Arr(violations))
             .with(
                 "forensics",
@@ -372,7 +377,8 @@ pub(crate) struct KernelRecord {
     pub mallocs: u64,
     pub frees: u64,
     pub banked_items: u64,
-    /// Mechanism tallies: OCU checks, poisoned lanes, faulting lanes.
+    /// Mechanism verdict tallies, counted nowhere else: OCU checks,
+    /// poisoned lanes, faulting (EC) lanes.
     pub checks: u64,
     pub poisoned: u64,
     pub faults: u64,
@@ -450,6 +456,7 @@ impl RunRecord {
             st.marked_issued = k.marked_issued;
             st.mallocs = k.mallocs;
             st.frees = k.frees;
+            st.poisoned = k.poisoned;
             st.phase_b_banked_items = k.banked_items;
         }
         for (row, l1) in self.sms.iter().zip(l1) {

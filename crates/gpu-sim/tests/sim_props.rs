@@ -23,12 +23,10 @@ fn walk_kernel(offsets: &[i32], deref: bool) -> lmi_isa::Program {
     b.build()
 }
 
-fn run_lmi(program: lmi_isa::Program, buf: u64) -> (lmi_sim::SimStats, LmiMechanism) {
+fn run_lmi(program: lmi_isa::Program, buf: u64) -> lmi_sim::SimStats {
     let launch = Launch::new(program).grid(1).block(1).param(buf);
     let mut gpu = Gpu::new(GpuConfig::security());
-    let mut mech = LmiMechanism::default_config();
-    let stats = gpu.run(&launch, &mut mech);
-    (stats, mech)
+    gpu.run(&launch, &mut LmiMechanism::default_config())
 }
 
 /// Completeness: any dereferencing walk that stays inside the buffer
@@ -48,9 +46,9 @@ fn in_bounds_walks_never_fault() {
             offsets.push((target - pos) as i32);
             pos = target;
         }
-        let (stats, mech) = run_lmi(walk_kernel(&offsets, true), buf.raw());
+        let stats = run_lmi(walk_kernel(&offsets, true), buf.raw());
         assert!(!stats.violated(), "{:?}", stats.violations.first());
-        assert_eq!(mech.poisoned_count, 0);
+        assert_eq!(stats.poisoned, 0);
     }
 }
 
@@ -71,9 +69,9 @@ fn escaping_dereference_always_faults() {
         }
         let escape = rng.range_i64(1024, 100_000);
         offsets.push((escape - pos) as i32); // leaves the 1024-byte region
-        let (stats, mech) = run_lmi(walk_kernel(&offsets, true), buf.raw());
+        let stats = run_lmi(walk_kernel(&offsets, true), buf.raw());
         assert!(stats.violated(), "escape {escape} undetected");
-        assert!(mech.poisoned_count >= 1);
+        assert!(stats.poisoned >= 1);
     }
 }
 
@@ -86,9 +84,9 @@ fn escape_without_dereference_never_faults() {
         let escape = rng.range_i64(1024, 100_000);
         let cfg = PtrConfig::default();
         let buf = DevicePtr::encode(layout::GLOBAL_BASE + 0xC0000, 1024, &cfg).unwrap();
-        let (stats, mech) = run_lmi(walk_kernel(&[escape as i32], false), buf.raw());
+        let stats = run_lmi(walk_kernel(&[escape as i32], false), buf.raw());
         assert!(!stats.violated());
-        assert!(mech.poisoned_count >= 1, "the pointer was still poisoned");
+        assert!(stats.poisoned >= 1, "the pointer was still poisoned");
     }
 }
 

@@ -10,8 +10,9 @@
 //!   `cudaDeviceSynchronize`-style [`Runtime::synchronize`] fixpoint that
 //!   drains everything deterministically;
 //! * [`Tenant`] — per-client allocator arenas (disjoint global/heap
-//!   slices) and a per-client LMI mechanism instance, so a violation is
-//!   attributable to the tenant and stream that caused it;
+//!   slices) and a per-client protection choice (LMI or the unprotected
+//!   baseline), so a violation is attributable to the tenant and stream
+//!   that caused it;
 //! * [`CopyConfig`] — a first-order H2D/D2H DMA cost model (latency +
 //!   bandwidth, one engine per direction) so copies overlap compute;
 //! * [`scheduler::partition_sms`] — demand-proportional spatial
@@ -56,7 +57,7 @@ pub use copy::CopyConfig;
 pub use metrics::{MetricsSnapshot, TenantSlo};
 pub use runtime::{CopyReport, KernelReport, Runtime, RuntimeReport, SubmitError, SyncError};
 pub use stream::{CopyHandle, EventId, StreamId};
-pub use tenant::{Tenant, TenantMechanism};
+pub use tenant::Tenant;
 
 /// A multi-tenant runtime session. The serving-layer docs (and the
 /// metrics surface) talk about *sessions*; `Session` is that name for

@@ -29,7 +29,10 @@ use std::ops::Range;
 
 use lmi_alloc::AllocError;
 use lmi_core::DevicePtr;
-use lmi_sim::{Gpu, GpuConfig, Launch, LaunchError, ResidentKernel, SimStats};
+use lmi_sim::{
+    Gpu, GpuConfig, Launch, LaunchError, LmiMechanism, Mechanism, NullMechanism, ResidentKernel,
+    SimStats,
+};
 use lmi_telemetry::{
     CounterRegistry, EventTracer, HistogramRegistry, Json, KernelProfile, MetricsFrame, Scope,
     TelemetrySink, TraceEventKind,
@@ -39,7 +42,7 @@ use crate::copy::CopyConfig;
 use crate::metrics::{MetricsSnapshot, TenantSlo};
 use crate::scheduler::partition_sms;
 use crate::stream::{CopyHandle, EventId, StreamId, StreamOp, StreamState};
-use crate::tenant::{Tenant, TenantMechanism};
+use crate::tenant::Tenant;
 
 /// Why a host submission was rejected (the queue is left untouched).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -574,26 +577,27 @@ impl Runtime {
         let starts: Vec<u64> =
             cohort.iter().map(|&sid| self.streams[sid].ready_at.max(self.gpu_free_at)).collect();
         let origin = *starts.iter().min().expect("cohort is non-empty");
-        // Two streams of the same tenant may both be in the cohort, but a
-        // tenant has one mechanism. Mechanisms are `Copy`: each job runs
-        // on a scratch copy and the poison deltas merge back afterwards.
-        let mut scratch: Vec<TenantMechanism> =
-            cohort.iter().map(|&sid| self.tenants[self.streams[sid].tenant].mechanism).collect();
-        let baseline: Vec<u64> = scratch.iter().map(TenantMechanism::poisoned_count).collect();
+        // Each job runs under its tenant's mechanism: LMI for a protected
+        // tenant, the null baseline otherwise. Both are stateless, so a
+        // fresh instance per job behaves as one per tenant would.
+        let mut lmi = vec![LmiMechanism::default_config(); cohort.len()];
+        let mut null = vec![NullMechanism; cohort.len()];
         let outcome = {
             let Runtime { gpu, tenants, streams, sink, .. } = self;
             let mut jobs: Vec<ResidentKernel<'_>> = Vec::with_capacity(cohort.len());
-            for (((&sid, part), &start), mech) in
-                cohort.iter().zip(&parts).zip(&starts).zip(scratch.iter_mut())
+            for (((&sid, part), &start), (lmi, null)) in
+                cohort.iter().zip(&parts).zip(&starts).zip(lmi.iter_mut().zip(&mut null))
             {
                 let launch = match streams[sid].ops.front() {
                     Some(StreamOp::Kernel { launch }) => &**launch,
                     _ => unreachable!("cohort members have a kernel at head"),
                 };
+                let tenant = &tenants[streams[sid].tenant];
+                let mechanism: &mut dyn Mechanism = if tenant.is_protected() { lmi } else { null };
                 jobs.push(ResidentKernel {
                     launch,
-                    mechanism: mech.as_dyn(),
-                    heap: Some(&tenants[streams[sid].tenant].heap),
+                    mechanism,
+                    heap: Some(&tenant.heap),
                     partition: part.clone(),
                     start_offset: start - origin,
                 });
@@ -604,10 +608,6 @@ impl Runtime {
         self.gpu_free_at = origin + outcome.makespan;
         for ((i, &sid), outcome) in cohort.iter().enumerate().zip(outcome.kernels) {
             let tenant = self.streams[sid].tenant;
-            let delta = scratch[i].poisoned_count() - baseline[i];
-            if let TenantMechanism::Lmi(m) = &mut self.tenants[tenant].mechanism {
-                m.poisoned_count += delta;
-            }
             let launch = match self.streams[sid].ops.pop_front() {
                 Some(StreamOp::Kernel { launch }) => launch,
                 _ => unreachable!("cohort members have a kernel at head"),

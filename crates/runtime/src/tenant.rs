@@ -1,17 +1,18 @@
-//! Runtime tenants: isolated allocator arenas plus a per-tenant mechanism.
+//! Runtime tenants: isolated allocator arenas plus a protection choice.
 //!
 //! Spatial multi-tenancy on a shared GPU (paper §XIII discusses MIG-style
 //! partitioning) needs more than disjoint SM partitions: each tenant must
-//! own a slice of the global and device-heap address spaces, and its
-//! kernels must run under its *own* mechanism instance so a violation is
-//! attributable to the tenant that caused it. This module carves those
-//! slices and bundles them with an [`LmiMechanism`] (or [`NullMechanism`]
-//! for an unprotected tenant).
+//! own a slice of the global and device-heap address spaces, and a
+//! violation must be attributable to the tenant that caused it. This
+//! module carves those slices. A protected tenant's kernels run under
+//! `lmi_sim::LmiMechanism` (an unprotected one's under
+//! `lmi_sim::NullMechanism`); both are stateless, so the runtime gives
+//! each kernel a fresh one and reads its violations and poisons from that
+//! kernel's statistics.
 
 use lmi_alloc::{AlignmentPolicy, AllocError, DeviceHeap, GlobalAllocator};
 use lmi_core::PtrConfig;
 use lmi_mem::layout;
-use lmi_sim::{LmiMechanism, Mechanism, NullMechanism};
 
 /// Bytes of global-arena address space per tenant (4 GiB slices of the
 /// 1 TiB global region: room for 256 tenants).
@@ -24,44 +25,15 @@ pub const TENANT_HEAP_GROUPS: usize = 64;
 /// tenant).
 pub const TENANT_HEAP_GROUP_SPAN: u64 = 16 * 1024 * 1024;
 
-/// The per-tenant protection mechanism.
-#[derive(Debug, Clone, Copy)]
-pub enum TenantMechanism {
-    /// LMI end to end: extent-tagged pointers, OCU + EC on every launch.
-    Lmi(LmiMechanism),
-    /// The unprotected baseline.
-    Unprotected(NullMechanism),
-}
-
-impl TenantMechanism {
-    /// The trait-object view the simulator consumes.
-    pub fn as_dyn(&mut self) -> &mut dyn Mechanism {
-        match self {
-            TenantMechanism::Lmi(m) => m,
-            TenantMechanism::Unprotected(m) => m,
-        }
-    }
-
-    /// Pointers poisoned so far (0 for unprotected tenants).
-    pub fn poisoned_count(&self) -> u64 {
-        match self {
-            TenantMechanism::Lmi(m) => m.poisoned_count,
-            TenantMechanism::Unprotected(_) => 0,
-        }
-    }
-}
-
-/// One tenant: a global-memory arena slice, a device-heap slice, and the
-/// mechanism guarding its kernels.
+/// One tenant: a global-memory arena slice, a device-heap slice, and
+/// whether LMI guards its kernels.
 pub struct Tenant {
     id: usize,
+    protected: bool,
     /// Host-side `cudaMalloc` arena (tenant-tagged slice).
     pub allocator: GlobalAllocator,
     /// Device-side `malloc` heap (tenant-tagged slice).
     pub heap: DeviceHeap,
-    /// This tenant's mechanism. Persistent across launches so counters
-    /// like `poisoned_count` accumulate per tenant.
-    pub mechanism: TenantMechanism,
 }
 
 impl Tenant {
@@ -80,12 +52,9 @@ impl Tenant {
         let global_base = layout::GLOBAL_BASE + id as u64 * TENANT_GLOBAL_SPAN;
         let heap_base =
             layout::HEAP_BASE + id as u64 * TENANT_HEAP_GROUPS as u64 * TENANT_HEAP_GROUP_SPAN;
-        let mechanism = match policy {
-            AlignmentPolicy::PowerOfTwo => TenantMechanism::Lmi(LmiMechanism::new(cfg)),
-            AlignmentPolicy::CudaDefault => TenantMechanism::Unprotected(NullMechanism),
-        };
         Tenant {
             id,
+            protected: policy == AlignmentPolicy::PowerOfTwo,
             allocator: GlobalAllocator::new(cfg, policy, global_base, TENANT_GLOBAL_SPAN)
                 .with_tenant(id),
             heap: DeviceHeap::new(
@@ -96,7 +65,6 @@ impl Tenant {
                 TENANT_HEAP_GROUP_SPAN,
             )
             .with_tenant(id),
-            mechanism,
         }
     }
 
@@ -107,7 +75,7 @@ impl Tenant {
 
     /// `true` if the tenant's kernels run under LMI.
     pub fn is_protected(&self) -> bool {
-        matches!(self.mechanism, TenantMechanism::Lmi(_))
+        self.protected
     }
 
     /// `cudaMalloc` in this tenant's arena slice.

@@ -6,12 +6,13 @@
 //! Great for false-positive avoidance, terrible for debugging: the fault
 //! site tells you nothing about *where the pointer went bad*.
 //!
-//! This log closes that gap. Every OCU poisoning records its pc, opcode
+//! This module closes that gap. Every OCU poisoning records its pc, opcode
 //! and cycle, keyed by the (sm, warp, lane) that produced it; when the EC
-//! later faults on that lane, the pending poison is matched into a
-//! [`ForensicsRecord`] carrying the poison-to-fault latency in cycles and
-//! in warp-level instructions — the measurable form of the paper's
-//! delayed-termination story.
+//! later faults on that lane in the same run, the pending poison is
+//! matched into a [`ForensicsRecord`] carrying the poison-to-fault latency
+//! in cycles and in warp-level instructions — the measurable form of the
+//! paper's delayed-termination story. The simulator's run owns the
+//! [`ForensicsLog`] and reports the matched records in its statistics.
 
 use std::collections::HashMap;
 
@@ -100,22 +101,19 @@ impl ForensicsRecord {
     }
 }
 
-/// The provenance log.
+/// The poison→fault matcher of one run: the latest unconsumed poisoning
+/// per (sm, warp, lane). A lane that poisons twice before faulting keeps
+/// the most recent — matching the hardware, where the second clobber
+/// overwrites the register. A poison lives in a register, so a match only
+/// exists within one kernel run: the engine keeps one table per run and
+/// drops it when the run ends.
 #[derive(Debug, Clone, Default)]
 pub struct ForensicsLog {
-    /// Latest unconsumed poisoning per (sm, warp, lane). A lane that
-    /// poisons twice before faulting keeps the most recent — matching the
-    /// hardware, where the second clobber overwrites the register.
     pending: HashMap<(usize, usize, usize), PoisonEvent>,
-    matched: Vec<ForensicsRecord>,
-    /// Faults with no recorded poisoning on that lane (e.g. a pointer
-    /// invalidated by `free`, or poison handed across lanes through
-    /// memory — provenance the in-register scheme cannot see).
-    unattributed: Vec<FaultEvent>,
 }
 
 impl ForensicsLog {
-    /// An empty log.
+    /// An empty table.
     pub fn new() -> ForensicsLog {
         ForensicsLog::default()
     }
@@ -125,44 +123,14 @@ impl ForensicsLog {
         self.pending.insert((event.sm, event.warp, event.lane), event);
     }
 
-    /// Records an EC fault, matching it to the lane's pending poisoning
-    /// if one exists. Returns the matched record, if any.
+    /// Matches an EC fault to the lane's pending poisoning, consuming it.
+    /// `None` for a fault with no recorded poisoning on that lane (e.g. a
+    /// pointer invalidated by the host's `free`, or poison handed across
+    /// lanes through memory — provenance the in-register scheme cannot
+    /// see).
     pub fn record_fault(&mut self, event: FaultEvent) -> Option<ForensicsRecord> {
-        match self.pending.remove(&(event.sm, event.warp, event.lane)) {
-            Some(poison) => {
-                let record = ForensicsRecord { poison, fault: event };
-                self.matched.push(record);
-                Some(record)
-            }
-            None => {
-                self.unattributed.push(event);
-                None
-            }
-        }
-    }
-
-    /// Matched poison→fault records, in fault order.
-    pub fn records(&self) -> &[ForensicsRecord] {
-        &self.matched
-    }
-
-    /// Faults that could not be attributed to an in-register poisoning.
-    pub fn unattributed(&self) -> &[FaultEvent] {
-        &self.unattributed
-    }
-
-    /// Poisonings still awaiting a dereference (delayed termination that
-    /// never terminated — the Fig. 14 loop-idiom case).
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// JSON export of the whole log.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("records", Json::Arr(self.matched.iter().map(ForensicsRecord::to_json).collect()))
-            .with("unattributed_faults", self.unattributed.len())
-            .with("pending_poisons", self.pending.len())
+        let poison = self.pending.remove(&(event.sm, event.warp, event.lane))?;
+        Some(ForensicsRecord { poison, fault: event })
     }
 }
 
@@ -185,17 +153,15 @@ mod tests {
         let rec = log.record_fault(fault(3, 250, 55)).expect("matched");
         assert_eq!(rec.latency_cycles(), 150);
         assert_eq!(rec.latency_instructions(), 15);
-        assert_eq!(log.records().len(), 1);
-        assert_eq!(log.pending_count(), 0);
+        assert!(log.record_fault(fault(3, 260, 56)).is_none(), "a match consumes the poison");
     }
 
     #[test]
-    fn fault_on_an_unpoisoned_lane_is_unattributed() {
+    fn fault_on_an_unpoisoned_lane_matches_nothing() {
         let mut log = ForensicsLog::new();
         log.record_poison(poison(0, 10, 1));
         assert!(log.record_fault(fault(7, 20, 2)).is_none());
-        assert_eq!(log.unattributed().len(), 1);
-        assert_eq!(log.pending_count(), 1, "lane 0 poison still pending");
+        assert!(log.record_fault(fault(0, 30, 3)).is_some(), "lane 0 poison still pending");
     }
 
     #[test]
@@ -210,12 +176,9 @@ mod tests {
 
     #[test]
     fn json_export_carries_the_acceptance_fields() {
-        let mut log = ForensicsLog::new();
-        log.record_poison(poison(1, 7, 3));
-        log.record_fault(fault(1, 19, 8));
-        let j = log.to_json();
-        let rec = &j.get("records").unwrap().items()[0];
-        assert_eq!(rec.get("poison").and_then(|p| p.get("pc")).and_then(Json::as_u64), Some(4));
-        assert_eq!(rec.get("latency_cycles").and_then(Json::as_u64), Some(12));
+        let rec = ForensicsRecord { poison: poison(1, 7, 3), fault: fault(1, 19, 8) };
+        let j = rec.to_json();
+        assert_eq!(j.get("poison").and_then(|p| p.get("pc")).and_then(Json::as_u64), Some(4));
+        assert_eq!(j.get("latency_cycles").and_then(Json::as_u64), Some(12));
     }
 }

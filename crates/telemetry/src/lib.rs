@@ -10,9 +10,10 @@
 //!   (warp launch/retire, memory transactions, OCU checks, EC faults) that
 //!   exports Chrome trace-event JSON loadable in Perfetto;
 //! * [`ForensicsLog`] — provenance for LMI's delayed termination (§XII-A):
-//!   when the OCU poisons a pointer the poisoning pc/op is recorded, and
-//!   when the EC later faults, the poison-to-fault latency in cycles and
-//!   instructions is reported alongside the faulting lane;
+//!   the simulator keeps one per kernel run, records the pc/op of each OCU
+//!   poisoning and, when the EC later faults on that lane, matches it into
+//!   a [`ForensicsRecord`] carrying the poison-to-fault latency in cycles
+//!   and instructions;
 //! * [`json`] — a hand-rolled JSON value, serializer and parser (no serde;
 //!   keeps the workspace buildable offline) used by the bench binaries'
 //!   `--json` reports and by CI's validity check;
@@ -48,48 +49,36 @@ pub use profiler::{
 pub use registry::{CounterRegistry, Scope};
 pub use tracer::{EventTracer, TraceEventKind, TraceRecord};
 
-/// Everything the simulator emits during one run, bundled so the pipeline
-/// threads a single `&mut TelemetrySink` instead of three references.
+/// The counters and timeline the simulator emits, bundled so the pipeline
+/// threads a single `&mut TelemetrySink` instead of two references. A
+/// sink may outlive many runs (a runtime session reuses one); nothing in
+/// it carries state from one run into the next.
 #[derive(Debug)]
 pub struct TelemetrySink {
     /// Scoped counters.
     pub counters: CounterRegistry,
     /// Kernel-timeline ring buffer.
     pub tracer: EventTracer,
-    /// Poison-to-fault provenance.
-    pub forensics: ForensicsLog,
 }
 
 impl TelemetrySink {
     /// A sink with timeline tracing enabled (ring capacity `trace_capacity`).
     pub fn with_trace_capacity(trace_capacity: usize) -> TelemetrySink {
-        TelemetrySink {
-            counters: CounterRegistry::new(),
-            tracer: EventTracer::new(trace_capacity),
-            forensics: ForensicsLog::new(),
-        }
+        TelemetrySink { counters: CounterRegistry::new(), tracer: EventTracer::new(trace_capacity) }
     }
 
-    /// A sink that keeps counters and forensics but drops timeline events —
-    /// the default for untraced runs, where per-event recording would cost
-    /// more than the simulation itself.
+    /// A sink that keeps counters but drops timeline events — the default
+    /// for untraced runs, where per-event recording would cost more than
+    /// the simulation itself.
     pub fn counters_only() -> TelemetrySink {
-        TelemetrySink {
-            counters: CounterRegistry::new(),
-            tracer: EventTracer::disabled(),
-            forensics: ForensicsLog::new(),
-        }
+        TelemetrySink { counters: CounterRegistry::new(), tracer: EventTracer::disabled() }
     }
 
-    /// A sink that drops counters and timeline events but still collects
-    /// forensics (poison/fault provenance is cheap — it only fires on
-    /// violations — and `SimStats` reports it even on untelemetered runs).
+    /// A sink that drops counters and timeline events. Forensics do not
+    /// flow through a sink: the run matches poisons to faults itself, so
+    /// `SimStats` reports them even on untelemetered runs.
     pub fn disabled() -> TelemetrySink {
-        TelemetrySink {
-            counters: CounterRegistry::disabled(),
-            tracer: EventTracer::disabled(),
-            forensics: ForensicsLog::new(),
-        }
+        TelemetrySink { counters: CounterRegistry::disabled(), tracer: EventTracer::disabled() }
     }
 }
 

@@ -95,12 +95,11 @@ fn main() {
         .param(input.raw()) // extent-carrying pointer
         .param(n_attack);
     let mut gpu = Gpu::new(GpuConfig::security());
-    let mut mech = LmiMechanism::default_config();
-    let stats = gpu.run(&launch, &mut mech);
+    let stats = gpu.run(&launch, &mut LmiMechanism::default_config());
     let event = stats.violations.first().expect("LMI faults the overflow");
     println!(
         "LMI: attack stopped at pc {} with `{}` ({} pointer(s) poisoned)",
-        event.pc, event.violation, mech.poisoned_count
+        event.pc, event.violation, stats.poisoned
     );
-    assert!(mech.poisoned_count >= 1);
+    assert!(stats.poisoned >= 1);
 }

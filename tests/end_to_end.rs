@@ -169,8 +169,7 @@ fn compiled_loop_walk_has_no_false_positive() {
     let buf = DevicePtr::encode(layout::GLOBAL_BASE + 0x200000, 256, &cfg()).unwrap();
     let launch = Launch::new(kernel.program).grid(1).block(1).param(buf.raw());
     let mut gpu = Gpu::new(GpuConfig::security());
-    let mut mech = LmiMechanism::default_config();
-    let stats = gpu.run(&launch, &mut mech);
+    let stats = gpu.run(&launch, &mut LmiMechanism::default_config());
     assert!(!stats.violated(), "Fig. 14: no dereference, no fault");
-    assert!(mech.poisoned_count >= 1, "the final increment still poisoned");
+    assert!(stats.poisoned >= 1, "the final increment still poisoned");
 }

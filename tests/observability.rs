@@ -7,7 +7,7 @@
 //! * **Counter/stats consistency**: across random well-typed kernels
 //!   (seeded SplitMix64, as in `conformance`), a memory-free kernel
 //!   and a heap-violation kernel, every engine-emitted counter agrees with
-//!   the `SimStats` or mechanism total the same run reports, and its key
+//!   the `SimStats` total the same run reports, and its key
 //!   exists exactly when its site was reached — the two observability
 //!   paths cannot drift apart.
 //! * **Golden registries**: the complete counter listings of three runs
@@ -24,7 +24,7 @@ use lmi::alloc::AlignmentPolicy;
 use lmi::baselines::GpuShield;
 use lmi::compiler::ir::{Function, FunctionBuilder, IBinOp, Region, Ty};
 use lmi::compiler::{compile, CompileOptions};
-use lmi::core::{DevicePtr, PtrConfig};
+use lmi::core::{DevicePtr, PtrConfig, TemporalKind, Violation};
 use lmi::isa::MemSpace;
 use lmi::mem::layout;
 use lmi::runtime::{MetricsSnapshot, Session};
@@ -104,17 +104,6 @@ fn run_telemetered_on(
     sink: &mut TelemetrySink,
     gpu_cfg: GpuConfig,
 ) -> lmi::sim::SimStats {
-    run_lmi_on(kernel, sink, gpu_cfg, &mut LmiMechanism::default_config())
-}
-
-/// [`run_telemetered_on`] under a caller-owned LMI mechanism, so its own
-/// poison and fault tallies can be read back.
-fn run_lmi_on(
-    kernel: &Function,
-    sink: &mut TelemetrySink,
-    gpu_cfg: GpuConfig,
-    mechanism: &mut LmiMechanism,
-) -> lmi::sim::SimStats {
     let cfg = PtrConfig::default();
     let bin = compile(kernel, CompileOptions::default()).unwrap();
     let base_addr = layout::GLOBAL_BASE + 0x300000;
@@ -124,7 +113,7 @@ fn run_lmi_on(
     for i in 0..1024u64 {
         gpu.memory.write(base_addr + i * 4, i.wrapping_mul(2654435761), 4);
     }
-    gpu.try_run(&launch, mechanism, sink).unwrap()
+    gpu.try_run(&launch, &mut LmiMechanism::default_config(), sink).unwrap()
 }
 
 fn run_telemetered(kernel: &Function, sink: &mut TelemetrySink) -> lmi::sim::SimStats {
@@ -207,8 +196,7 @@ fn registry_counters_agree_with_sim_stats_on_random_kernels() {
     kernels.push(heap_violation_kernel());
     for (case, kernel) in kernels.iter().enumerate() {
         let mut sink = TelemetrySink::counters_only();
-        let mut mech = LmiMechanism::default_config();
-        let stats = run_lmi_on(kernel, &mut sink, GpuConfig::small(), &mut mech);
+        let stats = run_telemetered_on(kernel, &mut sink, GpuConfig::small());
         assert_eq!(stats.violated(), case == kernels.len() - 1, "case {case}");
 
         let c = &sink.counters;
@@ -225,15 +213,20 @@ fn registry_counters_agree_with_sim_stats_on_random_kernels() {
         assert_eq!(c.sum_sms("heap_calls") * 32, heap_lanes, "case {case}: heap_calls");
         assert_eq!(has("heap_calls"), heap_lanes > 0, "case {case}: heap_calls key");
         // The mechanism scope: compiled code marks wide ops only, and the
-        // OCU checks each once; poison and fault tallies are the
-        // mechanism's own.
+        // OCU checks each once; `faults` counts the EC's faulting lanes,
+        // the violations that are not heap-call errors.
         let lmi = Scope::Mechanism("lmi");
         assert_eq!(c.get(lmi, "checks"), stats.marked_issued, "case {case}: checks");
         assert_eq!(has("checks"), stats.marked_issued > 0, "case {case}: checks key");
-        assert_eq!(c.get(lmi, "poisoned"), mech.poisoned_count, "case {case}: poisoned");
-        assert_eq!(has("poisoned"), mech.poisoned_count > 0, "case {case}: poisoned key");
-        assert_eq!(c.get(lmi, "faults"), mech.faults, "case {case}: faults");
-        assert_eq!(has("faults"), mech.faults > 0, "case {case}: faults key");
+        assert_eq!(c.get(lmi, "poisoned"), stats.poisoned, "case {case}: poisoned");
+        assert_eq!(has("poisoned"), stats.poisoned > 0, "case {case}: poisoned key");
+        let heap_error = |v: &Violation| {
+            matches!(v, Violation::Temporal(TemporalKind::InvalidFree | TemporalKind::DoubleFree))
+        };
+        let ec_faults =
+            stats.violations.iter().filter(|e| !heap_error(&e.violation)).count() as u64;
+        assert_eq!(c.get(lmi, "faults"), ec_faults, "case {case}: faults");
+        assert_eq!(has("faults"), ec_faults > 0, "case {case}: faults key");
         assert_eq!(c.sum_sms("issued"), stats.issued, "case {case}: issued");
         // One record column counts both: every issue event is one leader
         // walk step.
@@ -292,9 +285,8 @@ fn engine_point(threads: usize, banks: usize) -> GpuConfig {
 fn lmi_heap_violation_registry(threads: usize, banks: usize) -> String {
     let mut sink = TelemetrySink::counters_only();
     let kernel = heap_violation_kernel();
-    let mut mech = LmiMechanism::default_config();
-    let stats = run_lmi_on(&kernel, &mut sink, engine_point(threads, banks), &mut mech);
-    assert!(stats.violated() && mech.poisoned_count > 0, "the kernel poisons and faults");
+    let stats = run_telemetered_on(&kernel, &mut sink, engine_point(threads, banks));
+    assert!(stats.violated() && stats.poisoned > 0, "the kernel poisons and faults");
     render(sink.counters.iter())
 }
 

@@ -187,3 +187,102 @@ fn oversized_launch_is_rejected_as_a_typed_error() {
     rt.synchronize().unwrap();
     assert_eq!(rt.report().kernels.len(), 1);
 }
+
+/// `LDC param0; IADD64 p += 256 (marked); [LDG through p;] EXIT`: on a
+/// 256-byte buffer the marked add poisons every lane's pointer.
+fn poisoner(name: &str, dereference: bool) -> Program {
+    let mut b = ProgramBuilder::new(name);
+    b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+    b.push(Instruction::iadd64(Reg(4), Reg(4), 256).with_hints(HintBits::check_operand(0)));
+    if dereference {
+        b.push(Instruction::ldg(Reg(8), MemRef::new(Reg(4), 0, 4)));
+    }
+    b.push(Instruction::exit());
+    b.build()
+}
+
+#[test]
+fn poison_to_fault_latencies_land_at_the_faulting_scopes() {
+    let mut rt = Runtime::new(GpuConfig::small());
+    let culprit = rt.add_tenant(true);
+    let bystander = rt.add_tenant(true);
+    let sc = rt.create_stream(culprit).unwrap();
+    let sb = rt.create_stream(bystander).unwrap();
+    let buf_c = rt.malloc(culprit, 256).unwrap();
+    let buf_b = rt.malloc(bystander, 4096).unwrap();
+    rt.launch(sc, Launch::new(poisoner("oob", true)).grid(1).block(32).param(buf_c)).unwrap();
+    rt.launch(sb, Launch::new(worker("wb", 2)).grid(1).block(32).param(buf_b)).unwrap();
+    rt.synchronize().unwrap();
+
+    let oob = rt.report().kernels.iter().find(|k| k.stream == sc).unwrap();
+    assert_eq!(oob.stats.poisoned, 32);
+    assert_eq!(oob.stats.forensics.len(), 32, "every lane's fault matches its poison");
+    let h = rt.histograms();
+    let samples = |scope| h.get(scope, "poison_to_fault").map_or(0, |hist| hist.count());
+    for scope in [Scope::Gpu, Scope::Stream(sc), Scope::Tenant(culprit)] {
+        assert_eq!(samples(scope), 32, "one sample per matched lane at {scope:?}");
+    }
+    assert_eq!(samples(Scope::Stream(sb)), 0);
+    assert_eq!(samples(Scope::Tenant(bystander)), 0);
+}
+
+#[test]
+fn a_poison_does_not_follow_the_session_into_another_tenants_kernel() {
+    // Tenant A poisons every lane's pointer and exits without a
+    // dereference. Tenant B, later in the same session and on the same
+    // SM/warp/lanes, faults on a pointer the host freed. B's faults have
+    // no in-register provenance: A's poisons died with A's run.
+    let mut rt = Runtime::new(GpuConfig::small().with_sim_threads(1).with_mem_banks(1));
+    let ta = rt.add_tenant(true);
+    let tb = rt.add_tenant(true);
+    let sa = rt.create_stream(ta).unwrap();
+    let sb = rt.create_stream(tb).unwrap();
+    let buf = rt.malloc(ta, 256).unwrap();
+    rt.launch(sa, Launch::new(poisoner("poison", false)).grid(1).block(32).param(buf)).unwrap();
+    rt.synchronize().unwrap();
+    let stale = rt.free(ta, buf).unwrap();
+    let mut b = ProgramBuilder::new("stale");
+    b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+    b.push(Instruction::ldg(Reg(8), MemRef::new(Reg(4), 0, 4)));
+    b.push(Instruction::exit());
+    rt.launch(sb, Launch::new(b.build()).grid(1).block(32).param(stale)).unwrap();
+    rt.synchronize().unwrap();
+
+    let [a, b] = &rt.report().kernels[..] else { panic!("two kernels ran") };
+    assert_eq!((a.tenant, a.stats.poisoned, a.stats.violations.len()), (ta, 32, 0));
+    assert_eq!((b.tenant, b.stats.violations.len()), (tb, 32));
+    assert!(b.stats.forensics.is_empty(), "tenant A's poisons are not tenant B's provenance");
+    assert!(rt.histograms().get(Scope::Tenant(tb), "poison_to_fault").is_none());
+}
+
+#[test]
+fn malformed_memory_shapes_are_rejected_at_launch() {
+    // A corrupted mem-valid bit: a load with no address, or an IADD64
+    // that gained one (its sources plus the address pair would overflow
+    // the decoded scoreboard list). Both are typed rejections at submit,
+    // and the session stays usable.
+    let mut rt = Runtime::new(GpuConfig::small());
+    let t = rt.add_tenant(true);
+    let s = rt.create_stream(t).unwrap();
+    let buf = rt.malloc(t, 256).unwrap();
+    let mut load = worker("noaddr", 1);
+    let ldg = load.instructions.iter().position(|i| i.opcode == op::Opcode::Ldg).unwrap();
+    load.instructions[ldg].mem = None;
+    let mut b = ProgramBuilder::new("straddr");
+    b.push(Instruction::iadd64(Reg(4), Reg(6), Reg(2)));
+    b.push(Instruction::exit());
+    let mut alu = b.build();
+    alu.instructions[0].srcs[2] = lmi_isa::Operand::Reg(Reg(10));
+    alu.instructions[0].mem = Some(MemRef::new(Reg(12), 0, 8));
+    for program in [load, alu] {
+        match rt.launch(s, Launch::new(program).grid(1).block(32).param(buf)) {
+            Err(SubmitError::Launch(LaunchError::Decode(_))) => {}
+            other => panic!("expected a decode rejection, got {other:?}"),
+        }
+    }
+    assert_eq!(rt.counters().get(Scope::Stream(s), "rejected"), 2);
+    assert_eq!(rt.counters().get(Scope::Tenant(t), "rejected"), 2);
+    rt.launch(s, Launch::new(worker("ok", 1)).grid(1).block(32).param(buf)).unwrap();
+    rt.synchronize().unwrap();
+    assert_eq!(rt.report().kernels.len(), 1);
+}

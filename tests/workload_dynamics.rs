@@ -86,11 +86,10 @@ fn concurrent_heap_stress_is_clean_under_lmi() {
     let w = malloc_stress_workload();
     let prepared = prepare(&w, AlignmentPolicy::PowerOfTwo);
     let mut gpu = Gpu::with_heap_policy(GpuConfig::small(), AlignmentPolicy::PowerOfTwo);
-    let mut mech = LmiMechanism::default_config();
-    let stats = gpu.run(&prepared.launch, &mut mech);
+    let stats = gpu.run(&prepared.launch, &mut LmiMechanism::default_config());
     assert!(!stats.violated());
     assert!(stats.mallocs >= 4096, "thousands of device mallocs ran");
     assert_eq!(stats.mallocs, stats.frees);
     assert_eq!(gpu.heap().stats().live, 0, "everything returned to the heap");
-    assert_eq!(mech.poisoned_count, 0);
+    assert_eq!(stats.poisoned, 0);
 }
