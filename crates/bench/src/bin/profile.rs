@@ -2,7 +2,7 @@
 //!
 //! Replays one of the canned `lmi_workloads::runtime_mixes()` through the
 //! `lmi-runtime` scheduler with the cycle-driven sampling profiler
-//! enabled, then renders `Session::metrics_snapshot()` three ways:
+//! enabled, then renders `Runtime::metrics_snapshot()` three ways:
 //!
 //! * **human** (default) — per-kernel top-K hot PCs with disassembly,
 //!   the warp-state/stall breakdown, session latency tails, and the
@@ -29,7 +29,7 @@ use std::collections::BTreeMap;
 use lmi_bench::print_row;
 use lmi_bench::report::{self, ReportOpts};
 use lmi_isa::Program;
-use lmi_runtime::{MetricsSnapshot, Session};
+use lmi_runtime::{MetricsSnapshot, Runtime};
 use lmi_sim::GpuConfig;
 use lmi_telemetry::{Scope, WARP_STATE_NAMES};
 use lmi_workloads::{prepare_in, runtime_mixes, TrafficMix};
@@ -37,7 +37,7 @@ use lmi_workloads::{prepare_in, runtime_mixes, TrafficMix};
 /// Runs `mix` with sampling at `period` and returns the session snapshot
 /// plus the programs it executed (for PC → instruction attribution).
 fn run_profiled(mix: &TrafficMix, cfg: GpuConfig) -> (MetricsSnapshot, BTreeMap<String, Program>) {
-    let mut rt = Session::new(cfg);
+    let mut rt = Runtime::new(cfg);
     let tenants: Vec<usize> =
         mix.tenants.iter().map(|&protected| rt.add_tenant(protected)).collect();
     let mut programs = BTreeMap::new();

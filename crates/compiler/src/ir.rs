@@ -214,6 +214,38 @@ pub enum InstKind {
     },
 }
 
+impl InstKind {
+    /// The values this instruction reads, in operand order.
+    pub fn operands(&self) -> impl Iterator<Item = ValueId> {
+        let (first, second) = match *self {
+            InstKind::Malloc { size } => (Some(size), None),
+            InstKind::Free { ptr }
+            | InstKind::Invalidate { ptr }
+            | InstKind::PtrToInt { ptr }
+            | InstKind::Load { ptr, .. } => (Some(ptr), None),
+            InstKind::IntToPtr { value, .. } | InstKind::WriteVar { value, .. } => {
+                (Some(value), None)
+            }
+            InstKind::Gep { ptr, index, .. } => (Some(ptr), Some(index)),
+            InstKind::IBin { a, b, .. }
+            | InstKind::FBin { a, b, .. }
+            | InstKind::Cmp { a, b, .. } => (Some(a), Some(b)),
+            InstKind::Store { ptr, value, .. } => (Some(ptr), Some(value)),
+            InstKind::ConstI32(_)
+            | InstKind::ConstI64(_)
+            | InstKind::ConstF32(_)
+            | InstKind::Param(_)
+            | InstKind::Tid
+            | InstKind::CtaId
+            | InstKind::NTid
+            | InstKind::Alloca { .. }
+            | InstKind::SharedAlloc { .. }
+            | InstKind::ReadVar(_) => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
 /// An instruction plus the type of the value it produces (if any).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Inst {

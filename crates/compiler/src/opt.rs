@@ -72,30 +72,8 @@ pub fn eliminate_dead_code(func: &mut Function) -> usize {
     let mut live = vec![false; n];
     let mut var_read = vec![false; func.vars.len()];
 
-    // Seed: side-effecting instructions and terminator operands.
-    let mark_operands = |kind: &InstKind, work: &mut Vec<ValueId>| match *kind {
-        InstKind::Store { ptr, value, .. } => {
-            work.push(ptr);
-            work.push(value);
-        }
-        InstKind::Free { ptr } | InstKind::Invalidate { ptr } => work.push(ptr),
-        InstKind::Malloc { size } => work.push(size),
-        InstKind::WriteVar { value, .. } => work.push(value),
-        InstKind::Gep { ptr, index, .. } => {
-            work.push(ptr);
-            work.push(index);
-        }
-        InstKind::IBin { a, b, .. } | InstKind::FBin { a, b, .. } | InstKind::Cmp { a, b, .. } => {
-            work.push(a);
-            work.push(b);
-        }
-        InstKind::Load { ptr, .. } => work.push(ptr),
-        InstKind::PtrToInt { ptr } => work.push(ptr),
-        InstKind::IntToPtr { value, .. } => work.push(value),
-        _ => {}
-    };
-
     loop {
+        // Seed: side-effecting instructions and terminator operands.
         let mut work: Vec<ValueId> = Vec::new();
         for (v, inst) in func.insts.iter().enumerate() {
             let side_effecting = match inst.kind {
@@ -112,14 +90,14 @@ pub fn eliminate_dead_code(func: &mut Function) -> usize {
             };
             if side_effecting && !live[v] {
                 live[v] = true;
-                mark_operands(&func.insts[v].kind.clone(), &mut work);
+                work.extend(func.insts[v].kind.operands());
             }
         }
         for block in &func.blocks {
             if let Terminator::Branch { cond, .. } = block.term {
                 if !live[cond] {
                     live[cond] = true;
-                    mark_operands(&func.insts[cond].kind.clone(), &mut work);
+                    work.extend(func.insts[cond].kind.operands());
                 }
             }
         }
@@ -128,7 +106,7 @@ pub fn eliminate_dead_code(func: &mut Function) -> usize {
                 continue;
             }
             live[v] = true;
-            mark_operands(&func.insts[v].kind.clone(), &mut work);
+            work.extend(func.insts[v].kind.operands());
         }
 
         // Propagate variable readness from live ReadVars and iterate.

@@ -85,24 +85,6 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-fn operands(kind: &InstKind) -> Vec<ValueId> {
-    match *kind {
-        InstKind::Malloc { size } => vec![size],
-        InstKind::Free { ptr } | InstKind::Invalidate { ptr } | InstKind::PtrToInt { ptr } => {
-            vec![ptr]
-        }
-        InstKind::IntToPtr { value, .. } => vec![value],
-        InstKind::Gep { ptr, index, .. } => vec![ptr, index],
-        InstKind::IBin { a, b, .. } | InstKind::FBin { a, b, .. } | InstKind::Cmp { a, b, .. } => {
-            vec![a, b]
-        }
-        InstKind::Load { ptr, .. } => vec![ptr],
-        InstKind::Store { ptr, value, .. } => vec![ptr, value],
-        InstKind::WriteVar { value, .. } => vec![value],
-        _ => Vec::new(),
-    }
-}
-
 /// Verifies a function's structural invariants.
 ///
 /// Uses a conservative dominance approximation: a use is considered
@@ -127,7 +109,7 @@ pub fn verify(func: &Function) -> Result<(), VerifyError> {
                 return Err(VerifyError::Redefined { inst: v });
             }
             placed[v] = true;
-            for op in operands(&func.insts[v].kind) {
+            for op in func.insts[v].kind.operands() {
                 if op >= n || !defined[op] {
                     return Err(VerifyError::UseBeforeDef { user: v, operand: op });
                 }

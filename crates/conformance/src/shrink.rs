@@ -7,7 +7,7 @@
 //! kernel"). Every probe is a deterministic single-point run, so the
 //! shrink trajectory is bit-identical across engine configurations.
 
-use lmi_compiler::ir::{Function, InstKind, Terminator, ValueId};
+use lmi_compiler::ir::{Function, InstKind, Terminator};
 use lmi_compiler::{compile, CompileError, CompileOptions};
 
 use crate::defect::{Defect, DefectClass};
@@ -147,25 +147,6 @@ fn simplify_structure(recipe: &mut Recipe, defect: &mut Defect, point: EnginePoi
     }
 }
 
-/// Operand values an instruction reads.
-fn operands(kind: &InstKind) -> Vec<ValueId> {
-    match *kind {
-        InstKind::Malloc { size } => vec![size],
-        InstKind::Free { ptr } => vec![ptr],
-        InstKind::Gep { ptr, index, .. } => vec![ptr, index],
-        InstKind::IBin { a, b, .. } | InstKind::FBin { a, b, .. } | InstKind::Cmp { a, b, .. } => {
-            vec![a, b]
-        }
-        InstKind::Load { ptr, .. } => vec![ptr],
-        InstKind::Store { ptr, value, .. } => vec![ptr, value],
-        InstKind::PtrToInt { ptr } => vec![ptr],
-        InstKind::IntToPtr { value, .. } => vec![value],
-        InstKind::WriteVar { value, .. } => vec![value],
-        InstKind::Invalidate { ptr } => vec![ptr],
-        _ => Vec::new(),
-    }
-}
-
 /// `true` when the listed instruction at `blocks[b].insts[i]` can be
 /// dropped from the schedule: nothing still listed consumes its value, no
 /// terminator branches on it, and (for variable writes) no surviving read
@@ -176,7 +157,7 @@ fn removable(func: &Function, b: usize, i: usize) -> bool {
         if (bb, ii) == (b, i) {
             continue;
         }
-        if operands(&func.insts[other].kind).contains(&id) {
+        if func.insts[other].kind.operands().any(|v| v == id) {
             return false;
         }
     }

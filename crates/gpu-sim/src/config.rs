@@ -10,8 +10,6 @@ pub const WARP_SIZE: usize = 32;
 pub struct GpuConfig {
     /// Number of SM cores (Table IV: 80 @ 2 GHz).
     pub num_sms: usize,
-    /// Core clock in GHz (used to convert cycles to time in reports).
-    pub clock_ghz: f64,
     /// Warp schedulers per SM (Table IV: 4, GTO).
     pub schedulers_per_sm: usize,
     /// Maximum resident warps per SM.
@@ -55,9 +53,9 @@ pub struct GpuConfig {
     /// Sampling-profiler period in simulated cycles; `0` (the default)
     /// disables sampling. Every `sample_period` cycles each SM records
     /// its warp states, stall reasons and executing PCs into
-    /// [`crate::stats::SimStats::profile`]. Samples are taken in phase A
-    /// from SM-local state and absorbed canonically in the apply phase,
-    /// so profiles are bit-identical across `sim_threads`.
+    /// [`crate::stats::SimStats::profile`]. Each SM takes its samples in
+    /// phase A from its own state into its own profile, and the run folds
+    /// them per SM id, so profiles are bit-identical across `sim_threads`.
     pub sample_period: u64,
 }
 
@@ -66,7 +64,6 @@ impl GpuConfig {
     pub fn table4() -> GpuConfig {
         GpuConfig {
             num_sms: 80,
-            clock_ghz: 2.0,
             schedulers_per_sm: 4,
             max_warps_per_sm: 64,
             hierarchy: HierarchyConfig::table4(80),
@@ -165,7 +162,6 @@ mod tests {
     fn table4_matches_the_paper() {
         let c = GpuConfig::table4();
         assert_eq!(c.num_sms, 80);
-        assert_eq!(c.clock_ghz, 2.0);
         assert_eq!(c.schedulers_per_sm, 4);
         assert_eq!(c.hierarchy.l1.capacity_bytes, 96 * 1024);
         assert_eq!(c.hierarchy.l2.ways, 24);

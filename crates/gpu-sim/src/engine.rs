@@ -6,15 +6,18 @@
 //!
 //! * **Phase A** — every SM concurrently: schedule, execute ALU work,
 //!   probe the SM-local L1, and route L1 misses + per-lane data movement
-//!   into per-SM per-bank queues.
+//!   into per-SM per-bank queues. Each SM counts its own issues, stalls
+//!   and profiler samples ([`crate::stats::SmRecord`]).
 //! * **Phase B-check** — the leader (the calling thread) walks every SM's
-//!   events in ascending (slot, issue) order: the run's dense per-event
-//!   totals ([`RunRecord`], folded once after the loop into each kernel's
-//!   [`SimStats`] and the sink's registry), mechanism checks (one
-//!   warp-form call per instruction; each memory op gets a
-//!   [`MemVerdict`]), heap calls, violations and forensics.
-//!   Mechanism metadata fetches are routed to their owning banks. This is
-//!   the only genuinely serial section; its size is surfaced as
+//!   events in ascending (slot, issue) order and decides one [`Verdict`]
+//!   per deferred op: mechanism checks (one warp-form call per
+//!   instruction), heap calls, violations and forensics. It counts only
+//!   what those decisions produce ([`RunRecord`]: mechanism tallies,
+//!   verdict-gated charges, the forensics issue index); the SM records
+//!   and the run record are folded once after the loop into each
+//!   kernel's [`SimStats`] and the sink's registry. Mechanism metadata
+//!   fetches are routed to their owning banks. This is the only genuinely
+//!   serial section; its size is surfaced as
 //!   [`SimStats::phase_b_serial_items`] vs
 //!   [`SimStats::phase_b_banked_items`]
 //!   (`crate::stats::SimStats::phase_b_serial_fraction`).
@@ -32,8 +35,9 @@
 //!   independent state.
 //! * **Phase B-final** (only when tracing) — the leader emits memory
 //!   transaction spans from the assembled completion times.
-//! * **Phase C** — every SM concurrently applies results to its warps;
-//!   memory-op timing is assembled from the bank-published atomics.
+//! * **Phase C** — every SM concurrently applies each deferred op to its
+//!   warps from the op's descriptor, columns and verdict; memory-op timing
+//!   is assembled from the bank-published atomics.
 //!
 //! Every pass is ordered canonically and every inter-pass hand-off is an
 //! atomic max over values that are themselves canonical, so cycle counts,
@@ -56,21 +60,20 @@ use std::sync::{Mutex, RwLock};
 use lmi_alloc::{AllocError, DeviceHeap};
 use lmi_core::error::TemporalKind;
 use lmi_core::Violation;
-use lmi_isa::OpcodeClass;
 use lmi_mem::{BankRouter, BankedHierarchy, BankedMemory, Cache, MemBank, SparseMemory};
 use lmi_telemetry::{FaultEvent, ForensicsLog, PoisonEvent, TelemetrySink, TraceEventKind};
 
 use crate::config::GpuConfig;
 use crate::mechanism::{Mechanism, WarpMemAccess, WarpMemVerdict};
-use crate::sm::{BankReq, CycleEvents, IssueEvent, MemOp, MemVerdict, OpResult, SharedOp, Sm};
+use crate::sm::{BankReq, CycleEvents, IssueEvent, MemOp, SharedOp, Sm, Verdict};
 use crate::stats::{RunRecord, SimStats, ViolationEvent};
 use crate::warp::{lanes_of, LaneMask};
 
 /// Per-kernel shared state: each kernel resident on the GPU owns its own
 /// mechanism instance, statistics, and device heap. A classic single-kernel
 /// run is the one-slot case. The engine pushes only records into `stats`
-/// (violations, forensics, profile samples); its counted fields are folded
-/// from the [`RunRecord`] after the run.
+/// (violations, forensics); its counted fields and profile are folded from
+/// the SM records and the [`RunRecord`] after the run.
 pub(crate) struct KernelSlot<'a> {
     pub mechanism: &'a mut dyn Mechanism,
     pub stats: &'a mut SimStats,
@@ -88,7 +91,7 @@ pub(crate) struct SharedCtx<'a> {
     pub hierarchy: &'a mut BankedHierarchy,
     pub memory: &'a mut BankedMemory,
     pub kernels: Vec<KernelSlot<'a>>,
-    /// The run's per-event totals, one row per SM slot and per kernel.
+    /// The leader's per-run totals, one row per SM slot and per kernel.
     pub record: &'a mut RunRecord,
     pub cfg: &'a GpuConfig,
     pub sink: &'a mut TelemetrySink,
@@ -110,18 +113,20 @@ struct LeaderCtx<'l, 'a> {
     verdict: WarpMemVerdict,
 }
 
-impl<'l, 'a> LeaderCtx<'l, 'a> {
+impl LeaderCtx<'_, '_> {
     /// Slot `slot_idx`'s SM id and kernel index.
     fn site(&self, slot_idx: usize) -> (usize, usize) {
-        let row = &self.record.sms[slot_idx];
+        let row = &self.record.slots[slot_idx];
         (row.sm, row.kernel)
     }
 
-    /// The kernel slot owning slot `slot_idx`'s SM. Borrow is
-    /// statement-scoped, so callers interleave slot access with `sink`
-    /// access freely.
-    fn kernel(&mut self, slot_idx: usize) -> &mut KernelSlot<'a> {
-        &mut self.kernels[self.record.sms[slot_idx].kernel]
+    /// The issue index forensics stamp on event `op_idx` of slot
+    /// `slot_idx` this cycle: its kernel's issues in earlier cycles and
+    /// earlier slots, plus this slot's up to and including it. It is a
+    /// unique id shared by every lane of that warp-level issue.
+    fn instr_index(&self, slot_idx: usize, op_idx: u32) -> u64 {
+        let (_, k) = self.site(slot_idx);
+        self.record.kernels[k].issue_index + u64::from(op_idx) + 1
     }
 }
 
@@ -255,7 +260,7 @@ pub(crate) fn run(
 // ---------------------------------------------------------------------------
 // Phase B-check: canonical application of one SM's cycle events.
 
-/// Applies everything slot `slot_idx`'s SM deferred this cycle, in issue
+/// Decides everything slot `slot_idx`'s SM deferred this cycle, in issue
 /// order, and routes its bank work.
 fn apply_cycle(
     slot_idx: usize,
@@ -264,28 +269,20 @@ fn apply_cycle(
     machine: &Machine<'_>,
     leader: &mut LeaderCtx<'_, '_>,
 ) {
-    let row = &mut leader.record.sms[slot_idx];
-    for (total, count) in row.stalls.iter_mut().zip(&events.stalls) {
-        *total += count;
-    }
-    if let Some(sample) = events.sample.take() {
-        // Absorb the phase-A profiler sample into the owning kernel's
-        // profile. Runs here (single thread, ascending SM order) so the
-        // merged profile is canonical at every thread count.
-        let (sm_id, _) = leader.site(slot_idx);
-        let period = leader.cfg.sample_period;
-        let profile = &mut leader.kernel(slot_idx).stats.profile;
-        profile.period = period;
-        profile.absorb(sm_id, &sample);
-    }
     for (op_idx, ev) in events.live_mut().iter_mut().enumerate() {
         apply_event(slot_idx, op_idx as u32, ev, now, machine, leader);
     }
+    let (_, k) = leader.site(slot_idx);
+    leader.record.kernels[k].issue_index += events.live().len() as u64;
     if events.bank_q.iter().any(|q| !q.is_empty()) {
         machine.bank_flag.store(true, SeqCst);
     }
 }
 
+/// Writes the verdict on `ev`'s deferred op, if it has one, and emits the
+/// warp's residency span if it retires. Every event is one issued
+/// instruction and costs the leader one walk step — the serial half of
+/// the `phase_b_serial_fraction` stat.
 fn apply_event(
     slot_idx: usize,
     op_idx: u32,
@@ -294,70 +291,20 @@ fn apply_event(
     machine: &Machine<'_>,
     leader: &mut LeaderCtx<'_, '_>,
 ) {
-    // Every event is one issued instruction (a warp falling off the
-    // program end issues an implicit `EXIT`) and costs the leader one walk
-    // step — the serial half of the `phase_b_serial_fraction` stat.
-    // Deterministic: the issue list is identical at every thread and bank
-    // count.
-    let record = &mut *leader.record;
-    *record.warp_issued(slot_idx, ev.warp) += 1;
-    let row = &mut record.sms[slot_idx];
-    let kernel = &mut record.kernels[row.kernel];
-    kernel.issued += 1;
-    if let Some(op) = ev.opcode {
-        match op.class() {
-            OpcodeClass::IntAlu => kernel.int_issued += 1,
-            OpcodeClass::Fpu => kernel.fpu_issued += 1,
-            _ => {}
+    ev.verdict = match ev.shared {
+        Some(SharedOp::MarkedInt { mask, .. }) => {
+            Some(apply_marked_int(slot_idx, op_idx, ev, mask, now, leader))
         }
-        kernel.marked_issued += u64::from(ev.activate);
-    }
-    if let Some(space) = ev.mem_space {
-        row.mem[space as usize] += 1;
-    }
-    row.heap_calls += u64::from(matches!(ev.shared, Some(SharedOp::Heap { .. })));
-    let mnemonic = ev.opcode.map(|op| op.mnemonic()).unwrap_or("");
-    ev.result = match ev.shared {
-        Some(SharedOp::MarkedInt { dst, pair, mask }) => {
-            let delay = apply_marked_int(slot_idx, ev, mnemonic, mask, now, leader);
-            let done_at = now + leader.cfg.int_latency as u64;
-            Some(OpResult {
-                dst,
-                pair,
-                mask,
-                ready_at: Some(done_at),
-                verdict_at: Some(done_at + delay as u64),
-                ready_mem_at: None,
-                advance_pc: true,
-                retire: false,
-            })
+        Some(SharedOp::Heap { malloc, mask, .. }) => {
+            Some(apply_heap(slot_idx, op_idx, ev, malloc, mask, now, leader))
         }
-        Some(SharedOp::Heap { dst, pair, malloc, mask }) => {
-            let retire = apply_heap(slot_idx, ev, mnemonic, malloc, mask, now, leader);
-            Some(OpResult {
-                dst,
-                pair,
-                // `free` writes nothing back; `malloc` its pointers.
-                mask: if malloc { mask } else { 0 },
-                ready_at: None,
-                verdict_at: None,
-                ready_mem_at: malloc.then(|| now + leader.cfg.heap_call_latency as u64),
-                advance_pc: true,
-                retire,
-            })
-        }
-        Some(SharedOp::Mem(op)) => {
-            // The mechanism check runs here (serial, canonical); timing and
-            // data movement were already routed to the banks in phase A and
-            // stay gated on this verdict. The op itself rides to phase C.
-            ev.verdict = Some(check_mem(slot_idx, op_idx, ev, &op, machine, leader, now));
-            None
-        }
+        // The mechanism check runs here (serial, canonical); timing and
+        // data movement were already routed to the banks in phase A and
+        // stay gated on this verdict.
+        Some(SharedOp::Mem(op)) => Some(check_mem(slot_idx, op_idx, ev, &op, machine, leader, now)),
         None => None,
     };
-    let retiring = ev.retired_local
-        || ev.result.as_ref().is_some_and(|r| r.retire)
-        || ev.verdict.is_some_and(|v| v.cancelled);
+    let retiring = ev.retired_local || ev.verdict.is_some_and(|v| v.halt);
     if retiring && leader.sink.tracer.is_enabled() {
         // The warp retires this cycle: emit its residency span.
         let (sm_id, _) = leader.site(slot_idx);
@@ -376,23 +323,21 @@ fn apply_event(
 /// OCU check of a hint-marked wide integer op (LMI's bounds pipeline): one
 /// warp-wide mechanism call, checked values written into the event's
 /// `values`, then the poisoned lanes' forensics in ascending lane order.
-/// Returns the mechanism's extra verdict delay.
+/// The verdict's extra cycles are the mechanism's OCU delay.
 fn apply_marked_int(
     slot_idx: usize,
+    op_idx: u32,
     ev: &mut IssueEvent,
-    mnemonic: &'static str,
     mask: LaneMask,
     now: u64,
     leader: &mut LeaderCtx<'_, '_>,
-) -> u32 {
-    // The kernel's `issued` was already bumped for this instruction: every
-    // lane's poison event shares it.
+) -> Verdict {
     let (sm_id, k) = leader.site(slot_idx);
+    let instr_index = leader.instr_index(slot_idx, op_idx);
     let slot = &mut leader.kernels[k];
     let poisoned = slot.mechanism.on_marked_int_warp(mask, &ev.inputs, &mut ev.values);
     let extra_delay = slot.mechanism.marked_int_delay();
     let totals = &mut leader.record.kernels[k];
-    let issue_index = totals.issued;
     totals.checks += 1;
     totals.poisoned += u64::from(poisoned.count_ones());
     let sink = &mut *leader.sink;
@@ -404,9 +349,9 @@ fn apply_marked_int(
             warp: ev.warp,
             lane,
             pc: ev.pc,
-            op: mnemonic,
+            op: ev.mnemonic(),
             cycle: now,
-            instr_index: issue_index,
+            instr_index,
         });
         if sink.tracer.is_enabled() {
             sink.tracer.instant(
@@ -421,7 +366,7 @@ fn apply_marked_int(
     }
     if sink.tracer.is_enabled() {
         sink.tracer.complete_with(
-            mnemonic,
+            ev.mnemonic(),
             TraceEventKind::OcuCheck,
             sm_id,
             ev.warp,
@@ -430,32 +375,25 @@ fn apply_marked_int(
             &[("pc", ev.pc as u64)],
         );
     }
-    extra_delay
+    Verdict { survivors: mask & !poisoned, halt: false, extra_cycles: extra_delay }
 }
 
 /// Device-heap `malloc`/`free` over the lanes of `mask`, serialized
 /// through the shared allocator; `malloc` overwrites each lane's size in
-/// the event's `values` with its pointer. Returns whether the warp halts
-/// (an invalid or double free under `halt_on_violation`).
+/// the event's `values` with its pointer. The verdict halts the warp on an
+/// invalid or double free under `halt_on_violation`.
 fn apply_heap(
     slot_idx: usize,
+    op_idx: u32,
     ev: &mut IssueEvent,
-    mnemonic: &'static str,
     malloc: bool,
     mask: LaneMask,
     now: u64,
     leader: &mut LeaderCtx<'_, '_>,
-) -> bool {
+) -> Verdict {
     let mut violation = None;
     let (sm_id, k) = leader.site(slot_idx);
-    let totals = &mut leader.record.kernels[k];
-    let issue_index = totals.issued;
-    let lanes = u64::from(mask.count_ones());
-    if malloc {
-        totals.mallocs += lanes;
-    } else {
-        totals.frees += lanes;
-    }
+    let instr_index = leader.instr_index(slot_idx, op_idx);
     for l in lanes_of(mask) {
         let gtid = ev.base_tid + l as u64;
         let slot = &mut leader.kernels[k];
@@ -481,9 +419,9 @@ fn apply_heap(
                         warp: ev.warp,
                         lane: l,
                         pc: ev.pc,
-                        op: mnemonic,
+                        op: ev.mnemonic(),
                         cycle: now,
-                        instr_index: issue_index,
+                        instr_index,
                     });
                 }
                 Ok(()) => {}
@@ -492,7 +430,7 @@ fn apply_heap(
     }
     if leader.sink.tracer.is_enabled() {
         leader.sink.tracer.complete_with(
-            mnemonic,
+            ev.mnemonic(),
             TraceEventKind::HeapCall,
             sm_id,
             ev.warp,
@@ -501,7 +439,9 @@ fn apply_heap(
             &[("pc", ev.pc as u64)],
         );
     }
-    let Some((lane, v)) = violation else { return false };
+    let Some((lane, v)) = violation else {
+        return Verdict { survivors: mask, halt: false, extra_cycles: 0 };
+    };
     leader.kernels[k].stats.violations.push(ViolationEvent {
         sm: sm_id,
         warp: ev.warp,
@@ -509,15 +449,15 @@ fn apply_heap(
         global_tid: ev.base_tid + lane as u64,
         violation: v,
     });
-    leader.cfg.halt_on_violation
+    Verdict { survivors: mask, halt: leader.cfg.halt_on_violation, extra_cycles: 0 }
 }
 
 /// The mechanism check of a deferred memory access — the only part of a
 /// memory op the leader still runs. One warp-wide mechanism call produces
 /// the verdict the bank passes and phase C consume; the faulting lanes'
-/// violations and forensics follow in ascending lane order. Also charges
-/// the transaction statistics and routes metadata fetches to their owning
-/// banks.
+/// violations and forensics follow in ascending lane order. An access the
+/// verdict lets issue is charged its transactions and bank work, and its
+/// metadata fetches are routed to their owning banks.
 fn check_mem(
     slot_idx: usize,
     op_idx: u32,
@@ -526,9 +466,10 @@ fn check_mem(
     machine: &Machine<'_>,
     leader: &mut LeaderCtx<'_, '_>,
     now: u64,
-) -> MemVerdict {
+) -> Verdict {
     let pc = ev.pc;
     let (sm_id, k) = leader.site(slot_idx);
+    let instr_index = leader.instr_index(slot_idx, op_idx);
     let LeaderCtx { kernels, record, forensics, cfg, sink, verdict } = leader;
     let slot = &mut kernels[k];
     let access = WarpMemAccess {
@@ -544,12 +485,7 @@ fn check_mem(
     verdict.clear();
     slot.mechanism.on_mem_access_warp(&access, verdict);
 
-    // The kernel's `issued` was already bumped for this instruction, so it
-    // is a unique id shared by every lane of this warp-level issue
-    // (forensics stamps it on the fault).
-    let totals = &mut record.kernels[k];
-    let issue_index = totals.issued;
-    totals.faults += verdict.faults.len() as u64;
+    record.kernels[k].faults += verdict.faults.len() as u64;
     for &(lane, violation) in &verdict.faults {
         slot.stats.violations.push(ViolationEvent {
             sm: sm_id,
@@ -577,7 +513,7 @@ fn check_mem(
             lane,
             pc,
             cycle: now,
-            instr_index: issue_index,
+            instr_index,
         }) {
             slot.stats.forensics.push(record);
         }
@@ -588,10 +524,10 @@ fn check_mem(
         // The faulting access never issues: no timing, no data movement,
         // no pc advance — the warp halts. The bank queues' entries for
         // this op are skipped by the verdict gate.
-        return MemVerdict { survivors, cancelled: true, extra_cycles };
+        return Verdict { survivors, halt: true, extra_cycles };
     }
 
-    let row = &mut record.sms[slot_idx];
+    let row = &mut record.slots[slot_idx];
     row.transactions += op.line_count;
     row.charged += 1;
 
@@ -613,7 +549,7 @@ fn check_mem(
         machine.meta_flag.store(true, SeqCst);
     }
     record.kernels[k].banked_items += op.bank_items as u64 + metas.len() as u64;
-    MemVerdict { survivors, cancelled: false, extra_cycles }
+    Verdict { survivors, halt: false, extra_cycles }
 }
 
 // ---------------------------------------------------------------------------
@@ -660,7 +596,7 @@ fn bank_pass(slots: &[RwLock<SmSlot<'_>>], machine: &Machine<'_>, now: u64, t: u
                     BankReq::Fill { op, local } => {
                         let ev = &issues[op as usize];
                         let v = ev.verdict.expect("mem op verdict set in B-check");
-                        if v.cancelled {
+                        if v.halt {
                             continue;
                         }
                         let start = now.max(ev.meta_done.load(SeqCst));
@@ -695,13 +631,12 @@ fn b_final(slots: &[RwLock<SmSlot<'_>>], leader: &mut LeaderCtx<'_, '_>, now: u6
                 continue;
             };
             let Some(v) = ev.verdict else { continue };
-            if v.cancelled || v.survivors == 0 {
+            if v.halt || v.survivors == 0 {
                 continue;
             }
             let done = ev.mem_done_at(now, leader.cfg).expect("live mem op completes");
-            let mnemonic = ev.opcode.map(|op| op.mnemonic()).unwrap_or("");
             leader.sink.tracer.complete_with(
-                mnemonic,
+                ev.mnemonic(),
                 TraceEventKind::MemTransaction,
                 s.sm.id,
                 ev.warp,

@@ -381,7 +381,7 @@ impl Gpu {
             mshr_merges: self.hierarchy.mshr_merges() - mshr_before,
             dram_transactions: self.hierarchy.dram_transactions() - dram_before,
         };
-        record.fold(jobs, &l1, &mut outcome, &mut sink.counters);
+        record.fold(sms, jobs, &l1, self.cfg.sample_period, &mut outcome, &mut sink.counters);
         Ok(outcome)
     }
 }

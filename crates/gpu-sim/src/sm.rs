@@ -10,20 +10,25 @@
 //!   own L1), so any number of SMs can run phase A concurrently. L1 hits
 //!   never cross the barrier; L1-missed lines and per-lane data movement
 //!   are routed into per-bank queues (`BankReq`) for the bank-parallel
-//!   apply. Operations that must touch genuinely global state (the device
-//!   heap, the mechanism, statistics, telemetry) are recorded as
-//!   `SharedOp`s on the cycle's `IssueEvent` slots.
+//!   apply. The SM also counts what its own issues decide into its
+//!   `SmRecord` — per-warp `issued`, instruction classes, marked ops,
+//!   per-space memory instructions, heap calls and lanes, stalls — and
+//!   takes the sampling profiler's census straight into its own profile.
+//!   Operations that must touch genuinely global state (the device heap,
+//!   the mechanism, telemetry) are recorded as `SharedOp`s on the cycle's
+//!   `IssueEvent` slots.
 //! * **Phase B** (`engine`) — a thin leader step walks every SM's events
-//!   in canonical (sm, scheduler) order: mechanism checks (producing a
-//!   `MemVerdict` per memory op), heap calls, stats/counter/tracer
-//!   absorption. Then the address-interleaved memory banks apply their
+//!   in canonical (sm, scheduler) order and decides one `Verdict` per
+//!   deferred op: mechanism checks, heap calls, violations, forensics and
+//!   trace events. Then the address-interleaved memory banks apply their
 //!   queues concurrently — each bank in canonical order, so cache hit/miss
 //!   sequences, heap allocation order, counters and forensics are
 //!   independent of both the thread count and the bank count.
 //! * **Phase C** (`Sm::apply_results`) — each SM (again concurrently)
-//!   writes the phase-B results back into its warps: register writes,
-//!   scoreboard ready times, pc advance, retirement, barrier release.
-//!   Memory-op timing is assembled here from the bank-written atomics.
+//!   applies every deferred op from its descriptor, its slot's columns,
+//!   its verdict and the config: register writes, scoreboard ready times,
+//!   pc advance, retirement, then barrier release. Memory-op timing is
+//!   assembled here from the bank-written atomics.
 //!
 //! Deferred results only become architecturally visible at the next cycle
 //! (loads have multi-cycle latency; the issuing warp cannot issue again
@@ -40,6 +45,8 @@
 //! payload lives in place: each scheduler's `IssueEvent` slot, sized once
 //! per run and overwritten by each issue, owns its op's lane columns and
 //! load atoms, and the coalesced line list is one per-SM scratch `Vec`.
+//! A profiler census adds to the SM's own profile in place, so sampling
+//! allocates only when it first sees a pc.
 //!
 //! ## Warp-wide execution
 //!
@@ -52,9 +59,8 @@
 //! warp-wide columns from phase A to phase C: a marked op, heap call or
 //! memory access leaves its exec mask in a `Copy` descriptor and its lane
 //! columns in its issue slot, the leader's mechanism check is one
-//! warp-form call per instruction on those columns in place, and the
-//! result is written back from the slot with a single `Warp::write64_col`
-//! in phase C.
+//! warp-form call per instruction on those columns in place, and phase C
+//! writes the result back from the slot with a single `Warp::write64_col`.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -65,12 +71,13 @@ use lmi_isa::{
     abi, DecodedInstr, DecodedStream, MemSpace, Opcode, OpcodeClass, Operand, PredReg, Reg,
 };
 use lmi_mem::{layout, BankRouter, Cache};
-use lmi_telemetry::{SmSample, WarpState};
+use lmi_telemetry::WarpState;
 
 use crate::config::{GpuConfig, WARP_SIZE};
 use crate::exec;
 use crate::launch::Launch;
 use crate::lsu::coalesce_into;
+use crate::stats::SmRecord;
 use crate::warp::{lanes_of, Column, Column64, LaneMask, Warp};
 
 /// Per-launch context needed to resolve constant-bank reads.
@@ -159,6 +166,8 @@ pub(crate) struct Sm {
     greedy: Vec<Option<usize>>,
     /// Blocks resident on this SM (for barrier release).
     blocks: Vec<BlockBarrier>,
+    /// What this SM's own issues and stalls counted this run.
+    pub record: SmRecord,
     /// First cycle at which every resident warp had retired. Set in phase C
     /// with the cycle both drivers pass in, so it is identical at every
     /// thread count; resident multi-kernel runs use it for per-kernel
@@ -181,7 +190,7 @@ pub(crate) enum StallReason {
 }
 
 impl StallReason {
-    /// Index into [`CycleEvents::stalls`].
+    /// Index into [`SmRecord::stalls`].
     pub fn index(self) -> usize {
         match self {
             StallReason::Scoreboard => 0,
@@ -214,7 +223,7 @@ pub(crate) enum SharedOp {
 
 /// A deferred memory access. Timing and data movement were routed into
 /// the per-bank queues during phase A; the leader's B-check only runs the
-/// mechanism and accounting.
+/// mechanism and charges the op.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MemOp {
     pub dst: Reg,
@@ -251,33 +260,19 @@ pub(crate) enum BankReq {
     Load { op: u32, lane: u8, local: u64, width: u8, shift: u8 },
 }
 
-/// The leader B-check's verdict on one memory op, consumed by the bank
-/// passes (gating) and phase C (assembly).
+/// The leader B-check's verdict on one deferred op, consumed by the bank
+/// passes (a memory op's gate) and by phase C, which applies the op from
+/// its descriptor, its slot's columns, this verdict and the config.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct MemVerdict {
-    /// Lanes that passed the mechanism check.
+pub(crate) struct Verdict {
+    /// Lanes that passed the mechanism check (every lane of a heap call).
     pub survivors: LaneMask,
-    /// The op faulted under `halt_on_violation`: no timing, no data
-    /// movement, the warp halts.
-    pub cancelled: bool,
-    /// Extra completion latency charged by the mechanism.
+    /// The warp halts: a violation under `halt_on_violation`. A halting
+    /// memory access never issues: no timing, no data movement.
+    pub halt: bool,
+    /// Extra latency charged by the mechanism: a memory op's completion
+    /// delay, a marked op's OCU verdict delay.
     pub extra_cycles: u32,
-}
-
-/// Phase-B outcome of a deferred op, applied to the warp in phase C.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct OpResult {
-    pub dst: Reg,
-    pub pair: bool,
-    /// Lanes of the event's `values` written back to the 64-bit pair at
-    /// `dst`.
-    pub mask: LaneMask,
-    pub ready_at: Option<u64>,
-    pub verdict_at: Option<u64>,
-    pub ready_mem_at: Option<u64>,
-    pub advance_pc: bool,
-    /// Halt the warp (violation with `halt_on_violation`).
-    pub retire: bool,
 }
 
 /// One warp-level issue, recorded in phase A for phase B's canonical walk.
@@ -291,19 +286,14 @@ pub(crate) struct IssueEvent {
     /// `None`: the warp fell off the program end and retired (an implicit
     /// `EXIT`).
     pub opcode: Option<Opcode>,
-    pub activate: bool,
-    /// Set for every memory instruction, including the locally-executed
-    /// constant loads (phase B owns all `SimStats` accounting).
-    pub mem_space: Option<MemSpace>,
     pub base_tid: u64,
     pub block: usize,
     pub start_cycle: u64,
     /// Warp retired during phase A (local exit path).
     pub retired_local: bool,
     pub shared: Option<SharedOp>,
-    pub result: Option<OpResult>,
-    /// B-check verdict for a deferred memory op (`None` otherwise).
-    pub verdict: Option<MemVerdict>,
+    /// B-check verdict on the deferred op (`None` without one).
+    pub verdict: Option<Verdict>,
     /// Completion cycle of this op's metadata fetches (`fetch_max`ed by the
     /// banks' metadata pass; 0 when the mechanism fetched none). Atomic
     /// because several banks may fetch for one op concurrently.
@@ -314,7 +304,7 @@ pub(crate) struct IssueEvent {
     /// The deferred op's input lane column (see [`SharedOp`]).
     pub inputs: Column64,
     /// The deferred op's value lane column (see [`SharedOp`]); phase C
-    /// writes an [`OpResult`] back from it.
+    /// writes a marked op's or `malloc`'s result back from it.
     pub values: Column64,
     /// A deferred load's data per lane, OR-combined by the owning bank(s).
     pub atoms: [AtomicU64; WARP_SIZE],
@@ -327,12 +317,6 @@ pub(crate) struct CycleEvents {
     /// were issued this cycle ([`CycleEvents::live`]), the rest are stale.
     issues: Vec<IssueEvent>,
     live: usize,
-    /// Idle scheduler-slot counts, indexed by [`StallReason::index`].
-    pub stalls: [u64; 4],
-    /// Profiler sample taken this cycle (phase A, SM-local), absorbed by
-    /// the apply phase into the kernel's profile. `None` when sampling is
-    /// off or the cycle is not on the period.
-    pub sample: Option<SmSample>,
     /// Per-bank request queues filled during phase A and drained by the
     /// banks' apply passes, in canonical intra-SM order. Sized once per
     /// run; inner capacity survives `clear()` so the steady state stays
@@ -353,8 +337,6 @@ impl CycleEvents {
 
     pub fn clear(&mut self) {
         self.live = 0;
-        self.stalls = [0; 4];
-        self.sample = None;
         for q in &mut self.bank_q {
             q.clear();
         }
@@ -372,6 +354,11 @@ impl CycleEvents {
 }
 
 impl IssueEvent {
+    /// The issued instruction's mnemonic (empty for an implicit `EXIT`).
+    pub fn mnemonic(&self) -> &'static str {
+        self.opcode.map(|op| op.mnemonic()).unwrap_or("")
+    }
+
     /// Completion cycle of a deferred memory op, assembled from the
     /// bank-written atomics: metadata fetches gate the access start
     /// (check-before-access), then the slowest of the bank fills, the
@@ -383,7 +370,7 @@ impl IssueEvent {
             return None;
         };
         let v = self.verdict.as_ref()?;
-        if v.cancelled {
+        if v.halt {
             return None;
         }
         let start = now.max(self.meta_done.load(SeqCst));
@@ -397,11 +384,11 @@ impl IssueEvent {
         Some(done + v.extra_cycles as u64)
     }
 
-    /// Whether the bank passes move `lane`'s data: the op was not
-    /// cancelled and the lane passed the mechanism check.
+    /// Whether the bank passes move `lane`'s data: the warp does not
+    /// halt and the lane passed the mechanism check.
     pub fn lane_survives(&self, lane: u8) -> bool {
         let v = self.verdict.expect("mem op verdict set in B-check");
-        !v.cancelled && v.survivors & (1 << lane) != 0
+        !v.halt && v.survivors & (1 << lane) != 0
     }
 }
 
@@ -422,6 +409,7 @@ impl Sm {
             lines: Vec::new(),
             greedy: Vec::new(),
             blocks: Vec::new(),
+            record: SmRecord::default(),
             done_cycle: None,
         }
     }
@@ -468,7 +456,7 @@ impl Sm {
         }
         // Disjoint field borrows: the decoded stream and launch context
         // are read while the warps are mutated.
-        let Sm { stream, launch, warps, lines, greedy, .. } = self;
+        let Sm { stream, launch, warps, lines, greedy, record, .. } = self;
         let overlap = cfg.lsu_verdict_overlap;
         let mut issued_any = false;
         let mut next_ready = u64::MAX;
@@ -532,7 +520,7 @@ impl Sm {
                     w += cfg.schedulers_per_sm;
                 }
                 if any_live {
-                    out.stalls[StallReason::NoReadyWarp.index()] += 1;
+                    record.stalls[StallReason::NoReadyWarp.index()] += 1;
                 }
                 continue;
             }
@@ -545,6 +533,7 @@ impl Sm {
                         now,
                         cfg,
                         launch,
+                        record,
                         bank_q,
                         lines,
                         op_idx: *live as u32,
@@ -560,37 +549,39 @@ impl Sm {
                 }
                 None => {
                     let reason = soonest.map(|(_, r)| r).unwrap_or(StallReason::NoReadyWarp);
-                    out.stalls[reason.index()] += 1;
+                    record.stalls[reason.index()] += 1;
                 }
             }
         }
 
         if cfg.sample_period > 0 && now.is_multiple_of(cfg.sample_period) {
-            out.sample = Some(self.sample_warps(now, cfg, out.live()));
+            self.sample_warps(now, cfg, out.live());
         }
 
         StepOutcome { issued_any, next_ready }
     }
 
-    /// Classifies every resident warp for the sampling profiler. Runs in
-    /// phase A on SM-local state only (warp flags, scoreboard times, this
-    /// cycle's issue list), so the sample is independent of other SMs and
-    /// of the worker-thread count.
-    fn sample_warps(&self, now: u64, cfg: &GpuConfig, issues: &[IssueEvent]) -> SmSample {
-        let mut sample = SmSample::default();
-        for (w, warp) in self.warps.iter().enumerate() {
+    /// Takes one profiler census: classifies every resident warp into this
+    /// SM's own profile. Runs in phase A on SM-local state only (warp
+    /// flags, scoreboard times, this cycle's issue list), so the profile
+    /// is independent of other SMs and of the worker-thread count.
+    fn sample_warps(&mut self, now: u64, cfg: &GpuConfig, issues: &[IssueEvent]) {
+        let Sm { stream, warps, record, .. } = self;
+        let profile = &mut record.profile;
+        profile.samples += 1;
+        for (w, warp) in warps.iter().enumerate() {
             // This cycle's issue comes first: phase A has already applied
             // it, so an `EXIT` has marked its warp done and a `BAR` has
             // parked it, yet the warp issued.
             let state = if let Some(ev) = issues.iter().find(|ev| ev.warp == w) {
-                sample.pcs.push((ev.pc as u32, 1));
+                profile.pcs.record(ev.pc as u32, 1);
                 WarpState::Issued
             } else if warp.done {
                 WarpState::Retired
             } else if warp.at_barrier {
                 WarpState::Barrier
             } else {
-                let (r, reason) = ready_info(&self.stream, warp, cfg.lsu_verdict_overlap);
+                let (r, reason) = ready_info(stream, warp, cfg.lsu_verdict_overlap);
                 if r <= now {
                     // Eligible, but this cycle's scheduler slots went to
                     // greedier/older warps.
@@ -605,31 +596,51 @@ impl Sm {
                     }
                 }
             };
-            sample.states[state.index()] += 1;
+            profile.states[state.index()] += 1;
         }
-        sample
     }
 
-    /// Phase C: applies phase-B results to the warps (in issue order) and
-    /// releases block barriers — the tail of what the serial step used to
-    /// do after executing each instruction. Memory-op completion times are
-    /// assembled here from the bank-written atomics (SM-local again, so
-    /// phase C stays fully parallel). `now` stamps `done_cycle` the first
-    /// time the SM drains.
+    /// Phase C: applies every deferred op to its warp (in issue order) and
+    /// releases block barriers. Each op is applied from its descriptor,
+    /// its slot's columns, the leader's verdict and `cfg`; memory-op
+    /// completion times are assembled from the bank-written atomics
+    /// (SM-local again, so phase C stays fully parallel). `now` stamps
+    /// `done_cycle` the first time the SM drains.
     pub fn apply_results(&mut self, events: &CycleEvents, now: u64, cfg: &GpuConfig) {
         for ev in events.live() {
-            // Every result below changes the issuing warp's pc, scoreboard
-            // or lanes: its readiness memo is stale.
-            self.warps[ev.warp].ready_memo = None;
-            if let Some(SharedOp::Mem(op)) = ev.shared {
-                let v = ev.verdict.expect("mem op carries a B-check verdict");
-                let warp = &mut self.warps[ev.warp];
-                if v.cancelled {
-                    // The faulting access never issues: no pc advance, the
-                    // warp halts (`halt_on_violation`).
-                    warp.stack.clear();
-                    warp.retire_lanes(warp.mask);
-                } else {
+            let warp = &mut self.warps[ev.warp];
+            // Every op below changes the issuing warp's pc, scoreboard or
+            // lanes: its readiness memo is stale.
+            warp.ready_memo = None;
+            let Some(shared) = ev.shared else { continue };
+            let v = ev.verdict.expect("a deferred op carries a B-check verdict");
+            if v.halt {
+                // A violation under `halt_on_violation`: the warp halts in
+                // place (a faulting access never issues).
+                warp.stack.clear();
+                warp.retire_lanes(warp.mask);
+                continue;
+            }
+            match shared {
+                SharedOp::MarkedInt { dst, pair, mask } => {
+                    // The checked value forwards to ALU consumers at the
+                    // ALU latency; the EC waits for the OCU verdict.
+                    warp.write64_col(dst, mask, &ev.values);
+                    let done_at = now + cfg.int_latency as u64;
+                    for reg in dst_regs(dst, pair) {
+                        warp.set_ready_at(reg, done_at);
+                        warp.set_verdict_at(reg, done_at + v.extra_cycles as u64);
+                    }
+                }
+                SharedOp::Heap { dst, pair, malloc: true, mask } => {
+                    warp.write64_col(dst, mask, &ev.values);
+                    for reg in dst_regs(dst, pair) {
+                        warp.set_ready_at_mem(reg, now + cfg.heap_call_latency as u64);
+                    }
+                }
+                // `free` writes nothing back.
+                SharedOp::Heap { malloc: false, .. } => {}
+                SharedOp::Mem(op) => {
                     if !op.is_store {
                         let done = ev.mem_done_at(now, cfg).expect("live mem op completes");
                         let values: Column64 = ev.atoms.each_ref().map(|a| a.load(SeqCst));
@@ -638,45 +649,13 @@ impl Sm {
                         } else {
                             warp.write_col(op.dst, v.survivors, &values.map(|v| v as u32));
                         }
-                        warp.set_ready_at_mem(op.dst, done);
-                        if op.pair {
-                            warp.set_ready_at_mem(op.dst.pair_high(), done);
+                        for reg in dst_regs(op.dst, op.pair) {
+                            warp.set_ready_at_mem(reg, done);
                         }
                     }
-                    warp.pc += 1;
                 }
             }
-            if let Some(r) = ev.result {
-                let warp = &mut self.warps[ev.warp];
-                if r.mask != 0 {
-                    warp.write64_col(r.dst, r.mask, &ev.values);
-                }
-                if let Some(t) = r.ready_at {
-                    warp.set_ready_at(r.dst, t);
-                    if r.pair {
-                        warp.set_ready_at(r.dst.pair_high(), t);
-                    }
-                }
-                if let Some(t) = r.verdict_at {
-                    warp.set_verdict_at(r.dst, t);
-                    if r.pair {
-                        warp.set_verdict_at(r.dst.pair_high(), t);
-                    }
-                }
-                if let Some(t) = r.ready_mem_at {
-                    warp.set_ready_at_mem(r.dst, t);
-                    if r.pair {
-                        warp.set_ready_at_mem(r.dst.pair_high(), t);
-                    }
-                }
-                if r.advance_pc {
-                    warp.pc += 1;
-                }
-                if r.retire {
-                    warp.stack.clear();
-                    warp.retire_lanes(warp.mask);
-                }
-            }
+            warp.pc += 1;
         }
         self.release_barriers();
         if self.done_cycle.is_none() && !self.warps.is_empty() && self.all_done() {
@@ -713,6 +692,11 @@ impl Sm {
             }
         }
     }
+}
+
+/// `dst`, and its pair's high half when `pair`.
+fn dst_regs(dst: Reg, pair: bool) -> impl Iterator<Item = Reg> {
+    std::iter::once(dst).chain(pair.then(|| dst.pair_high()))
 }
 
 /// Earliest cycle at which `warp`'s next instruction can issue, and the
@@ -794,12 +778,14 @@ fn ready_memo(stream: &DecodedStream, warp: &mut Warp, verdict_overlap: u32) -> 
 }
 
 /// What one issue reads or fills besides the issuing warp and its event
-/// slot: the SM's launch context, L1 and line scratch, the cycle's bank
-/// queues, and this issue's index `op_idx` among the cycle's live events.
+/// slot: the SM's launch context, record, L1 and line scratch, the
+/// cycle's bank queues, and this issue's index `op_idx` among the cycle's
+/// live events.
 struct IssueCtx<'a> {
     now: u64,
     cfg: &'a GpuConfig,
     launch: &'a LaunchCtx,
+    record: &'a mut SmRecord,
     bank_q: &'a mut [Vec<BankReq>],
     lines: &'a mut Vec<u64>,
     op_idx: u32,
@@ -809,23 +795,24 @@ struct IssueCtx<'a> {
 
 impl IssueCtx<'_> {
     /// Issues `warp`'s next instruction `di` (`None`: it fell off the
-    /// program) into the event slot `ev`, overwriting last cycle's issue:
-    /// local work executes now, warp-wide; shared work is recorded on the
-    /// event (memory timing/data routed into `bank_q` under `op_idx`).
+    /// program) into the event slot `ev`, overwriting last cycle's issue,
+    /// and counts it: local work executes now, warp-wide; shared work is
+    /// recorded on the event (memory timing/data routed into `bank_q`
+    /// under `op_idx`).
     fn issue(&mut self, ev: &mut IssueEvent, warp: &mut Warp, w: usize, di: Option<&DecodedInstr>) {
         // Whatever issues changes this warp's pc or scoreboard.
         warp.ready_memo = None;
+        // Every issue is one instruction, a warp falling off the program
+        // end an implicit `EXIT`.
+        warp.issued += 1;
         let now = self.now;
         ev.warp = w;
         ev.pc = warp.pc;
         ev.opcode = None;
-        ev.activate = false;
-        ev.mem_space = None;
         ev.base_tid = warp.base_tid;
         ev.block = warp.block;
         ev.start_cycle = warp.start_cycle;
         ev.shared = None;
-        ev.result = None;
         ev.verdict = None;
         *ev.meta_done.get_mut() = 0;
         *ev.data_done.get_mut() = 0;
@@ -836,7 +823,12 @@ impl IssueCtx<'_> {
         };
         warp.last_issue = now;
         ev.opcode = Some(di.opcode);
-        ev.activate = di.hints.activate;
+        match di.opcode.class() {
+            OpcodeClass::IntAlu => self.record.int_issued += 1,
+            OpcodeClass::Fpu => self.record.fpu_issued += 1,
+            _ => {}
+        }
+        self.record.marked_issued += u64::from(di.hints.activate);
 
         // Guard predicate, warp-wide. Unpredicated instructions (the common
         // case) take the warp mask verbatim.
@@ -976,9 +968,16 @@ impl IssueCtx<'_> {
         exec_mask: LaneMask,
         ev: &mut IssueEvent,
     ) {
-        // Heap calls always defer (even with no active lane the serial path
-        // still counted the call and advanced pc — phase B reproduces that).
+        // Heap calls always defer (even with no active lane the call counts
+        // and the pc advances in phase C).
         let malloc = di.opcode == Opcode::Malloc;
+        let lanes = u64::from(exec_mask.count_ones());
+        self.record.heap_calls += 1;
+        if malloc {
+            self.record.mallocs += lanes;
+        } else {
+            self.record.frees += lanes;
+        }
         ev.values = if malloc {
             self.launch.gather32(warp, &di.srcs[0]).map(u64::from)
         } else {
@@ -997,7 +996,7 @@ impl IssueCtx<'_> {
     ) {
         let mem = di.mem.expect("lowering admits a load/store only with a MemRef");
         let space = di.mem_space.unwrap_or(MemSpace::Global);
-        ev.mem_space = Some(space);
+        self.record.mem[space as usize] += 1;
         let cfg = self.cfg;
 
         // Constant loads resolve against the launch context — fully local.

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use lmi_core::Violation;
 use lmi_isa::MemSpace;
 use lmi_mem::CacheStats;
-use lmi_telemetry::{CounterRegistry, ForensicsRecord, Json, KernelProfile, Scope};
+use lmi_telemetry::{CounterRegistry, ForensicsRecord, Json, KernelProfile, Scope, SmProfile};
 
 use crate::gpu::{ResidentKernel, ResidentOutcome};
 use crate::sm::Sm;
@@ -110,11 +110,10 @@ pub struct SimStats {
     pub profile: KernelProfile,
     /// Phase-B work units that must run on the single leader thread: one
     /// per issue event, which the leader walks in canonical order for its
-    /// mechanism checks, heap calls and the run record's per-event totals
-    /// that this record is folded from (so it always equals
-    /// [`SimStats::issued`]). Counted in deterministic work units — not
-    /// wall time — so the value is bit-identical across `sim_threads` and
-    /// `mem_banks`.
+    /// mechanism verdicts and heap calls (so it always equals
+    /// [`SimStats::issued`], which each SM counts for itself). Counted in
+    /// deterministic work units — not wall time — so the value is
+    /// bit-identical across `sim_threads` and `mem_banks`.
     pub phase_b_serial_items: u64,
     /// Phase-B work units routed to the bank-parallel passes (L1-missed
     /// line fills, per-lane data movement, metadata fetches). Same
@@ -343,39 +342,48 @@ impl std::fmt::Display for SimStats {
     }
 }
 
-/// One SM slot's per-run totals.
-#[derive(Clone, Copy, Default)]
+/// One SM's per-run totals, counted by the SM itself in phase A from what
+/// its own issues decide; `issued` per warp lives on each `Warp`.
+#[derive(Debug, Default)]
 pub(crate) struct SmRecord {
-    /// The SM's id and the index of the kernel it runs.
-    pub sm: usize,
-    pub kernel: usize,
+    pub int_issued: u64,
+    pub fpu_issued: u64,
+    /// Hint-marked (OCU-checked) instructions issued.
+    pub marked_issued: u64,
     /// Warp-level loads/stores per space, indexed by `space as usize`
     /// (the [`MemSpace::ALL`] order).
     pub mem: [u64; 4],
-    /// Warp-level device-heap calls.
+    /// Warp-level device-heap calls, and their `malloc`/`free` lanes.
     pub heap_calls: u64,
+    pub mallocs: u64,
+    pub frees: u64,
+    /// Scheduler-slot stall cycles, indexed by `StallReason::index`.
+    pub stalls: [u64; 4],
+    /// The sampling profiler's census of this SM (empty when off).
+    pub profile: SmProfile,
+}
+
+/// The leader's row for one SM slot: the slot's SM id and kernel index,
+/// and the memory charges its verdicts let through.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct SlotRecord {
+    pub sm: usize,
+    pub kernel: usize,
     /// Coalesced memory transactions charged.
     pub transactions: u64,
     /// Memory ops that reached the transaction charge: the registry's
     /// `transactions` key exists iff one did, even at zero lines.
     pub charged: u64,
-    /// Scheduler-slot stall cycles, indexed by `StallReason::index`.
-    pub stalls: [u64; 4],
 }
 
-/// One kernel's per-run totals.
+/// The leader's per-run totals for one kernel.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct KernelRecord {
-    /// Warp-level instructions issued so far. Every issue event is one
-    /// instruction and one leader walk step, so this one column is both
-    /// `issued` and `phase_b_serial_items`; while the run is live it is
-    /// the issue index forensics stamp on poison and fault events.
-    pub issued: u64,
-    pub int_issued: u64,
-    pub fpu_issued: u64,
-    pub marked_issued: u64,
-    pub mallocs: u64,
-    pub frees: u64,
+    /// Issue events of this kernel the leader has walked, advanced once
+    /// per slot per cycle: the base of the issue index forensics stamp on
+    /// poison and fault events.
+    pub issue_index: u64,
+    /// Bank-pass work units of the ops whose verdict let them issue.
     pub banked_items: u64,
     /// Mechanism verdict tallies, counted nowhere else: OCU checks,
     /// poisoned lanes, faulting (EC) lanes.
@@ -388,19 +396,15 @@ pub(crate) struct KernelRecord {
 const STALL_NAMES: [&str; 4] =
     ["stall.scoreboard", "stall.lsu_busy", "stall.ocu_verdict", "stall.no_ready_warp"];
 
-/// The per-event statistics of one run: dense totals that the engine's
-/// leader increments in its canonical walk — the only per-event statistics
-/// it keeps — and [`RunRecord::fold`]s once, after the cycle loop, into
-/// both outputs: each kernel's [`SimStats`] and the sink's counter
-/// registry. Sized at run start: a row per SM slot, `issued` per warp of
-/// each slot, a row per kernel.
+/// What the engine's leader decides in its canonical walk — the
+/// mechanism tallies, the verdict-gated charges and the forensics issue
+/// index — beside the slot-to-kernel map. Everything else a run counts,
+/// each SM counts in its own [`SmRecord`]. [`RunRecord::fold`] sums both,
+/// once after the cycle loop, into each kernel's [`SimStats`] and the
+/// sink's counter registry.
 pub(crate) struct RunRecord {
     /// One row per SM slot, in ascending SM-id order.
-    pub sms: Vec<SmRecord>,
-    /// `issued` per warp, `warps` columns per slot.
-    warp_issued: Vec<u64>,
-    /// The largest warp count of any slot.
-    warps: usize,
+    pub slots: Vec<SlotRecord>,
     /// One row per kernel, in submission order.
     pub kernels: Vec<KernelRecord>,
 }
@@ -409,85 +413,85 @@ impl RunRecord {
     /// An all-zero record for `sms` (ascending id) running `jobs`, each
     /// SM the job whose partition holds it.
     pub(crate) fn new(sms: &[Sm], jobs: &[ResidentKernel<'_>]) -> RunRecord {
-        let warps = sms.iter().map(|sm| sm.warps.len()).max().unwrap_or(0);
         RunRecord {
-            sms: sms
+            slots: sms
                 .iter()
-                .map(|sm| SmRecord {
+                .map(|sm| SlotRecord {
                     sm: sm.id,
                     kernel: jobs
                         .iter()
                         .position(|job| job.partition.contains(&sm.id))
                         .expect("every SM belongs to one partition"),
-                    ..SmRecord::default()
+                    ..SlotRecord::default()
                 })
                 .collect(),
-            warp_issued: vec![0; sms.len() * warps],
-            warps,
             kernels: vec![KernelRecord::default(); jobs.len()],
         }
     }
 
-    /// Slot `slot`'s `issued` count for warp `warp`.
-    pub(crate) fn warp_issued(&mut self, slot: usize, warp: usize) -> &mut u64 {
-        &mut self.warp_issued[slot * self.warps + warp]
-    }
-
-    /// Folds the run into its outputs. Every kernel's [`SimStats`] in
-    /// `outcome` gets its counted fields and its `l1_per_sm` (from `l1`,
-    /// the per-slot L1 deltas). When `registry` is enabled it gets every
-    /// counter the run emits: the GPU keys, the per-SM and per-warp keys
-    /// and the mechanism keys of `jobs`. An engine key exists only if its
-    /// total is nonzero (`transactions` once an op was charged); kernels
-    /// whose mechanisms share a name share a scope.
+    /// Folds the run into its outputs, summing the SM records per kernel
+    /// in ascending SM id. Every kernel's [`SimStats`] in `outcome` gets
+    /// its counted fields, its `l1_per_sm` (from `l1`, the per-slot L1
+    /// deltas) and its SMs' profiles (sampled every `sample_period`
+    /// cycles). When `registry` is enabled it gets every counter the run
+    /// emits: the GPU keys, the per-SM and per-warp keys and the mechanism
+    /// keys of `jobs`. An engine key exists only if its total is nonzero
+    /// (`transactions` once an op was charged); kernels whose mechanisms
+    /// share a name share a scope.
     pub(crate) fn fold(
         &self,
+        sms: Vec<Sm>,
         jobs: &[ResidentKernel<'_>],
         l1: &[CacheStats],
+        sample_period: u64,
         outcome: &mut ResidentOutcome,
         registry: &mut CounterRegistry,
     ) {
         for (k, out) in self.kernels.iter().zip(&mut outcome.kernels) {
-            let st = &mut out.stats;
-            st.issued = k.issued;
-            st.phase_b_serial_items = k.issued;
-            st.int_issued = k.int_issued;
-            st.fpu_issued = k.fpu_issued;
-            st.marked_issued = k.marked_issued;
-            st.mallocs = k.mallocs;
-            st.frees = k.frees;
-            st.poisoned = k.poisoned;
-            st.phase_b_banked_items = k.banked_items;
+            out.stats.poisoned = k.poisoned;
+            out.stats.phase_b_banked_items = k.banked_items;
         }
-        for (row, l1) in self.sms.iter().zip(l1) {
+        let registry_on = registry.is_enabled();
+        if registry_on {
+            registry.add(Scope::Gpu, "cycles", outcome.makespan);
+            registry.add(Scope::Gpu, "mshr_merges", outcome.mshr_merges);
+            registry.add(Scope::Gpu, "dram_transactions", outcome.dram_transactions);
+            registry.add(Scope::Gpu, "l2.hits", outcome.l2.hits);
+            registry.add(Scope::Gpu, "l2.misses", outcome.l2.misses);
+        }
+        for ((row, sm), l1) in self.slots.iter().zip(sms).zip(l1) {
+            let rec = sm.record;
+            let issued: u64 = sm.warps.iter().map(|w| w.issued).sum();
             let st = &mut outcome.kernels[row.kernel].stats;
-            st.add_mem_counts(&row.mem);
+            st.issued += issued;
+            st.phase_b_serial_items += issued;
+            st.int_issued += rec.int_issued;
+            st.fpu_issued += rec.fpu_issued;
+            st.marked_issued += rec.marked_issued;
+            st.mallocs += rec.mallocs;
+            st.frees += rec.frees;
+            st.add_mem_counts(&rec.mem);
             st.transactions += row.transactions;
-            let [scoreboard, lsu_busy, ocu_verdict, no_ready_warp] = row.stalls;
+            let [scoreboard, lsu_busy, ocu_verdict, no_ready_warp] = rec.stalls;
             st.stalls.scoreboard += scoreboard;
             st.stalls.lsu_busy += lsu_busy;
             st.stalls.ocu_verdict += ocu_verdict;
             st.stalls.no_ready_warp += no_ready_warp;
             st.l1_per_sm.push(*l1);
-        }
-        if !registry.is_enabled() {
-            return;
-        }
-        registry.add(Scope::Gpu, "cycles", outcome.makespan);
-        registry.add(Scope::Gpu, "mshr_merges", outcome.mshr_merges);
-        registry.add(Scope::Gpu, "dram_transactions", outcome.dram_transactions);
-        registry.add(Scope::Gpu, "l2.hits", outcome.l2.hits);
-        registry.add(Scope::Gpu, "l2.misses", outcome.l2.misses);
-        for (slot, (row, l1)) in self.sms.iter().zip(l1).enumerate() {
-            let warps = &self.warp_issued[slot * self.warps..(slot + 1) * self.warps];
-            let sm = row.sm;
-            let scope = Scope::Sm(sm);
+            if rec.profile.samples > 0 {
+                st.profile.period = sample_period;
+                st.profile.per_sm.insert(sm.id, rec.profile);
+            }
+            if !registry_on {
+                continue;
+            }
+            let scope = Scope::Sm(sm.id);
             let totals = [
-                ("issued", warps.iter().sum()),
-                ("mem_insts", row.mem.iter().sum()),
-                ("heap_calls", row.heap_calls),
+                ("issued", issued),
+                ("mem_insts", rec.mem.iter().sum()),
+                ("heap_calls", rec.heap_calls),
             ];
-            for (name, n) in totals.into_iter().chain(STALL_NAMES.into_iter().zip(row.stalls)) {
+            for (name, n) in totals.into_iter().chain(STALL_NAMES.into_iter().zip(rec.stalls)) {
                 if n > 0 {
                     registry.add(scope, name, n);
                 }
@@ -497,11 +501,14 @@ impl RunRecord {
             }
             registry.add(scope, "l1.hits", l1.hits);
             registry.add(scope, "l1.misses", l1.misses);
-            for (warp, &n) in warps.iter().enumerate() {
-                if n > 0 {
-                    registry.add(Scope::Warp { sm, warp }, "issued", n);
+            for (warp, w) in sm.warps.iter().enumerate() {
+                if w.issued > 0 {
+                    registry.add(Scope::Warp { sm: sm.id, warp }, "issued", w.issued);
                 }
             }
+        }
+        if !registry_on {
+            return;
         }
         for (job, k) in jobs.iter().zip(&self.kernels) {
             let scope = Scope::Mechanism(job.mechanism.name());

@@ -78,6 +78,9 @@ pub struct Warp {
     pub at_barrier: bool,
     /// Cycle of the last issue (for GTO greediness bookkeeping).
     pub last_issue: u64,
+    /// Instructions this warp issued this run, counted by its SM in
+    /// phase A.
+    pub issued: u64,
     /// First cycle this warp may issue (models the launch/dispatch ramp and
     /// decorrelates warps, like real block schedulers do).
     pub start_cycle: u64,
@@ -115,6 +118,7 @@ impl Warp {
             done: false,
             at_barrier: false,
             last_issue: 0,
+            issued: 0,
             start_cycle: (id as u64 * 7) % 23,
             ready_memo: None,
         }

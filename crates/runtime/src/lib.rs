@@ -58,9 +58,3 @@ pub use metrics::{MetricsSnapshot, TenantSlo};
 pub use runtime::{CopyReport, KernelReport, Runtime, RuntimeReport, SubmitError, SyncError};
 pub use stream::{CopyHandle, EventId, StreamId};
 pub use tenant::Tenant;
-
-/// A multi-tenant runtime session. The serving-layer docs (and the
-/// metrics surface) talk about *sessions*; `Session` is that name for
-/// [`Runtime`] — `Session::metrics_snapshot()` is the observability
-/// entry point.
-pub type Session = Runtime;

@@ -345,7 +345,6 @@ impl Runtime {
             self.sink.counters.inc(Scope::Tenant(tenant), "rejected");
             return Err(SubmitError::Launch(e));
         }
-        self.streams[stream].kernel_seq += 1;
         self.streams[stream].ops.push_back(StreamOp::Kernel { launch: Box::new(launch) });
         Ok(())
     }
@@ -525,43 +524,32 @@ impl Runtime {
     /// disjoint SM partitions.
     fn admit_cohort(&mut self, progress: &mut bool) {
         let num_sms = self.gpu.config().num_sms;
-        let mut cohort: Vec<StreamId> = self
-            .streams
+        let Runtime { gpu, tenants, streams, sink, .. } = self;
+        // Every stream with a kernel at its head, with that launch.
+        let mut cohort: Vec<(StreamId, &Launch)> = streams
             .iter()
-            .filter(|s| matches!(s.ops.front(), Some(StreamOp::Kernel { .. })))
-            .map(|s| s.id)
+            .filter_map(|s| match s.ops.front() {
+                Some(StreamOp::Kernel { launch }) => Some((s.id, &**launch)),
+                _ => None,
+            })
             .take(num_sms)
             .collect();
         if cohort.is_empty() {
             return;
         }
-        let demand = |streams: &[StreamState], sid: StreamId| -> usize {
-            match streams[sid].ops.front() {
-                Some(StreamOp::Kernel { launch }) => launch.grid_blocks * launch.warps_per_block(),
-                _ => unreachable!("cohort members have a kernel at head"),
-            }
-        };
-        let mut demands: Vec<usize> =
-            cohort.iter().map(|&sid| demand(&self.streams, sid)).collect();
+        let mut demands: Vec<usize> = cohort
+            .iter()
+            .map(|(_, launch)| launch.grid_blocks * launch.warps_per_block())
+            .collect();
         let mut parts = partition_sms(num_sms, &demands);
         // A kernel whose proportional slice is too narrow (its fullest SM
         // would overflow warp capacity) is deferred to a later, smaller
         // cohort; a cohort of one spans the full GPU, which the launch was
         // validated against at submit time.
         while cohort.len() > 1 {
-            let mut dropped = None;
-            for (i, &sid) in cohort.iter().enumerate() {
-                let fits = match self.streams[sid].ops.front() {
-                    Some(StreamOp::Kernel { launch }) => {
-                        launch.validate_on(self.gpu.config(), parts[i].len()).is_ok()
-                    }
-                    _ => unreachable!("cohort members have a kernel at head"),
-                };
-                if !fits {
-                    dropped = Some(i);
-                    break;
-                }
-            }
+            let dropped = cohort.iter().zip(&parts).position(|((_, launch), part)| {
+                launch.validate_on(gpu.config(), part.len()).is_err()
+            });
             match dropped {
                 Some(i) => {
                     cohort.remove(i);
@@ -575,43 +563,37 @@ impl Runtime {
         // previous cohort has drained; the cohort's earliest start is the
         // engine's cycle origin, everyone else gets a start offset.
         let starts: Vec<u64> =
-            cohort.iter().map(|&sid| self.streams[sid].ready_at.max(self.gpu_free_at)).collect();
+            cohort.iter().map(|&(sid, _)| streams[sid].ready_at.max(self.gpu_free_at)).collect();
         let origin = *starts.iter().min().expect("cohort is non-empty");
         // Each job runs under its tenant's mechanism: LMI for a protected
         // tenant, the null baseline otherwise. Both are stateless, so a
         // fresh instance per job behaves as one per tenant would.
         let mut lmi = vec![LmiMechanism::default_config(); cohort.len()];
         let mut null = vec![NullMechanism; cohort.len()];
-        let outcome = {
-            let Runtime { gpu, tenants, streams, sink, .. } = self;
-            let mut jobs: Vec<ResidentKernel<'_>> = Vec::with_capacity(cohort.len());
-            for (((&sid, part), &start), (lmi, null)) in
-                cohort.iter().zip(&parts).zip(&starts).zip(lmi.iter_mut().zip(&mut null))
-            {
-                let launch = match streams[sid].ops.front() {
-                    Some(StreamOp::Kernel { launch }) => &**launch,
-                    _ => unreachable!("cohort members have a kernel at head"),
-                };
-                let tenant = &tenants[streams[sid].tenant];
-                let mechanism: &mut dyn Mechanism = if tenant.is_protected() { lmi } else { null };
-                jobs.push(ResidentKernel {
-                    launch,
-                    mechanism,
-                    heap: Some(&tenant.heap),
-                    partition: part.clone(),
-                    start_offset: start - origin,
-                });
-            }
-            gpu.run_resident(&mut jobs, sink)
-                .expect("cohort launches validated at submit and admission")
-        };
+        let mut jobs: Vec<ResidentKernel<'_>> = Vec::with_capacity(cohort.len());
+        for (((&(sid, launch), part), &start), (lmi, null)) in
+            cohort.iter().zip(&parts).zip(&starts).zip(lmi.iter_mut().zip(&mut null))
+        {
+            let tenant = &tenants[streams[sid].tenant];
+            let mechanism: &mut dyn Mechanism = if tenant.is_protected() { lmi } else { null };
+            jobs.push(ResidentKernel {
+                launch,
+                mechanism,
+                heap: Some(&tenant.heap),
+                partition: part.clone(),
+                start_offset: start - origin,
+            });
+        }
+        let outcome = gpu
+            .run_resident(&mut jobs, sink)
+            .expect("cohort launches validated at submit and admission");
+        // Done with the launches: each member's stream and kernel name.
+        let members: Vec<(StreamId, String)> =
+            cohort.iter().map(|&(sid, launch)| (sid, launch.program.name.clone())).collect();
         self.gpu_free_at = origin + outcome.makespan;
-        for ((i, &sid), outcome) in cohort.iter().enumerate().zip(outcome.kernels) {
+        for ((i, (sid, name)), outcome) in members.into_iter().enumerate().zip(outcome.kernels) {
             let tenant = self.streams[sid].tenant;
-            let launch = match self.streams[sid].ops.pop_front() {
-                Some(StreamOp::Kernel { launch }) => launch,
-                _ => unreachable!("cohort members have a kernel at head"),
-            };
+            self.streams[sid].ops.pop_front();
             let started = starts[i];
             let completed = origin + outcome.completed_at;
             // The stream was ready at `ready_at`; the kernel only started
@@ -628,7 +610,7 @@ impl Runtime {
                 }
             }
             if !stats.profile.is_empty() {
-                self.profiles.entry(launch.program.name.clone()).or_default().merge(&stats.profile);
+                self.profiles.entry(name.clone()).or_default().merge(&stats.profile);
             }
             self.sink.counters.inc(Scope::Stream(sid), "kernels");
             self.sink.counters.add(Scope::Stream(sid), "kernel_cycles", stats.cycles);
@@ -654,7 +636,7 @@ impl Runtime {
             self.report.kernels.push(KernelReport {
                 stream: sid,
                 tenant,
-                name: launch.program.name.clone(),
+                name,
                 partition: parts[i].clone(),
                 started_at: started,
                 completed_at: completed,

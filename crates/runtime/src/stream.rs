@@ -42,12 +42,10 @@ pub(crate) struct StreamState {
     /// Simulated cycle at which every completed op of this stream had
     /// finished — the stream's logical clock.
     pub ready_at: u64,
-    /// Kernels submitted to this stream so far (label for reports).
-    pub kernel_seq: usize,
 }
 
 impl StreamState {
     pub fn new(id: StreamId, tenant: usize) -> StreamState {
-        StreamState { id, tenant, ops: VecDeque::new(), ready_at: 0, kernel_seq: 0 }
+        StreamState { id, tenant, ops: VecDeque::new(), ready_at: 0 }
     }
 }

@@ -334,7 +334,7 @@ impl MetricsFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::{SmSample, WarpState};
+    use crate::profiler::{SmProfile, WarpState};
 
     fn sample_frame() -> MetricsFrame {
         let mut frame = MetricsFrame::default();
@@ -343,11 +343,11 @@ mod tests {
         frame.counters.add(Scope::Tenant(1), "violations", 2);
         frame.histograms.record(Scope::Stream(0), "kernel_exec_cycles", 120);
         frame.histograms.record(Scope::Stream(0), "kernel_exec_cycles", 90);
-        let mut s = SmSample::default();
+        let mut s = SmProfile { samples: 1, ..SmProfile::default() };
         s.states[WarpState::Issued.index()] = 3;
-        s.pcs = vec![(4, 2)];
+        s.pcs.record(4, 2);
         let mut p = KernelProfile { period: 64, ..KernelProfile::default() };
-        p.absorb(2, &s);
+        p.per_sm.insert(2, s);
         frame.profiles.insert("hotspot".to_string(), p);
         frame.dropped_trace_events = 5;
         frame

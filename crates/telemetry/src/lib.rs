@@ -43,8 +43,8 @@ pub use forensics::{FaultEvent, ForensicsLog, ForensicsRecord, PoisonEvent};
 pub use json::Json;
 pub use prng::SplitMix64;
 pub use profiler::{
-    Histogram, HistogramRegistry, KernelProfile, PcProfile, SmProfile, SmSample, WarpState,
-    WARP_STATES, WARP_STATE_NAMES,
+    Histogram, HistogramRegistry, KernelProfile, PcProfile, SmProfile, WarpState, WARP_STATES,
+    WARP_STATE_NAMES,
 };
 pub use registry::{CounterRegistry, Scope};
 pub use tracer::{EventTracer, TraceEventKind, TraceRecord};

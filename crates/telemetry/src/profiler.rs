@@ -2,7 +2,7 @@
 //!
 //! The counter registry answers "how much, in total"; this module answers
 //! the two questions totals cannot: *where do cycles go* (hot PCs, warp
-//! states, occupancy — [`SmSample`] / [`SmProfile`] / [`KernelProfile`])
+//! states, occupancy — [`SmProfile`] / [`KernelProfile`])
 //! and *what does the tail look like* (latency distributions —
 //! [`Histogram`]). Both are built from integers only and merge by plain
 //! addition, so the simulator's determinism guarantee extends to them:
@@ -380,17 +380,6 @@ impl WarpState {
     }
 }
 
-/// One SM's snapshot at one sampled cycle, recorded thread-locally in the
-/// engine's phase A and absorbed into a [`KernelProfile`] during the
-/// single-threaded apply phase.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SmSample {
-    /// Resident-warp counts per [`WarpState`].
-    pub states: [u64; WARP_STATES],
-    /// `(pc, warps)` issued this cycle, ascending by pc.
-    pub pcs: Vec<(u32, u32)>,
-}
-
 /// A hot-PC table: samples per program counter.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PcProfile {
@@ -451,10 +440,12 @@ impl PcProfile {
     }
 }
 
-/// Accumulated samples of one SM.
+/// Accumulated samples of one SM. The simulator's SM adds each census to
+/// its own profile in place, so sampling allocates only when a new pc
+/// enters the hot-PC table.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SmProfile {
-    /// Sample events absorbed.
+    /// Censuses taken.
     pub samples: u64,
     /// Warp-state sample counts, indexed by [`WarpState::index`].
     pub states: [u64; WARP_STATES],
@@ -463,17 +454,6 @@ pub struct SmProfile {
 }
 
 impl SmProfile {
-    /// Absorbs one sample.
-    pub fn absorb(&mut self, sample: &SmSample) {
-        self.samples += 1;
-        for (s, &n) in self.states.iter_mut().zip(&sample.states) {
-            *s += n;
-        }
-        for &(pc, n) in &sample.pcs {
-            self.pcs.record(pc, n as u64);
-        }
-    }
-
     /// Folds another SM profile into this one.
     pub fn merge(&mut self, other: &SmProfile) {
         self.samples += other.samples;
@@ -540,14 +520,9 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
-    /// `true` if no sample was ever absorbed.
+    /// `true` if no SM was ever sampled.
     pub fn is_empty(&self) -> bool {
         self.per_sm.is_empty()
-    }
-
-    /// Absorbs one phase-A sample from SM `sm`.
-    pub fn absorb(&mut self, sm: usize, sample: &SmSample) {
-        self.per_sm.entry(sm).or_default().absorb(sample);
     }
 
     /// Folds another profile into this one, SM-wise.
@@ -729,21 +704,29 @@ mod tests {
         assert!(j.get("tenant1").and_then(|t| t.get("copy_cycles")).is_some());
     }
 
+    /// One census of three warps: two issued (at pcs 3 and 7), one
+    /// retired.
+    fn one_census() -> SmProfile {
+        let mut p = SmProfile { samples: 1, ..SmProfile::default() };
+        p.states[WarpState::Issued.index()] = 2;
+        p.states[WarpState::Retired.index()] = 1;
+        p.pcs.record(3, 1);
+        p.pcs.record(7, 1);
+        p
+    }
+
     #[test]
-    fn profile_absorb_merge_and_top_pcs() {
-        let mut sample = SmSample::default();
-        sample.states[WarpState::Issued.index()] = 2;
-        sample.states[WarpState::Retired.index()] = 1;
-        sample.pcs = vec![(3, 1), (7, 1)];
+    fn profile_merge_diff_and_top_pcs() {
+        let mut sm0 = one_census();
+        sm0.merge(&one_census());
         let mut a = KernelProfile { period: 32, ..KernelProfile::default() };
-        a.absorb(0, &sample);
-        a.absorb(0, &sample);
-        a.absorb(1, &sample);
+        a.per_sm.insert(0, sm0);
+        a.per_sm.insert(1, one_census());
         assert_eq!(a.samples(), 3);
         assert_eq!(a.states()[WarpState::Issued.index()], 6);
         assert_eq!(a.avg_occupancy(), 2.0, "2 live of 3 resident per sample");
         let mut b = KernelProfile::default();
-        b.absorb(1, &sample);
+        b.per_sm.insert(1, one_census());
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged.samples(), 4);

@@ -1,8 +1,8 @@
 //! A scoped counter registry.
 //!
-//! The simulator keeps one record of each run's per-event statistics —
-//! dense totals its engine increments per event — and folds it once per
-//! run into two outputs: `SimStats`, the handful of per-kernel headline
+//! The simulator keeps each run's per-event statistics as dense totals —
+//! each SM counts its own issues, the engine's leader its verdicts — and
+//! folds them once per run into two outputs: `SimStats`, the handful of per-kernel headline
 //! numbers every run needs, and this registry, which holds everything
 //! finer-grained — per-SM cache behavior, per-warp issue counts,
 //! per-mechanism check/poison/fault tallies, scheduler stall reasons —

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example profiling`
 
-use lmi::runtime::Session;
+use lmi::runtime::Runtime;
 use lmi::sim::GpuConfig;
 use lmi::telemetry::{parse_prometheus, Scope, WARP_STATE_NAMES};
 use lmi::workloads::{prepare_in, runtime_mixes};
@@ -18,7 +18,7 @@ fn main() {
     // `with_sample_period(64)` is the only knob: 0 (the default) keeps
     // the profiler off and the simulation byte-for-byte unchanged.
     let mix = runtime_mixes().into_iter().find(|m| m.name == "dual-tenant").unwrap();
-    let mut rt = Session::new(GpuConfig::small().with_sample_period(64));
+    let mut rt = Runtime::new(GpuConfig::small().with_sample_period(64));
 
     let tenants: Vec<usize> = mix.tenants.iter().map(|&p| rt.add_tenant(p)).collect();
 

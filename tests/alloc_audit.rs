@@ -13,15 +13,17 @@
 //! allocation count **exactly equal**: any per-cycle allocation would show
 //! up as a difference proportional to the extra cycles. A warm-up run
 //! first absorbs one-time lazy process state so it cannot skew the
-//! comparison. The audit runs twice: through `Gpu::run` (telemetry
-//! disabled), then through `Gpu::try_run` with a
+//! comparison. The audit runs three times, once per [`Leg`]: through
+//! `Gpu::run` (telemetry disabled); through `Gpu::try_run` with a
 //! `TelemetrySink::counters_only()` sink — the configuration every
-//! `lmi-runtime` session runs. The engine keeps its counters as dense
-//! per-run totals and folds them into the registry once, after the cycle
+//! `lmi-runtime` session runs; and through `Gpu::run` with the sampling
+//! profiler on (`with_sample_period(64)`). Each SM counts its own issue
+//! events and absorbs its own samples into its profile in place, and the
+//! run folds them into the stats and the registry once, after the cycle
 //! loop, so the counts must still be equal.
 //!
 //! The allocator counts process-wide, so this target has no test harness
-//! (`harness = false` in the root `Cargo.toml`): `main` runs both audits on
+//! (`harness = false` in the root `Cargo.toml`): `main` runs every audit on
 //! the main thread, and the only other threads in the process are the
 //! engine's own workers, which belong to the measured run. Arguments
 //! (test-name filters and the like) are ignored.
@@ -86,37 +88,58 @@ fn mechanism(name: &str) -> Box<dyn Mechanism> {
     }
 }
 
-/// Runs the audit kernel and returns `(heap allocations, stats)`; with
-/// `counters`, through `try_run` into a fresh counters-only sink.
-fn measured_run(
-    mech: &str,
-    threads: usize,
-    banks: usize,
-    iters: i32,
-    counters: bool,
-) -> (u64, SimStats) {
-    let mut gpu = Gpu::new(GpuConfig::small().with_sim_threads(threads).with_mem_banks(banks));
+/// How an audited run is driven.
+#[derive(Clone, Copy)]
+enum Leg {
+    /// `Gpu::run`: telemetry disabled.
+    Plain,
+    /// `Gpu::try_run` into a fresh counters-only sink.
+    Counters,
+    /// `Gpu::run` with the sampling profiler taking a census every 64
+    /// cycles.
+    Sampled,
+}
+
+impl Leg {
+    fn label(self) -> &'static str {
+        match self {
+            Leg::Plain => "counters off",
+            Leg::Counters => "counters on",
+            Leg::Sampled => "sampled",
+        }
+    }
+}
+
+/// Runs the audit kernel as `leg` drives it and returns `(heap
+/// allocations, stats)`.
+fn measured_run(mech: &str, threads: usize, banks: usize, iters: i32, leg: Leg) -> (u64, SimStats) {
+    let mut cfg = GpuConfig::small().with_sim_threads(threads).with_mem_banks(banks);
+    if let Leg::Sampled = leg {
+        cfg = cfg.with_sample_period(64);
+    }
+    let mut gpu = Gpu::new(cfg);
     let mut mech = mechanism(mech);
     let launch = audit_launch(iters);
     let mut sink = TelemetrySink::counters_only();
     let before = CountingAlloc::allocations();
-    let stats = if counters {
-        gpu.try_run(&launch, mech.as_mut(), &mut sink).expect("audit kernel launches")
-    } else {
-        gpu.run(&launch, mech.as_mut())
+    let stats = match leg {
+        Leg::Counters => {
+            gpu.try_run(&launch, mech.as_mut(), &mut sink).expect("audit kernel launches")
+        }
+        Leg::Plain | Leg::Sampled => gpu.run(&launch, mech.as_mut()),
     };
     (CountingAlloc::allocations() - before, stats)
 }
 
 /// Asserts, under every mechanism and engine point, that doubling the
 /// audit kernel's iterations leaves the total allocation count exactly
-/// equal. `counters` selects `Gpu::try_run` with a counters-only sink
-/// over `Gpu::run`.
-fn assert_cycle_loop_allocation_free(counters: bool) {
+/// equal when the runs are driven as `leg`.
+fn assert_cycle_loop_allocation_free(leg: Leg) {
     // A per-cycle allocation shows at any N (2N must add cycles, asserted
     // below), so N only trades wall time. Debug builds simulate about ten
-    // times slower: at N = 100 both unoptimized audits take about 30 s on
-    // a 2-core host, and the release N would take several times that.
+    // times slower: at N = 100 the three unoptimized audits take about
+    // 40 s on a 2-core host, and the release N would take several times
+    // that.
     const N: i32 = if cfg!(debug_assertions) { 100 } else { 400 };
     // The banked configurations exercise the per-SM per-bank queues: their
     // capacity must survive every cycle like the line scratch's, so
@@ -129,10 +152,10 @@ fn assert_cycle_loop_allocation_free(counters: bool) {
         // allocator internals) so the measured pair sees identical setup.
         // One trip reaches every code path; state it left lazy would make
         // the pair unequal, never equal.
-        let _ = measured_run(mech, threads, banks, 1, counters);
+        let _ = measured_run(mech, threads, banks, 1, leg);
 
-        let (allocs_n, stats_n) = measured_run(mech, threads, banks, N, counters);
-        let (allocs_2n, stats_2n) = measured_run(mech, threads, banks, 2 * N, counters);
+        let (allocs_n, stats_n) = measured_run(mech, threads, banks, N, leg);
+        let (allocs_2n, stats_2n) = measured_run(mech, threads, banks, 2 * N, leg);
 
         assert!(
             !stats_n.violated() && !stats_2n.violated(),
@@ -144,19 +167,27 @@ fn assert_cycle_loop_allocation_free(counters: bool) {
             stats_n.cycles,
             stats_2n.cycles,
         );
+        if let Leg::Sampled = leg {
+            assert!(
+                stats_2n.profile.samples() > stats_n.profile.samples(),
+                "the sampled leg must take samples in the extra cycles"
+            );
+        }
         assert_eq!(
             allocs_n,
             allocs_2n,
             "heap allocations grew with cycle count under {mech} at sim_threads={threads} \
-             mem_banks={banks} counters={counters}: {allocs_n} for {N} iterations vs \
-             {allocs_2n} for {} — the cycle loop allocated in steady state",
+             mem_banks={banks} ({}): {allocs_n} for {N} iterations vs {allocs_2n} for {} — \
+             the cycle loop allocated in steady state",
+            leg.label(),
             2 * N,
         );
     }
-    println!("alloc audit (counters {}): ok", if counters { "on" } else { "off" });
+    println!("alloc audit ({}): ok", leg.label());
 }
 
 fn main() {
-    assert_cycle_loop_allocation_free(false);
-    assert_cycle_loop_allocation_free(true);
+    for leg in [Leg::Plain, Leg::Counters, Leg::Sampled] {
+        assert_cycle_loop_allocation_free(leg);
+    }
 }

@@ -27,7 +27,7 @@ use lmi::compiler::{compile, CompileOptions};
 use lmi::core::{DevicePtr, PtrConfig, TemporalKind, Violation};
 use lmi::isa::MemSpace;
 use lmi::mem::layout;
-use lmi::runtime::{MetricsSnapshot, Session};
+use lmi::runtime::{MetricsSnapshot, Runtime};
 use lmi::sim::{Gpu, GpuConfig, Launch, LmiMechanism};
 use lmi::telemetry::export::metric_name;
 use lmi::telemetry::{json, parse_prometheus, Histogram, Scope, SplitMix64, TelemetrySink};
@@ -127,7 +127,7 @@ fn run_traffic_session(mix: &TrafficMix, threads: usize, period: u64) -> Metrics
 }
 
 fn traffic_session_on(mix: &TrafficMix, cfg: GpuConfig) -> MetricsSnapshot {
-    let mut rt = Session::new(cfg);
+    let mut rt = Runtime::new(cfg);
     let tenants: Vec<usize> =
         mix.tenants.iter().map(|&protected| rt.add_tenant(protected)).collect();
     for (i, traffic) in mix.streams.iter().enumerate() {
@@ -383,8 +383,8 @@ fn histogram_merge_is_associative_and_order_independent() {
 fn profiler_output_is_bit_identical_across_sim_threads() {
     // The acceptance bar: with sampling enabled, a multi-tenant traffic
     // session produces bit-identical profiler + histogram output at 1, 2
-    // and 8 sim threads. Samples are taken in phase A from SM-local state
-    // and absorbed in the apply phase in ascending SM order, so the whole
+    // and 8 sim threads. Each SM samples its own state in phase A into
+    // its own profile, folded per SM id after the run, so the whole
     // snapshot — not just the profiles — must compare equal.
     let mix = mix_named("quad-stream");
     let reference = run_traffic_session(&mix, 1, 64);
