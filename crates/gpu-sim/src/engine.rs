@@ -7,18 +7,23 @@
 //! * **Phase A** — every SM concurrently: schedule, execute ALU work,
 //!   probe the SM-local L1, and route L1 misses + per-lane data movement
 //!   into per-SM per-bank queues. Each SM counts its own issues, stalls
-//!   and profiler samples ([`crate::stats::SmRecord`]).
-//! * **Phase B-check** — the leader (the calling thread) walks every SM's
-//!   events in ascending (slot, issue) order and decides one [`Verdict`]
-//!   per deferred op: mechanism checks (one warp-form call per
-//!   instruction), heap calls, violations and forensics. It counts only
-//!   what those decisions produce ([`RunRecord`]: mechanism tallies,
-//!   verdict-gated charges, the forensics issue index); the SM records
-//!   and the run record are folded once after the loop into each
-//!   kernel's [`SimStats`] and the sink's registry. Mechanism metadata
-//!   fetches are routed to their owning banks. This is the only genuinely
-//!   serial section; its size is surfaced as
-//!   [`SimStats::phase_b_serial_items`] vs
+//!   and profiler samples ([`crate::stats::SmRecord`]), and publishes a
+//!   one-word summary of its slot: its live issue count, and whether the
+//!   leader has work there (a deferred op, or a retiring warp while
+//!   tracing).
+//! * **Phase B-check** — the leader (the calling thread) visits the busy
+//!   slots' events in ascending (slot, issue) order and decides one
+//!   [`Verdict`] per deferred op: mechanism checks (one warp-form call per
+//!   instruction), heap calls, violations and forensics. A quiet slot's
+//!   events are never locked: its published live count advances the
+//!   forensics issue index. The leader counts only what its decisions
+//!   produce ([`RunRecord`]: mechanism tallies, verdict-gated charges, the
+//!   issue index); the SM records and the run record are folded once
+//!   after the loop into each kernel's [`SimStats`] and the sink's
+//!   registry. Mechanism metadata fetches are routed to their owning
+//!   banks, and each busy slot with a non-empty queue for a bank joins
+//!   that bank's worklist. This is the only genuinely serial section; its
+//!   size is surfaced as [`SimStats::phase_b_serial_items`] vs
 //!   [`SimStats::phase_b_banked_items`]
 //!   (`crate::stats::SimStats::phase_b_serial_fraction`).
 //! * **Metadata pass** (only on cycles with metadata traffic) — each bank,
@@ -26,18 +31,24 @@
 //!   fetches in canonical (slot, op) order and publishes each op's
 //!   completion via an atomic max.
 //! * **Bank pass** (only on cycles with memory traffic) — each bank drains
-//!   its queues in canonical (slot, queue) order: L2/MSHR/DRAM line fills
-//!   (timing) and byte movement through the bank's shard of the store
-//!   (functional), gated on the op's verdict. Banks partition the address
-//!   space at line granularity, so no two banks ever touch the same
-//!   cache set, DRAM channel group, or store byte — running them
-//!   concurrently is exactly the monolithic sequence, reordered across
-//!   independent state.
+//!   the queues of the slots on its worklist, in canonical (slot, queue)
+//!   order: L2/MSHR/DRAM line fills (timing) and byte movement through the
+//!   bank's shard of the store (functional), gated on the op's verdict.
+//!   Banks partition the address space at line granularity, so no two
+//!   banks ever touch the same cache set, DRAM channel group, or store
+//!   byte — running them concurrently is exactly the monolithic sequence,
+//!   reordered across independent state.
 //! * **Phase B-final** (only when tracing) — the leader emits memory
-//!   transaction spans from the assembled completion times.
+//!   transaction spans of the busy slots from the assembled completion
+//!   times.
 //! * **Phase C** — every SM concurrently applies each deferred op to its
 //!   warps from the op's descriptor, columns and verdict; memory-op timing
 //!   is assembled from the bank-published atomics.
+//!
+//! Each thread owns a contiguous range of SMs and their L1s outright (a
+//! disjoint `&mut` chunk): no other thread ever touches them. Only the
+//! slots' cycle events are shared, each behind its own `RwLock`, and a
+//! thread locks a slot's events only when it has work there.
 //!
 //! Every pass is ordered canonically and every inter-pass hand-off is an
 //! atomic max over values that are themselves canonical, so cycle counts,
@@ -52,9 +63,8 @@
 //! any thread poisons the pool, drains every worker out of the barrier
 //! protocol, and re-raises on the calling thread.
 
-use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Mutex, RwLock};
 
 use lmi_alloc::{AllocError, DeviceHeap};
@@ -149,12 +159,30 @@ struct MetaReq {
     local: u64,
 }
 
-/// The bank-parallel half of the machine, shared by every thread.
+/// One bank's work this cycle, filled by the leader during B-check in
+/// canonical order and drained by the bank's owner. Capacity survives the
+/// per-cycle `clear()`.
+struct BankWork {
+    /// Metadata fetches, in (slot, op, address) order.
+    meta: Vec<MetaReq>,
+    /// The slots with a non-empty queue for this bank, ascending.
+    slots: Vec<u32>,
+}
+
+/// The shared half of the machine, seen by every thread: the bank cells
+/// and their work, each SM slot's cycle events and phase-A summary, and
+/// the cycle schedule.
 struct Machine<'m> {
     cells: Vec<Mutex<BankCell<'m>>>,
-    /// Per-bank metadata queues, filled by the leader in canonical order.
-    /// Capacity survives the per-cycle `clear()`.
-    meta_q: Vec<Mutex<Vec<MetaReq>>>,
+    work: Vec<Mutex<BankWork>>,
+    /// Each slot's cycle events. Phases A and C lock them from the thread
+    /// that owns the slot's SM; the leader write-locks only busy slots in
+    /// B-check (and reads them in B-final); a bank pass read-locks only the
+    /// slots on its worklist (its writes go through the events' atomics).
+    events: Vec<RwLock<CycleEvents>>,
+    /// Each slot's phase-A summary ([`pack_summary`]), read by the leader
+    /// without the slot's lock.
+    summary: Vec<AtomicU32>,
     /// Cycle schedule, decided by the leader during B-check: does a
     /// metadata pass / a bank pass run this cycle? Every thread reads the
     /// flags after the B-check barrier, so the barrier count always agrees.
@@ -168,14 +196,23 @@ struct Machine<'m> {
     tracer_on: bool,
 }
 
-/// One SM's slot: the SM, its own L1 (SM-local phase-A state), and its
-/// cycle events. Behind a `RwLock`: phases A/C take the write lock from
-/// the owning worker only; the bank passes take read locks (their writes
-/// go through the events' atomics).
+/// One SM's slot: the SM and its own L1, the state only its owning thread
+/// touches. Its cycle events live in [`Machine::events`] under the same
+/// index.
 struct SmSlot<'l> {
     sm: Sm,
     l1: &'l mut Cache,
-    events: CycleEvents,
+}
+
+/// A slot's phase-A summary in one word: its live issue count, and
+/// whether the leader has work there (`busy`).
+fn pack_summary(live: usize, busy: bool) -> u32 {
+    (live as u32) << 1 | u32::from(busy)
+}
+
+/// [`pack_summary`]'s inverse: `(live, busy)`.
+fn unpack_summary(word: u32) -> (u64, bool) {
+    (u64::from(word >> 1), word & 1 != 0)
 }
 
 /// Runs the machine to completion and returns the final cycle number.
@@ -187,8 +224,9 @@ pub(crate) fn run(
     shared: &mut SharedCtx<'_>,
     threads: usize,
 ) -> u64 {
-    let threads = threads.clamp(1, sms.len().max(1));
-    assert_eq!(l1s.len(), sms.len(), "one L1 per SM");
+    let n = sms.len();
+    let threads = threads.clamp(1, n.max(1));
+    assert_eq!(l1s.len(), n, "one L1 per SM");
     let SharedCtx { hierarchy, memory, kernels, record, cfg, sink } = shared;
     let cfg: &GpuConfig = cfg;
     let banks = hierarchy.num_banks();
@@ -201,7 +239,14 @@ pub(crate) fn run(
             .zip(memory.banks_mut().iter_mut())
             .map(|(timing, store)| Mutex::new(BankCell { timing, store }))
             .collect(),
-        meta_q: (0..banks).map(|_| Mutex::new(Vec::new())).collect(),
+        // A worklist holds each slot at most once: sized once per run.
+        work: (0..banks)
+            .map(|_| Mutex::new(BankWork { meta: Vec::new(), slots: Vec::with_capacity(n) }))
+            .collect(),
+        events: (0..n)
+            .map(|_| RwLock::new(CycleEvents::new(banks, cfg.schedulers_per_sm)))
+            .collect(),
+        summary: (0..n).map(|_| AtomicU32::new(0)).collect(),
         meta_flag: AtomicBool::new(false),
         bank_flag: AtomicBool::new(false),
         router,
@@ -218,39 +263,29 @@ pub(crate) fn run(
         verdict: WarpMemVerdict::default(),
     };
 
-    let slots: Vec<RwLock<SmSlot>> = sms
-        .drain(..)
-        .zip(l1s)
-        .map(|(sm, l1)| {
-            let events = CycleEvents::new(banks, cfg.schedulers_per_sm);
-            RwLock::new(SmSlot { sm, l1, events })
-        })
-        .collect();
-    // Contiguous SM ranges; the remainder goes to the front groups.
-    let n = slots.len();
-    let (base, rem) = (n / threads, n % threads);
-    let mut ranges = Vec::with_capacity(threads);
-    let mut start = 0;
+    let mut slots: Vec<SmSlot> = sms.drain(..).zip(l1s).map(|(sm, l1)| SmSlot { sm, l1 }).collect();
+    // One contiguous chunk of SMs per thread, with the index of its first
+    // slot; the remainder goes to the front chunks.
+    let mut chunks = Vec::with_capacity(threads);
+    let (mut rest, mut base) = (&mut slots[..], 0);
     for t in 0..threads {
-        let len = base + usize::from(t < rem);
-        ranges.push(start..start + len);
-        start += len;
+        let len = n / threads + usize::from(t < n % threads);
+        let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        chunks.push((base, chunk));
+        (rest, base) = (tail, base + len);
     }
     let ctl = Ctl::new(threads);
-    let leader_range = ranges[0].clone();
-    let final_cycle = if threads == 1 {
-        cycle_loop(&slots, &machine, leader_range, 0, cfg, &ctl, Some(&mut leader))
-    } else {
-        std::thread::scope(|scope| {
-            for (t, range) in ranges.iter().enumerate().skip(1) {
-                let (slots, machine, ctl, range) = (&slots, &machine, &ctl, range.clone());
-                scope.spawn(move || cycle_loop(slots, machine, range, t, cfg, ctl, None));
-            }
-            cycle_loop(&slots, &machine, leader_range, 0, cfg, &ctl, Some(&mut leader))
-        })
-    };
+    let mut chunks = chunks.into_iter();
+    let (_, lead) = chunks.next().expect("at least one thread");
+    let final_cycle = std::thread::scope(|scope| {
+        for (t, (base, own)) in chunks.enumerate() {
+            let (machine, ctl) = (&machine, &ctl);
+            scope.spawn(move || cycle_loop(own, base, machine, t + 1, cfg, ctl, None));
+        }
+        cycle_loop(lead, 0, &machine, 0, cfg, &ctl, Some(&mut leader))
+    });
     let panicked = ctl.payload.lock().unwrap_or_else(|e| e.into_inner()).take();
-    sms.extend(slots.into_iter().map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()).sm));
+    sms.extend(slots.into_iter().map(|s| s.sm));
     if let Some(payload) = panicked {
         panic::resume_unwind(payload);
     }
@@ -258,10 +293,26 @@ pub(crate) fn run(
 }
 
 // ---------------------------------------------------------------------------
-// Phase B-check: canonical application of one SM's cycle events.
+// Phase B-check: canonical application of the busy slots' cycle events.
 
-/// Decides everything slot `slot_idx`'s SM deferred this cycle, in issue
-/// order, and routes its bank work.
+/// The serial section: visits every slot in ascending order, locking only
+/// the busy ones. A quiet slot deferred nothing, so its issues only
+/// advance its kernel's issue index, by the count phase A published.
+fn b_check(machine: &Machine<'_>, now: u64, leader: &mut LeaderCtx<'_, '_>) {
+    for (slot_idx, summary) in machine.summary.iter().enumerate() {
+        let (live, busy) = unpack_summary(summary.load(SeqCst));
+        if busy {
+            let mut events = machine.events[slot_idx].write().unwrap();
+            apply_cycle(slot_idx, &mut events, now, machine, leader);
+        }
+        let (_, k) = leader.site(slot_idx);
+        leader.record.kernels[k].issue_index += live;
+    }
+}
+
+/// Decides everything busy slot `slot_idx`'s SM deferred this cycle, in
+/// issue order, and puts the slot on the worklist of every bank it has a
+/// queue for.
 fn apply_cycle(
     slot_idx: usize,
     events: &mut CycleEvents,
@@ -272,17 +323,16 @@ fn apply_cycle(
     for (op_idx, ev) in events.live_mut().iter_mut().enumerate() {
         apply_event(slot_idx, op_idx as u32, ev, now, machine, leader);
     }
-    let (_, k) = leader.site(slot_idx);
-    leader.record.kernels[k].issue_index += events.live().len() as u64;
-    if events.bank_q.iter().any(|q| !q.is_empty()) {
-        machine.bank_flag.store(true, SeqCst);
+    for (q, work) in events.bank_q.iter().zip(&machine.work) {
+        if !q.is_empty() {
+            work.lock().unwrap().slots.push(slot_idx as u32);
+            machine.bank_flag.store(true, SeqCst);
+        }
     }
 }
 
 /// Writes the verdict on `ev`'s deferred op, if it has one, and emits the
-/// warp's residency span if it retires. Every event is one issued
-/// instruction and costs the leader one walk step — the serial half of
-/// the `phase_b_serial_fraction` stat.
+/// warp's residency span if it retires.
 fn apply_event(
     slot_idx: usize,
     op_idx: u32,
@@ -540,7 +590,7 @@ fn check_mem(
     if !metas.is_empty() {
         for &addr in metas.iter() {
             let bank = machine.router.bank_of(addr);
-            machine.meta_q[bank].lock().unwrap().push(MetaReq {
+            machine.work[bank].lock().unwrap().meta.push(MetaReq {
                 slot: slot_idx as u32,
                 op: op_idx,
                 local: machine.router.localize(addr),
@@ -564,34 +614,41 @@ fn owned_banks(machine: &Machine<'_>, t: usize) -> impl Iterator<Item = usize> {
 
 /// Metadata pass: each bank performs its queued metadata fetches in
 /// canonical (slot, op, address) order — exactly the order the leader
-/// enqueued them — and publishes each op's completion cycle.
-fn meta_pass(slots: &[RwLock<SmSlot<'_>>], machine: &Machine<'_>, now: u64, t: usize) {
+/// enqueued them — and publishes each op's completion cycle, locking each
+/// slot's events once per run of its requests.
+fn meta_pass(machine: &Machine<'_>, now: u64, t: usize) {
     for b in owned_banks(machine, t) {
-        let mut q = machine.meta_q[b].lock().unwrap();
-        if q.is_empty() {
+        let mut work = machine.work[b].lock().unwrap();
+        if work.meta.is_empty() {
             continue;
         }
         let mut cell = machine.cells[b].lock().unwrap();
-        for req in q.iter() {
-            let done = cell.timing.access(req.local, now);
-            let s = slots[req.slot as usize].read().unwrap();
-            s.events.live()[req.op as usize].meta_done.fetch_max(done, SeqCst);
+        for run in work.meta.chunk_by(|x, y| x.slot == y.slot) {
+            let events = machine.events[run[0].slot as usize].read().unwrap();
+            for req in run {
+                let done = cell.timing.access(req.local, now);
+                events.live()[req.op as usize].meta_done.fetch_max(done, SeqCst);
+            }
         }
-        q.clear();
+        work.meta.clear();
     }
 }
 
-/// Bank pass: each bank drains every SM's queue for it, slots ascending,
-/// queue order within a slot — the canonical order restricted to this
-/// bank's (disjoint) slice of the address space.
-fn bank_pass(slots: &[RwLock<SmSlot<'_>>], machine: &Machine<'_>, now: u64, t: usize) {
+/// Bank pass: each bank drains the queues of the slots on its worklist,
+/// slots ascending, queue order within a slot — the canonical order
+/// restricted to this bank's (disjoint) slice of the address space.
+fn bank_pass(machine: &Machine<'_>, now: u64, t: usize) {
     for b in owned_banks(machine, t) {
+        let mut work = machine.work[b].lock().unwrap();
+        if work.slots.is_empty() {
+            continue;
+        }
         let mut cell = machine.cells[b].lock().unwrap();
         let BankCell { timing, store } = &mut *cell;
-        for slot in slots {
-            let s = slot.read().unwrap();
-            let issues = s.events.live();
-            for req in &s.events.bank_q[b] {
+        for &slot in &work.slots {
+            let events = machine.events[slot as usize].read().unwrap();
+            let issues = events.live();
+            for req in &events.bank_q[b] {
                 match *req {
                     BankReq::Fill { op, local } => {
                         let ev = &issues[op as usize];
@@ -618,15 +675,22 @@ fn bank_pass(slots: &[RwLock<SmSlot<'_>>], machine: &Machine<'_>, now: u64, t: u
                 }
             }
         }
+        work.slots.clear();
     }
 }
 
 /// Phase B-final (tracer runs only): emit one memory-transaction span per
-/// live memory op, from the completion times the banks published.
-fn b_final(slots: &[RwLock<SmSlot<'_>>], leader: &mut LeaderCtx<'_, '_>, now: u64) {
-    for slot in slots {
-        let s = slot.read().unwrap();
-        for ev in s.events.live() {
+/// live memory op of the busy slots, from the completion times the banks
+/// published.
+fn b_final(machine: &Machine<'_>, leader: &mut LeaderCtx<'_, '_>, now: u64) {
+    for (slot_idx, summary) in machine.summary.iter().enumerate() {
+        let (_, busy) = unpack_summary(summary.load(SeqCst));
+        if !busy {
+            continue;
+        }
+        let events = machine.events[slot_idx].read().unwrap();
+        let (sm_id, _) = leader.site(slot_idx);
+        for ev in events.live() {
             let Some(SharedOp::Mem(op)) = ev.shared else {
                 continue;
             };
@@ -638,7 +702,7 @@ fn b_final(slots: &[RwLock<SmSlot<'_>>], leader: &mut LeaderCtx<'_, '_>, now: u6
             leader.sink.tracer.complete_with(
                 ev.mnemonic(),
                 TraceEventKind::MemTransaction,
-                s.sm.id,
+                sm_id,
                 ev.warp,
                 now,
                 done.saturating_sub(now).max(1),
@@ -773,20 +837,24 @@ impl Ctl {
     }
 }
 
+/// Phase A over a thread's own SMs (`own`, whose first slot is `base`),
+/// publishing each slot's summary for the B-check.
 fn phase_a_range(
-    slots: &[RwLock<SmSlot<'_>>],
+    own: &mut [SmSlot<'_>],
+    base: usize,
     machine: &Machine<'_>,
-    range: &Range<usize>,
     now: u64,
     cfg: &GpuConfig,
     acc: &CycleAcc,
 ) {
     let mut issued = false;
     let mut next = u64::MAX;
-    for slot in &slots[range.clone()] {
-        let mut s = slot.write().unwrap();
-        let SmSlot { sm, l1, events } = &mut *s;
-        let outcome = sm.step_phase_a(now, cfg, events, l1, &machine.router);
+    let shared = machine.events[base..].iter().zip(&machine.summary[base..]);
+    for (SmSlot { sm, l1 }, (events, summary)) in own.iter_mut().zip(shared) {
+        let mut events = events.write().unwrap();
+        let outcome = sm.step_phase_a(now, cfg, &mut events, l1, &machine.router);
+        let busy = outcome.deferred_any || (machine.tracer_on && outcome.retired_any);
+        summary.store(pack_summary(events.live().len(), busy), SeqCst);
         issued |= outcome.issued_any;
         next = next.min(outcome.next_ready);
     }
@@ -796,18 +864,18 @@ fn phase_a_range(
     acc.next_ready.fetch_min(next, SeqCst);
 }
 
+/// Phase C over a thread's own SMs (`own`, whose first slot is `base`).
 fn phase_c_range(
-    slots: &[RwLock<SmSlot<'_>>],
-    range: &Range<usize>,
+    own: &mut [SmSlot<'_>],
+    base: usize,
+    machine: &Machine<'_>,
     now: u64,
     cfg: &GpuConfig,
     acc: &CycleAcc,
 ) {
     let mut all = true;
-    for slot in &slots[range.clone()] {
-        let mut s = slot.write().unwrap();
-        let SmSlot { sm, events, .. } = &mut *s;
-        sm.apply_results(events, now, cfg);
+    for (SmSlot { sm, .. }, events) in own.iter_mut().zip(&machine.events[base..]) {
+        sm.apply_results(&events.read().unwrap(), now, cfg);
         all &= sm.all_done();
     }
     if !all {
@@ -820,7 +888,6 @@ fn phase_c_range(
 /// released), so the barrier count always agrees. Returns `false` on
 /// poisoning.
 fn bank_sync_phases(
-    slots: &[RwLock<SmSlot<'_>>],
     machine: &Machine<'_>,
     now: u64,
     t: usize,
@@ -828,13 +895,13 @@ fn bank_sync_phases(
     sense: &mut bool,
 ) -> bool {
     if machine.meta_flag.load(SeqCst) {
-        ctl.guard(|| meta_pass(slots, machine, now, t));
+        ctl.guard(|| meta_pass(machine, now, t));
         if !ctl.sync(sense) {
             return false;
         }
     }
     if machine.bank_flag.load(SeqCst) {
-        ctl.guard(|| bank_pass(slots, machine, now, t));
+        ctl.guard(|| bank_pass(machine, now, t));
         if !ctl.sync(sense) {
             return false;
         }
@@ -842,15 +909,16 @@ fn bank_sync_phases(
     true
 }
 
-/// The cycle loop of worker `t` over the SM slots in `range`; returns the
-/// final cycle. Every worker runs it; the one holding the `leader` context
-/// (the calling thread, `t == 0`) also runs the serial B-check and
-/// B-final steps, while the others wait at the same barriers, so every
-/// thread passes the same number of barriers by construction.
+/// The cycle loop of worker `t` over its own SMs `own`, whose first slot
+/// is `base`; returns the final cycle. Every worker runs it; the one
+/// holding the `leader` context (the calling thread, `t == 0`) also runs
+/// the serial B-check and B-final steps, while the others wait at the same
+/// barriers, so every thread passes the same number of barriers by
+/// construction.
 fn cycle_loop(
-    slots: &[RwLock<SmSlot<'_>>],
+    own: &mut [SmSlot<'_>],
+    base: usize,
     machine: &Machine<'_>,
-    range: Range<usize>,
     t: usize,
     cfg: &GpuConfig,
     ctl: &Ctl,
@@ -860,7 +928,7 @@ fn cycle_loop(
     let mut now = 0u64;
     let mut parity = 0usize;
     loop {
-        ctl.guard(|| phase_a_range(slots, machine, &range, now, cfg, &ctl.acc[parity]));
+        ctl.guard(|| phase_a_range(own, base, machine, now, cfg, &ctl.acc[parity]));
         if !ctl.sync(&mut sense) {
             break; // A-done
         }
@@ -871,10 +939,7 @@ fn cycle_loop(
             ctl.guard(|| {
                 machine.meta_flag.store(false, SeqCst);
                 machine.bank_flag.store(false, SeqCst);
-                for (slot_idx, slot) in slots.iter().enumerate() {
-                    let mut s = slot.write().unwrap();
-                    apply_cycle(slot_idx, &mut s.events, now, machine, leader);
-                }
+                b_check(machine, now, leader);
                 // Workers are parked between the A and C barriers: safe to
                 // recycle the off-parity accumulator for the next cycle.
                 ctl.acc[parity ^ 1].reset();
@@ -883,18 +948,18 @@ fn cycle_loop(
         if !ctl.sync(&mut sense) {
             break; // B-check done
         }
-        if !bank_sync_phases(slots, machine, now, t, ctl, &mut sense) {
+        if !bank_sync_phases(machine, now, t, ctl, &mut sense) {
             break;
         }
         if machine.tracer_on {
             if let Some(leader) = leader.as_deref_mut() {
-                ctl.guard(|| b_final(slots, leader, now));
+                ctl.guard(|| b_final(machine, leader, now));
             }
             if !ctl.sync(&mut sense) {
                 break; // B-final done (leader-only span emission)
             }
         }
-        ctl.guard(|| phase_c_range(slots, &range, now, cfg, &ctl.acc[parity]));
+        ctl.guard(|| phase_c_range(own, base, machine, now, cfg, &ctl.acc[parity]));
         if !ctl.sync(&mut sense) {
             break; // C-done
         }

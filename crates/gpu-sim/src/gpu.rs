@@ -572,6 +572,56 @@ mod tests {
     }
 
     #[test]
+    fn forensics_issue_index_counts_quiet_sms_before_the_violating_one() {
+        // Blocks 0-6 (SMs 0-6) loop on ALU work alone: no deferred op, so
+        // the leader never needs their events. Block 7 (SM 7, last in slot
+        // order) poisons its pointer, loops, then faults on the same cycles.
+        // Each issue index counts every issue of the kernel in earlier
+        // cycles and earlier slots, so the quiet SMs' issues are in it.
+        let cfg = PtrConfig::default();
+        let buf =
+            lmi_core::DevicePtr::encode(layout::GLOBAL_BASE + 0x30000, 256, &cfg).unwrap().raw();
+        let mut b = ProgramBuilder::new("quiet-then-violate");
+        b.push(Instruction::s2r(Reg(0), lmi_isa::op::SpecialReg::CtaIdX));
+        b.push(Instruction::isetp(PredReg(0), Reg(0), CmpOp::Lt, 7));
+        let quiet = b.forward_branch_if(PredReg(0), false);
+        b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+        b.push(Instruction::iadd64(Reg(4), Reg(4), 256).with_hints(HintBits::check_operand(0)));
+        b.push(Instruction::mov(Reg(2), 0));
+        let spin = b.label();
+        b.push(Instruction::iadd3(Reg(2), Reg(2), 1));
+        b.push(Instruction::isetp(PredReg(1), Reg(2), CmpOp::Lt, 6));
+        b.branch_if(spin, PredReg(1), false);
+        b.push(Instruction::mov(Reg(0), 1));
+        b.push(Instruction::stg(MemRef::new(Reg(4), 0, 4), Reg(0)));
+        b.push(Instruction::exit());
+        b.bind(quiet);
+        b.push(Instruction::mov(Reg(2), 0));
+        let alu = b.label();
+        b.push(Instruction::iadd3(Reg(2), Reg(2), 1));
+        b.push(Instruction::isetp(PredReg(1), Reg(2), CmpOp::Lt, 40));
+        b.branch_if(alu, PredReg(1), false);
+        b.push(Instruction::exit());
+        let launch = Launch::new(b.build()).grid(8).block(64).param(buf);
+        for (threads, banks) in [(1, 1), (2, 4)] {
+            let cfg = GpuConfig::small().with_sim_threads(threads).with_mem_banks(banks);
+            let stats = Gpu::new(cfg).run(&launch, &mut LmiMechanism::default_config());
+            assert_eq!(stats.forensics.len(), 64, "every lane of block 7 faults");
+            let mut indices: Vec<(usize, u64, u64)> = stats
+                .forensics
+                .iter()
+                .map(|r| (r.fault.warp, r.poison.instr_index, r.fault.instr_index))
+                .collect();
+            indices.dedup();
+            assert_eq!(
+                indices,
+                [(0, 79, 419), (1, 117, 466)],
+                "{threads} thread(s) x {banks} bank(s)"
+            );
+        }
+    }
+
+    #[test]
     fn fully_predicated_off_wide_and_fpu_instructions_complete_and_write_nothing() {
         // Every lane's guard is false, so the warp-wide ALU/FPU paths have
         // no lane to compute, check or write: each instruction still

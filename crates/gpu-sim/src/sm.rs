@@ -17,8 +17,9 @@
 //!   Operations that must touch genuinely global state (the device heap,
 //!   the mechanism, telemetry) are recorded as `SharedOp`s on the cycle's
 //!   `IssueEvent` slots.
-//! * **Phase B** (`engine`) — a thin leader step walks every SM's events
-//!   in canonical (sm, scheduler) order and decides one `Verdict` per
+//! * **Phase B** (`engine`) — a thin leader step visits, in canonical
+//!   (sm, scheduler) order, the events of every SM whose phase A deferred
+//!   an op (`StepOutcome::deferred_any`) and decides one `Verdict` per
 //!   deferred op: mechanism checks, heap calls, violations, forensics and
 //!   trace events. Then the address-interleaved memory banks apply their
 //!   queues concurrently — each bank in canonical order, so cache hit/miss
@@ -397,6 +398,10 @@ pub(crate) struct StepOutcome {
     pub issued_any: bool,
     /// Earliest future cycle at which a stalled warp could issue.
     pub next_ready: u64,
+    /// Some issue this cycle deferred an op to the leader.
+    pub deferred_any: bool,
+    /// Some issue this cycle retired its warp in phase A.
+    pub retired_any: bool,
 }
 
 impl Sm {
@@ -458,7 +463,7 @@ impl Sm {
         // are read while the warps are mutated.
         let Sm { stream, launch, warps, lines, greedy, record, .. } = self;
         let overlap = cfg.lsu_verdict_overlap;
-        let mut issued_any = false;
+        let (mut issued_any, mut deferred_any, mut retired_any) = (false, false, false);
         let mut next_ready = u64::MAX;
         let nwarps = warps.len();
 
@@ -540,7 +545,10 @@ impl Sm {
                         l1,
                         router,
                     };
-                    ctx.issue(&mut issues[*live], warp, w, di);
+                    let ev = &mut issues[*live];
+                    ctx.issue(ev, warp, w, di);
+                    deferred_any |= ev.shared.is_some();
+                    retired_any |= ev.retired_local;
                     *live += 1;
                     *greedy_slot = Some(w);
                     issued_any = true;
@@ -558,7 +566,7 @@ impl Sm {
             self.sample_warps(now, cfg, out.live());
         }
 
-        StepOutcome { issued_any, next_ready }
+        StepOutcome { issued_any, next_ready, deferred_any, retired_any }
     }
 
     /// Takes one profiler census: classifies every resident warp into this

@@ -109,9 +109,10 @@ pub struct SimStats {
     /// SM). Empty unless [`crate::GpuConfig::sample_period`] is set.
     pub profile: KernelProfile,
     /// Phase-B work units that must run on the single leader thread: one
-    /// per issue event, which the leader walks in canonical order for its
-    /// mechanism verdicts and heap calls (so it always equals
-    /// [`SimStats::issued`], which each SM counts for itself). Counted in
+    /// per issue event, which the leader accounts in canonical order (it
+    /// walks a slot's events for their mechanism verdicts and heap calls,
+    /// and counts a quiet slot's issues in one step), so it always equals
+    /// [`SimStats::issued`], which each SM counts for itself. Counted in
     /// deterministic work units — not wall time — so the value is
     /// bit-identical across `sim_threads` and `mem_banks`.
     pub phase_b_serial_items: u64,
@@ -379,9 +380,10 @@ pub(crate) struct SlotRecord {
 /// The leader's per-run totals for one kernel.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct KernelRecord {
-    /// Issue events of this kernel the leader has walked, advanced once
-    /// per slot per cycle: the base of the issue index forensics stamp on
-    /// poison and fault events.
+    /// Issue events of this kernel in the slots the leader has passed,
+    /// advanced once per slot per cycle by the slot's live issue count
+    /// (which phase A publishes, so a quiet slot is never locked): the
+    /// base of the issue index forensics stamp on poison and fault events.
     pub issue_index: u64,
     /// Bank-pass work units of the ops whose verdict let them issue.
     pub banked_items: u64,
