@@ -52,7 +52,6 @@
 pub mod ec;
 pub mod error;
 pub mod hw;
-pub mod lifecycle;
 pub mod liveness;
 pub mod ocu;
 pub mod ocu_pair;
@@ -61,7 +60,6 @@ pub mod temporal;
 
 pub use ec::ExtentChecker;
 pub use error::{TemporalKind, Violation};
-pub use lifecycle::{LifeCycle, TrackedPtr};
 pub use liveness::LivenessTracker;
 pub use ocu::{Ocu, OcuOutcome};
 pub use ocu_pair::PairOcu;

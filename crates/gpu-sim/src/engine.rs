@@ -10,7 +10,11 @@
 //!   and profiler samples ([`crate::stats::SmRecord`]), and publishes a
 //!   one-word summary of its slot: its live issue count, and whether the
 //!   leader has work there (a deferred op, or a retiring warp while
-//!   tracing).
+//!   tracing). An SM whose last step issued nothing sleeps until the
+//!   `next_ready` that step returned ([`Sm::asleep`]): it is not stepped
+//!   and its events are not locked; it is charged that step's stalls
+//!   again ([`Sm::doze`]), publishes a quiet summary and feeds its wake-up
+//!   cycle into the cycle's `next_ready`. A census cycle always steps it.
 //! * **Phase B-check** — the leader (the calling thread) visits the busy
 //!   slots' events in ascending (slot, issue) order and decides one
 //!   [`Verdict`] per deferred op: mechanism checks (one warp-form call per
@@ -18,12 +22,13 @@
 //!   events are never locked: its published live count advances the
 //!   forensics issue index. The leader counts only what its decisions
 //!   produce ([`RunRecord`]: mechanism tallies, verdict-gated charges, the
-//!   issue index); the SM records and the run record are folded once
-//!   after the loop into each kernel's [`SimStats`] and the sink's
-//!   registry. Mechanism metadata fetches are routed to their owning
+//!   issue index, its own steps); the SM records and the run record are
+//!   folded once after the loop into each kernel's [`SimStats`] and the
+//!   sink's registry. Mechanism metadata fetches are routed to their owning
 //!   banks, and each busy slot with a non-empty queue for a bank joins
 //!   that bank's worklist. This is the only genuinely serial section; its
-//!   size is surfaced as [`SimStats::phase_b_serial_items`] vs
+//!   size — one step per quiet slot and one per live event of a busy
+//!   slot — is surfaced as [`SimStats::phase_b_serial_items`] vs
 //!   [`SimStats::phase_b_banked_items`]
 //!   (`crate::stats::SimStats::phase_b_serial_fraction`).
 //! * **Metadata pass** (only on cycles with metadata traffic) — each bank,
@@ -43,7 +48,9 @@
 //!   times.
 //! * **Phase C** — every SM concurrently applies each deferred op to its
 //!   warps from the op's descriptor, columns and verdict; memory-op timing
-//!   is assembled from the bank-published atomics.
+//!   is assembled from the bank-published atomics. An SM that issued
+//!   nothing this cycle ([`Sm::quiet`]) is skipped: it has nothing to
+//!   apply, and a barrier only releases after an issue.
 //!
 //! Each thread owns a contiguous range of SMs and their L1s outright (a
 //! disjoint `&mut` chunk): no other thread ever touches them. Only the
@@ -306,7 +313,9 @@ fn b_check(machine: &Machine<'_>, now: u64, leader: &mut LeaderCtx<'_, '_>) {
             apply_cycle(slot_idx, &mut events, now, machine, leader);
         }
         let (_, k) = leader.site(slot_idx);
-        leader.record.kernels[k].issue_index += live;
+        let totals = &mut leader.record.kernels[k];
+        totals.issue_index += live;
+        totals.serial_items += if busy { live } else { 1 };
     }
 }
 
@@ -851,6 +860,13 @@ fn phase_a_range(
     let mut next = u64::MAX;
     let shared = machine.events[base..].iter().zip(&machine.summary[base..]);
     for (SmSlot { sm, l1 }, (events, summary)) in own.iter_mut().zip(shared) {
+        if sm.asleep(now, cfg) {
+            #[cfg(debug_assertions)]
+            sm.check_sleep(now, cfg, &mut events.write().unwrap(), l1, &machine.router);
+            next = next.min(sm.doze());
+            summary.store(pack_summary(0, false), SeqCst);
+            continue;
+        }
         let mut events = events.write().unwrap();
         let outcome = sm.step_phase_a(now, cfg, &mut events, l1, &machine.router);
         let busy = outcome.deferred_any || (machine.tracer_on && outcome.retired_any);
@@ -875,7 +891,9 @@ fn phase_c_range(
 ) {
     let mut all = true;
     for (SmSlot { sm, .. }, events) in own.iter_mut().zip(&machine.events[base..]) {
-        sm.apply_results(&events.read().unwrap(), now, cfg);
+        if !sm.quiet(now) {
+            sm.apply_results(&events.read().unwrap(), now, cfg);
+        }
         all &= sm.all_done();
     }
     if !all {

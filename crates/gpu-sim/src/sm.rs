@@ -16,7 +16,13 @@
 //!   takes the sampling profiler's census straight into its own profile.
 //!   Operations that must touch genuinely global state (the device heap,
 //!   the mechanism, telemetry) are recorded as `SharedOp`s on the cycle's
-//!   `IssueEvent` slots.
+//!   `IssueEvent` slots. A step that issues nothing puts the SM to sleep
+//!   (`Sleep`) until the earliest cycle one of its candidates could issue:
+//!   the engine skips its phase A on the cycles before that, except census
+//!   cycles, and charges each skipped step the stalls of the step that
+//!   fell asleep (`Sm::doze`). Debug builds step a sleeping SM anyway and
+//!   assert it would have issued nothing, returned the same `next_ready`
+//!   and charged the same stalls (`Sm::check_sleep`).
 //! * **Phase B** (`engine`) — a thin leader step visits, in canonical
 //!   (sm, scheduler) order, the events of every SM whose phase A deferred
 //!   an op (`StepOutcome::deferred_any`) and decides one `Verdict` per
@@ -29,7 +35,9 @@
 //!   applies every deferred op from its descriptor, its slot's columns,
 //!   its verdict and the config: register writes, scoreboard ready times,
 //!   pc advance, retirement, then barrier release. Memory-op timing is
-//!   assembled here from the bank-written atomics.
+//!   assembled here from the bank-written atomics. An SM that issued
+//!   nothing this cycle (`Sm::quiet`) skips phase C: it has nothing to
+//!   apply, and barriers release only after an issue.
 //!
 //! Deferred results only become architecturally visible at the next cycle
 //! (loads have multi-cycle latency; the issuing warp cannot issue again
@@ -169,6 +177,8 @@ pub(crate) struct Sm {
     blocks: Vec<BlockBarrier>,
     /// What this SM's own issues and stalls counted this run.
     pub record: SmRecord,
+    /// Set by a phase A that issued nothing: how long the SM may sleep.
+    sleep: Sleep,
     /// First cycle at which every resident warp had retired. Set in phase C
     /// with the cycle both drivers pass in, so it is identical at every
     /// thread count; resident multi-kernel runs use it for per-kernel
@@ -393,6 +403,26 @@ impl IssueEvent {
     }
 }
 
+/// What a phase A that issued nothing knows about the cycles after it.
+/// Readiness depends only on each warp's pc, start cycle and scoreboard
+/// (`ready_info`), which only an issue and its phase C change. So until
+/// `until` — the earliest cycle a candidate it examined could issue —
+/// every phase A would examine the same candidates, issue nothing, return
+/// `until` as its `next_ready` and charge the same stalls; its phase C
+/// would apply nothing and release no barrier.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Sleep {
+    /// The SM's `next_ready`: 0 after a step that issued.
+    until: u64,
+    /// The step's stall charges, by `StallReason::index`.
+    stalls: [u64; 4],
+}
+
+/// Whether the sampling profiler takes its census at `now`.
+fn census_at(cfg: &GpuConfig, now: u64) -> bool {
+    cfg.sample_period > 0 && now.is_multiple_of(cfg.sample_period)
+}
+
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StepOutcome {
     pub issued_any: bool,
@@ -415,6 +445,7 @@ impl Sm {
             greedy: Vec::new(),
             blocks: Vec::new(),
             record: SmRecord::default(),
+            sleep: Sleep::default(),
             done_cycle: None,
         }
     }
@@ -443,6 +474,52 @@ impl Sm {
         self.warps.iter().all(|w| w.done)
     }
 
+    /// Whether this SM's phase A at `now` issues nothing: it slept through
+    /// `now`, or stepped at `now` and issued nothing. Its phase C then has
+    /// nothing to apply.
+    pub fn quiet(&self, now: u64) -> bool {
+        now < self.sleep.until
+    }
+
+    /// Whether phase A at `now` may skip this SM ([`Sm::doze`] instead of
+    /// [`Sm::step_phase_a`]): its last step issued nothing, and `now` is
+    /// before the earliest cycle that step found a warp could issue. A
+    /// census cycle always steps, so the profiler classifies warps on one
+    /// path.
+    pub fn asleep(&self, now: u64, cfg: &GpuConfig) -> bool {
+        self.quiet(now) && !census_at(cfg, now)
+    }
+
+    /// Phase A of a sleeping SM: charges the stalls of the step it skips
+    /// and returns that step's `next_ready`. It touches no warp, no event
+    /// and no L1.
+    pub fn doze(&mut self) -> u64 {
+        for (total, step) in self.record.stalls.iter_mut().zip(self.sleep.stalls) {
+            *total += step;
+        }
+        self.sleep.until
+    }
+
+    /// Debug builds' cross-check of a sleeping SM: steps it anyway, asserts
+    /// the step is the one [`Sm::doze`] stands for — nothing issued, the
+    /// same `next_ready`, the same stall charges — and takes its stall
+    /// charges back, so `doze` charges them on every build.
+    #[cfg(debug_assertions)]
+    pub fn check_sleep(
+        &mut self,
+        now: u64,
+        cfg: &GpuConfig,
+        out: &mut CycleEvents,
+        l1: &mut Cache,
+        router: &BankRouter,
+    ) {
+        let (sleep, stalls) = (self.sleep, self.record.stalls);
+        let outcome = self.step_phase_a(now, cfg, out, l1, router);
+        assert!(!outcome.issued_any, "SM {} issued at cycle {now} while asleep", self.id);
+        assert_eq!(self.sleep, sleep, "SM {} woke differently at cycle {now}", self.id);
+        self.record.stalls = stalls;
+    }
+
     /// Phase A of one cycle: each scheduler issues at most one instruction
     /// (GTO pick), executing SM-local work immediately — including the
     /// probe of this SM's own L1 (`l1`) — and recording shared-state work
@@ -456,6 +533,7 @@ impl Sm {
         router: &BankRouter,
     ) -> StepOutcome {
         out.clear();
+        let stalls_before = self.record.stalls;
         if self.greedy.len() != cfg.schedulers_per_sm {
             self.greedy = vec![None; cfg.schedulers_per_sm];
         }
@@ -562,10 +640,16 @@ impl Sm {
             }
         }
 
-        if cfg.sample_period > 0 && now.is_multiple_of(cfg.sample_period) {
+        if census_at(cfg, now) {
             self.sample_warps(now, cfg, out.live());
         }
 
+        self.sleep = if issued_any {
+            Sleep::default()
+        } else {
+            let stalls = std::array::from_fn(|i| self.record.stalls[i] - stalls_before[i]);
+            Sleep { until: next_ready, stalls }
+        };
         StepOutcome { issued_any, next_ready, deferred_any, retired_any }
     }
 

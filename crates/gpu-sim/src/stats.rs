@@ -108,13 +108,14 @@ pub struct SimStats {
     /// Sampling-profiler output (warp states, stall reasons, hot PCs per
     /// SM). Empty unless [`crate::GpuConfig::sample_period`] is set.
     pub profile: KernelProfile,
-    /// Phase-B work units that must run on the single leader thread: one
-    /// per issue event, which the leader accounts in canonical order (it
-    /// walks a slot's events for their mechanism verdicts and heap calls,
-    /// and counts a quiet slot's issues in one step), so it always equals
-    /// [`SimStats::issued`], which each SM counts for itself. Counted in
-    /// deterministic work units — not wall time — so the value is
-    /// bit-identical across `sim_threads` and `mem_banks`.
+    /// Phase-B work units that must run on the single leader thread: the
+    /// steps of its B-check over this kernel's SM slots, every visited
+    /// cycle. A busy slot (one that deferred an op, or retired a warp
+    /// while tracing) costs one step per live issue event, whose verdicts
+    /// it decides; a quiet slot costs one step, which advances the issue
+    /// index by its published count. Counted in deterministic work units
+    /// — not wall time — so the value is bit-identical across
+    /// `sim_threads` and `mem_banks`.
     pub phase_b_serial_items: u64,
     /// Phase-B work units routed to the bank-parallel passes (L1-missed
     /// line fills, per-lane data movement, metadata fetches). Same
@@ -385,6 +386,9 @@ pub(crate) struct KernelRecord {
     /// (which phase A publishes, so a quiet slot is never locked): the
     /// base of the issue index forensics stamp on poison and fault events.
     pub issue_index: u64,
+    /// The leader's B-check steps over this kernel's slots: a busy slot's
+    /// live events, one step per quiet slot, every visited cycle.
+    pub serial_items: u64,
     /// Bank-pass work units of the ops whose verdict let them issue.
     pub banked_items: u64,
     /// Mechanism verdict tallies, counted nowhere else: OCU checks,
@@ -451,6 +455,7 @@ impl RunRecord {
     ) {
         for (k, out) in self.kernels.iter().zip(&mut outcome.kernels) {
             out.stats.poisoned = k.poisoned;
+            out.stats.phase_b_serial_items = k.serial_items;
             out.stats.phase_b_banked_items = k.banked_items;
         }
         let registry_on = registry.is_enabled();
@@ -466,7 +471,6 @@ impl RunRecord {
             let issued: u64 = sm.warps.iter().map(|w| w.issued).sum();
             let st = &mut outcome.kernels[row.kernel].stats;
             st.issued += issued;
-            st.phase_b_serial_items += issued;
             st.int_issued += rec.int_issued;
             st.fpu_issued += rec.fpu_issued;
             st.marked_issued += rec.marked_issued;

@@ -6,11 +6,12 @@
 //! yields mechanism-specific outcomes — mirroring how the paper compiles
 //! one test program under each protection scheme.
 //!
-//! The single [`Defense`] trait is consumed by both the Table III matrix
-//! ([`crate::table`]) and the conformance oracle's model-level
-//! cross-checks: GMOD (canary), GPUShield (region table), cuCatch (shadow
-//! tags), LMI (OCU/EC over aligned allocators), and LMI with the §XII-C
-//! liveness tracker all live here.
+//! The single [`Defense`] trait is consumed by the Table III matrix
+//! ([`crate::table`]): GMOD (canary), GPUShield (region table), cuCatch
+//! (shadow tags), LMI (OCU/EC over aligned allocators), and LMI with the
+//! §XII-C liveness tracker all live here. These are models: the simulator
+//! executes its own mechanisms, and only LMI is cross-checked against it
+//! (the attack kernels of [`crate::sim_cases`]).
 
 use std::collections::HashMap;
 

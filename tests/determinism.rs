@@ -20,7 +20,7 @@ use lmi_mem::layout;
 use lmi_runtime::{Runtime, RuntimeReport};
 use lmi_sim::{
     Gpu, GpuConfig, IntCheck, Launch, LmiMechanism, Mechanism, MemAccessCtx, MemCheck,
-    NullMechanism, SimStats,
+    NullMechanism, SimStats, StallBreakdown,
 };
 use lmi_telemetry::{Scope, SplitMix64, TelemetrySink, TraceRecord};
 use lmi_workloads::{all_workloads, prepare, prepare_in, runtime_mixes, TrafficMix, WorkloadSpec};
@@ -692,4 +692,104 @@ fn kernel_without_exit_retires_at_the_program_end() {
         .map(|(_, _, n)| n)
         .collect();
     assert_eq!(per_warp, vec![2; warps as usize], "every warp retired after its two issues");
+}
+
+/// Long-latency loads, a `BAR` that parks four of each block's six warps
+/// while the first two still loop on loads, hint-marked pointer ops, and a
+/// block (the last) that exits at once: the SMs spend most of this kernel
+/// stalled between issues, in each way a scheduler slot can stall.
+fn stall_heavy_launch() -> Launch {
+    use lmi_isa::instr::CmpOp;
+    use lmi_isa::op::SpecialReg;
+    use lmi_isa::{PredReg, Predicate};
+    let base = layout::GLOBAL_BASE + 0x40000;
+    let buf = lmi_core::DevicePtr::encode(base, 1024, &PtrConfig::default()).unwrap().raw();
+    let mut b = ProgramBuilder::new("stall-heavy");
+    b.push(Instruction::s2r(Reg(0), SpecialReg::CtaIdX));
+    b.push(Instruction::isetp(PredReg(0), Reg(0), CmpOp::Eq, 2));
+    b.push(Instruction::exit().with_pred(Predicate::when(PredReg(0))));
+    b.push(Instruction::s2r(Reg(1), SpecialReg::TidX));
+    b.push(Instruction::ldc(Reg(4), abi::LAUNCH_BANK, abi::param_offset(0), 8));
+    b.push(Instruction::lea64(Reg(6), Reg(4), Reg(1), 2).with_hints(HintBits::check_operand(0)));
+    b.push(Instruction::ldg(Reg(8), MemRef::new(Reg(6), 0, 4)));
+    b.push(Instruction::isetp(PredReg(1), Reg(1), CmpOp::Lt, 64));
+    let park = b.forward_branch_if(PredReg(1), true);
+    b.push(Instruction::mov(Reg(2), 0));
+    let top = b.label();
+    b.push(Instruction::ldg(Reg(9), MemRef::new(Reg(6), 0, 4)));
+    b.push(Instruction::iadd3(Reg(8), Reg(8), Reg(9)));
+    b.push(Instruction::iadd3(Reg(2), Reg(2), 1));
+    b.push(Instruction::isetp(PredReg(2), Reg(2), CmpOp::Lt, 4));
+    b.branch_if(top, PredReg(2), false);
+    b.bind(park);
+    b.push(Instruction::bar());
+    b.push(Instruction::iadd64(Reg(6), Reg(6), 4).with_hints(HintBits::check_operand(0)));
+    b.push(Instruction::stg(MemRef::new(Reg(6), 0, 4), Reg(8)));
+    b.push(Instruction::exit());
+    Launch::new(b.build()).grid(3).block(192).param(buf)
+}
+
+#[test]
+fn sleeping_sms_leave_stalls_and_profiles_unchanged() {
+    // Pinned from the engine that stepped every SM on every visited cycle.
+    // An SM whose phase A issued nothing now sleeps until its `next_ready`
+    // and is charged the stalls of the steps it skips; a census cycle
+    // still steps it. Neither may move a cycle, a stall or a sample.
+    let stalls =
+        StallBreakdown { scoreboard: 102, lsu_busy: 290, ocu_verdict: 0, no_ready_warp: 504 };
+    let sm_stalls = [
+        (Scope::Sm(0), "stall.lsu_busy", 204),
+        (Scope::Sm(0), "stall.no_ready_warp", 285),
+        (Scope::Sm(0), "stall.scoreboard", 47),
+        (Scope::Sm(1), "stall.lsu_busy", 86),
+        (Scope::Sm(1), "stall.no_ready_warp", 167),
+        (Scope::Sm(1), "stall.scoreboard", 47),
+        (Scope::Sm(2), "stall.no_ready_warp", 52),
+        (Scope::Sm(2), "stall.scoreboard", 8),
+    ];
+    // Per sample period: census count, warp states, and the issue samples
+    // at each of the program's 19 pcs.
+    let profiles = [
+        (0, 0, [0; 8], [0; 19]),
+        (
+            1,
+            1320,
+            [258, 20, 138, 338, 0, 201, 752, 1263],
+            [18, 18, 18, 12, 12, 12, 12, 12, 12, 4, 16, 16, 16, 16, 16, 12, 12, 12, 12],
+        ),
+        (
+            7,
+            176,
+            [48, 0, 10, 42, 0, 39, 94, 163],
+            [12, 0, 0, 4, 0, 4, 4, 0, 4, 0, 0, 4, 4, 0, 4, 4, 0, 4, 0],
+        ),
+    ];
+    let launch = stall_heavy_launch();
+    for (period, samples, states, pcs) in profiles {
+        for (threads, banks) in [(1, 1), (2, 4)] {
+            let cfg = GpuConfig::small()
+                .with_sim_threads(threads)
+                .with_mem_banks(banks)
+                .with_sample_period(period);
+            let mut sink = TelemetrySink::counters_only();
+            let mut mech = LmiMechanism::default_config();
+            let stats = Gpu::new(cfg).try_run(&launch, &mut mech, &mut sink).unwrap();
+            let cell = format!("period {period}, {threads} thread(s) x {banks} bank(s)");
+            assert_eq!((stats.cycles, stats.issued), (715, 258), "{cell}: cycles, issued");
+            assert_eq!(stats.stalls, stalls, "{cell}: stall breakdown");
+            let per_sm: Vec<_> =
+                sink.counters.iter().filter(|(_, name, _)| name.starts_with("stall.")).collect();
+            assert_eq!(per_sm, sm_stalls, "{cell}: per-SM stall keys");
+            let profile = &stats.profile;
+            assert_eq!(profile.samples(), samples, "{cell}: census count");
+            assert_eq!(profile.states(), states, "{cell}: warp states");
+            let issue_pcs = profile.pcs();
+            assert_eq!(issue_pcs.total(), pcs.iter().sum::<u64>(), "{cell}: pcs past the end");
+            assert_eq!(
+                (0..19).map(|pc| issue_pcs.get(pc)).collect::<Vec<_>>(),
+                pcs,
+                "{cell}: issue pcs"
+            );
+        }
+    }
 }

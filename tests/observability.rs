@@ -99,6 +99,26 @@ fn arithmetic_kernel() -> Function {
     b.build()
 }
 
+/// A memory-bound kernel: four strided global loads per thread, summed
+/// into one store.
+fn memory_bound_kernel() -> Function {
+    let mut b = FunctionBuilder::new("mem-bound");
+    let data = b.param(Ty::Ptr(Region::Global));
+    let tid = b.tid();
+    let mut sum = b.const_i32(0);
+    for k in 0..4 {
+        let stride = b.const_i32(k * 128);
+        let idx = b.ibin(IBinOp::Add, tid, stride);
+        let e = b.gep(data, idx, 4);
+        let v = b.load_i32(e);
+        sum = b.ibin(IBinOp::Add, sum, v);
+    }
+    let out = b.gep(data, tid, 4);
+    b.store(out, sum, 4);
+    b.ret();
+    b.build()
+}
+
 fn run_telemetered_on(
     kernel: &Function,
     sink: &mut TelemetrySink,
@@ -228,9 +248,6 @@ fn registry_counters_agree_with_sim_stats_on_random_kernels() {
         assert_eq!(c.get(lmi, "faults"), ec_faults, "case {case}: faults");
         assert_eq!(has("faults"), ec_faults > 0, "case {case}: faults key");
         assert_eq!(c.sum_sms("issued"), stats.issued, "case {case}: issued");
-        // One record column counts both: every issue event is one leader
-        // walk step.
-        assert_eq!(stats.issued, stats.phase_b_serial_items, "case {case}: serial items");
         assert_eq!(c.sum_sms("transactions"), stats.transactions, "case {case}: transactions");
         assert_eq!(c.get(Scope::Gpu, "cycles"), stats.cycles, "case {case}: cycles");
         assert_eq!(
@@ -337,6 +354,25 @@ fn engine_counters_match_the_golden_registries() {
             include_str!("golden/registry_dual_tenant_session.txt"),
             "{at}: dual-tenant session registry"
         );
+    }
+}
+
+#[test]
+fn phase_b_serial_items_count_the_leaders_steps() {
+    // The B-check steps once over each quiet slot, and once per live event
+    // of each busy slot (one that deferred an op), every visited cycle.
+    // The ALU-only kernel defers nothing, so every item is a quiet step:
+    // the count is the 8 slots times the visited cycles, not the issues.
+    // The memory-bound kernel's busy slots add their events.
+    for (threads, banks) in [(1, 1), (2, 4)] {
+        let at = format!("sim_threads={threads} mem_banks={banks}");
+        let run = |kernel: &Function| {
+            let mut sink = TelemetrySink::counters_only();
+            let st = run_telemetered_on(kernel, &mut sink, engine_point(threads, banks));
+            (st.issued, st.phase_b_serial_items, st.phase_b_banked_items)
+        };
+        assert_eq!(run(&arithmetic_kernel()), (16, 88, 0), "{at}: ALU-only kernel");
+        assert_eq!(run(&memory_bound_kernel()), (104, 872, 656), "{at}: memory-bound kernel");
     }
 }
 
