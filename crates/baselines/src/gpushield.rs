@@ -19,7 +19,9 @@ use lmi_core::Violation;
 use lmi_isa::MemSpace;
 use lmi_mem::{layout, Cache, CacheConfig};
 use lmi_sim::warp::lanes_of;
-use lmi_sim::{Mechanism, MemAccessCtx, MemCheck, WarpMemAccess, WarpMemVerdict};
+use lmi_sim::{
+    BitRules, Mechanism, MemAccessCtx, MemCheck, OcuRule, WarpMemAccess, WarpMemVerdict,
+};
 
 /// Synthetic address of the in-memory bounds table (for RCache miss
 /// fills routed through the L2).
@@ -204,6 +206,12 @@ impl Mechanism for GpuShield {
         }
         self.rcaches = rcaches;
     }
+
+    /// No OCU: every marked op passes in phase A. The memory check stays
+    /// on the leader, because it probes and fills the RCaches.
+    fn bit_rules(&self) -> BitRules {
+        BitRules { ocu: Some(OcuRule::Pass), ec: None }
+    }
 }
 
 #[cfg(test)]
@@ -373,6 +381,25 @@ mod tests {
             for entries in [0, 4, 28] {
                 assert_warp_form_matches(entries, tpb, seed);
             }
+        }
+    }
+
+    #[test]
+    fn bit_rules_pass_marked_ops_and_leave_memory_to_the_leader() {
+        let mut gs = GpuShield::new();
+        let rules = gs.bit_rules();
+        assert!(rules.ec.is_none(), "the RCache is state: memory checks stay on the leader");
+        let ocu = rules.ocu.expect("marked ops are decided from register bits");
+        assert_eq!(ocu.delay(), gs.marked_int_delay());
+        let mut rng = SplitMix64::new(5);
+        for _ in 0..200 {
+            let mask = rng.next_u32();
+            let inputs: Column64 = std::array::from_fn(|_| rng.next_u64());
+            let results: Column64 = std::array::from_fn(|_| rng.next_u64());
+            let (mut by_rule, mut by_warp) = (results, results);
+            let poisoned = ocu.check(mask, &inputs, &mut by_rule);
+            let expect = gs.on_marked_int_warp(mask, &inputs, &mut by_warp);
+            assert_eq!((poisoned, by_rule), (expect, by_warp));
         }
     }
 

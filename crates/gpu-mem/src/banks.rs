@@ -184,11 +184,16 @@ pub struct BankedHierarchy {
     banks: Vec<MemBank>,
 }
 
-/// The largest bank count `≤ requested` the geometry supports: banks must
-/// evenly divide both the L2 set count and the DRAM channel count, and
-/// line-granular routing requires DRAM transactions to be line-sized.
+/// The most banks a hierarchy shards into: the simulator's engine
+/// publishes each SM's traffic as one bit per bank of a 32-bit mask.
+pub const MAX_BANKS: usize = 32;
+
+/// The largest bank count `≤ requested` (and `≤ MAX_BANKS`) the geometry
+/// supports: banks must evenly divide both the L2 set count and the DRAM
+/// channel count, and line-granular routing requires DRAM transactions to
+/// be line-sized.
 pub fn max_supported_banks(cfg: &HierarchyConfig, requested: usize) -> usize {
-    let requested = requested.max(1);
+    let requested = requested.clamp(1, MAX_BANKS);
     if cfg.dram.transaction_bytes != cfg.l2.line_bytes {
         return 1;
     }
@@ -474,6 +479,10 @@ mod tests {
         let mut odd = cfg;
         odd.dram.transaction_bytes = 64;
         assert_eq!(max_supported_banks(&odd, 8), 1);
+        // Past `MAX_BANKS`, a geometry that would shard further does not.
+        let mut wide = cfg;
+        wide.dram.channels = 128;
+        assert_eq!(max_supported_banks(&wide, 128), MAX_BANKS);
     }
 
     /// The determinism cornerstone: for any valid bank count, every access

@@ -24,7 +24,9 @@ pub mod hierarchy;
 pub mod layout;
 
 pub use backing::SparseMemory;
-pub use banks::{max_supported_banks, BankRouter, BankedHierarchy, BankedMemory, MemBank};
+pub use banks::{
+    max_supported_banks, BankRouter, BankedHierarchy, BankedMemory, MemBank, MAX_BANKS,
+};
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::HierarchyConfig;

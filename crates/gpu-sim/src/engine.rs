@@ -6,29 +6,36 @@
 //!
 //! * **Phase A** — every SM concurrently: schedule, execute ALU work,
 //!   probe the SM-local L1, and route L1 misses + per-lane data movement
-//!   into per-SM per-bank queues. Each SM counts its own issues, stalls
-//!   and profiler samples ([`crate::stats::SmRecord`]), and publishes a
-//!   one-word summary of its slot: its live issue count, and whether the
-//!   leader has work there (a deferred op, or a retiring warp while
-//!   tracing). An SM whose last step issued nothing sleeps until the
-//!   `next_ready` that step returned ([`Sm::asleep`]): it is not stepped
-//!   and its events are not locked; it is charged that step's stalls
-//!   again ([`Sm::doze`]), publishes a quiet summary and feeds its wake-up
-//!   cycle into the cycle's `next_ready`. A census cycle always steps it.
+//!   into per-SM per-bank queues. Each SM decides every verdict its
+//!   kernel's mechanism derives from register bits alone
+//!   ([`crate::mechanism::BitRules`], copied onto the SM at run start): a
+//!   marked op whose lanes all pass the OCU rule writes back there, and a
+//!   memory op whose lanes all pass the EC rule gets its verdict there.
+//!   Each SM counts its own issues, stalls, OCU checks, memory charges and
+//!   profiler samples ([`crate::stats::SmRecord`]). It publishes a
+//!   one-word summary of its slot: its live issue count, whether the slot
+//!   is *busy* — the leader has work there (an op deferred without a
+//!   verdict; while tracing, any op or retiring warp) — and the mask of the
+//!   banks it queued work for. An SM whose last step issued nothing sleeps
+//!   until the `next_ready` that step returned ([`Sm::asleep`]): it is not
+//!   stepped and its events are not locked; it is charged that step's
+//!   stalls again ([`Sm::doze`]), publishes a quiet summary with no banks,
+//!   and feeds its wake-up cycle into the cycle's `next_ready`. A census
+//!   cycle always steps it.
 //! * **Phase B-check** — the leader (the calling thread) visits the busy
 //!   slots' events in ascending (slot, issue) order and decides one
-//!   [`Verdict`] per deferred op: mechanism checks (one warp-form call per
-//!   instruction), heap calls, violations and forensics. A quiet slot's
-//!   events are never locked: its published live count advances the
-//!   forensics issue index. The leader counts only what its decisions
-//!   produce ([`RunRecord`]: mechanism tallies, verdict-gated charges, the
+//!   [`Verdict`] per deferred op that has none: mechanism checks (one
+//!   warp-form call per instruction), heap calls, violations and
+//!   forensics. A quiet slot's events are never locked: its published live
+//!   count advances the forensics issue index. The leader counts only what
+//!   its decisions produce ([`RunRecord`]: poison and fault tallies, the
 //!   issue index, its own steps); the SM records and the run record are
 //!   folded once after the loop into each kernel's [`SimStats`] and the
 //!   sink's registry. Mechanism metadata fetches are routed to their owning
-//!   banks, and each busy slot with a non-empty queue for a bank joins
-//!   that bank's worklist. This is the only genuinely serial section; its
-//!   size — one step per quiet slot and one per live event of a busy
-//!   slot — is surfaced as [`SimStats::phase_b_serial_items`] vs
+//!   banks. The leader reads the published bank masks only to decide
+//!   whether a bank pass runs. This is the only genuinely serial section; its size
+//!   — one step per quiet slot and one per live event of a busy slot — is
+//!   surfaced as [`SimStats::phase_b_serial_items`] vs
 //!   [`SimStats::phase_b_banked_items`]
 //!   (`crate::stats::SimStats::phase_b_serial_fraction`).
 //! * **Metadata pass** (only on cycles with metadata traffic) — each bank,
@@ -36,17 +43,17 @@
 //!   fetches in canonical (slot, op) order and publishes each op's
 //!   completion via an atomic max.
 //! * **Bank pass** (only on cycles with memory traffic) — each bank drains
-//!   the queues of the slots on its worklist, in canonical (slot, queue)
-//!   order: L2/MSHR/DRAM line fills (timing) and byte movement through the
-//!   bank's shard of the store (functional), gated on the op's verdict.
-//!   Banks partition the address space at line granularity, so no two
-//!   banks ever touch the same cache set, DRAM channel group, or store
-//!   byte — running them concurrently is exactly the monolithic sequence,
-//!   reordered across independent state.
+//!   the queues of the slots whose published mask names it, in canonical
+//!   (slot, queue) order: L2/MSHR/DRAM line fills (timing) and byte
+//!   movement through the bank's shard of the store (functional), gated on
+//!   the op's verdict. Banks partition the address space at line
+//!   granularity, so no two banks ever touch the same cache set, DRAM
+//!   channel group, or store byte — running them concurrently is exactly
+//!   the monolithic sequence, reordered across independent state.
 //! * **Phase B-final** (only when tracing) — the leader emits memory
 //!   transaction spans of the busy slots from the assembled completion
 //!   times.
-//! * **Phase C** — every SM concurrently applies each deferred op to its
+//! * **Phase C** — every SM concurrently applies each shared op to its
 //!   warps from the op's descriptor, columns and verdict; memory-op timing
 //!   is assembled from the bank-published atomics. An SM that issued
 //!   nothing this cycle ([`Sm::quiet`]) is skipped: it has nothing to
@@ -61,18 +68,20 @@
 //! atomic max over values that are themselves canonical, so cycle counts,
 //! cache hit/miss sequences, heap order, counters, trace contents and
 //! forensics are **bit-identical at every thread count and bank count**.
+//! A verdict never depends on whether tracing is on: tracing only makes
+//! more slots busy, so the leader can emit their spans.
 //!
-//! Synchronization is a sense-reversing spin barrier between passes;
-//! memory-quiet cycles skip the bank barriers entirely (the leader decides
-//! during B-check and publishes the schedule in atomic flags every thread
-//! reads after the B-check barrier). Per-cycle reductions go through
-//! double-buffered accumulators indexed by iteration parity, and a panic on
-//! any thread poisons the pool, drains every worker out of the barrier
-//! protocol, and re-raises on the calling thread.
+//! Synchronization is a sense-reversing barrier between passes that spins
+//! and then parks; memory-quiet cycles skip the bank barriers entirely (the
+//! leader decides during B-check and publishes the schedule in atomic
+//! flags every thread reads after the B-check barrier). Per-cycle
+//! reductions go through double-buffered accumulators indexed by iteration
+//! parity, and a panic on any thread poisons the pool, drains every worker
+//! out of the barrier protocol, and re-raises on the calling thread.
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Condvar, Mutex, RwLock};
 
 use lmi_alloc::{AllocError, DeviceHeap};
 use lmi_core::error::TemporalKind;
@@ -87,7 +96,8 @@ use crate::stats::{RunRecord, SimStats, ViolationEvent};
 use crate::warp::{lanes_of, LaneMask};
 
 /// Per-kernel shared state: each kernel resident on the GPU owns its own
-/// mechanism instance, statistics, and device heap. A classic single-kernel
+/// mechanism instance, statistics, and device heap. The mechanism's
+/// [`crate::mechanism::BitRules`] are copied onto the kernel's SMs. A classic single-kernel
 /// run is the one-slot case. The engine pushes only records into `stats`
 /// (violations, forensics); its counted fields and profile are folded from
 /// the SM records and the [`RunRecord`] after the run.
@@ -166,30 +176,24 @@ struct MetaReq {
     local: u64,
 }
 
-/// One bank's work this cycle, filled by the leader during B-check in
-/// canonical order and drained by the bank's owner. Capacity survives the
-/// per-cycle `clear()`.
-struct BankWork {
-    /// Metadata fetches, in (slot, op, address) order.
-    meta: Vec<MetaReq>,
-    /// The slots with a non-empty queue for this bank, ascending.
-    slots: Vec<u32>,
-}
-
 /// The shared half of the machine, seen by every thread: the bank cells
-/// and their work, each SM slot's cycle events and phase-A summary, and
-/// the cycle schedule.
+/// and their metadata fetches, each SM slot's cycle events and phase-A
+/// summary, and the cycle schedule.
 struct Machine<'m> {
     cells: Vec<Mutex<BankCell<'m>>>,
-    work: Vec<Mutex<BankWork>>,
+    /// Each bank's metadata fetches this cycle, filled by the leader during
+    /// B-check in (slot, op, address) order and drained by the bank's
+    /// owner. Capacity survives the per-cycle `clear()`.
+    meta: Vec<Mutex<Vec<MetaReq>>>,
     /// Each slot's cycle events. Phases A and C lock them from the thread
     /// that owns the slot's SM; the leader write-locks only busy slots in
     /// B-check (and reads them in B-final); a bank pass read-locks only the
-    /// slots on its worklist (its writes go through the events' atomics).
+    /// slots whose mask names it (its writes go through the events'
+    /// atomics).
     events: Vec<RwLock<CycleEvents>>,
-    /// Each slot's phase-A summary ([`pack_summary`]), read by the leader
-    /// without the slot's lock.
-    summary: Vec<AtomicU32>,
+    /// Each slot's phase-A summary ([`Summary`]), read by the leader and
+    /// the bank passes without the slot's lock.
+    summary: Vec<AtomicU64>,
     /// Cycle schedule, decided by the leader during B-check: does a
     /// metadata pass / a bank pass run this cycle? Every thread reads the
     /// flags after the B-check barrier, so the barrier count always agrees.
@@ -211,15 +215,25 @@ struct SmSlot<'l> {
     l1: &'l mut Cache,
 }
 
-/// A slot's phase-A summary in one word: its live issue count, and
-/// whether the leader has work there (`busy`).
-fn pack_summary(live: usize, busy: bool) -> u32 {
-    (live as u32) << 1 | u32::from(busy)
+/// A slot's phase-A summary, published in one word: its live issue count,
+/// whether the leader has work there, and the banks it queued work for.
+#[derive(Clone, Copy, Default)]
+struct Summary {
+    live: u32,
+    busy: bool,
+    /// Bit `b` is set iff the slot queued work for bank `b` this cycle
+    /// (banks are at most [`lmi_mem::MAX_BANKS`], 32).
+    banks: u32,
 }
 
-/// [`pack_summary`]'s inverse: `(live, busy)`.
-fn unpack_summary(word: u32) -> (u64, bool) {
-    (u64::from(word >> 1), word & 1 != 0)
+impl Summary {
+    fn pack(self) -> u64 {
+        u64::from(self.banks) << 32 | u64::from(self.live) << 1 | u64::from(self.busy)
+    }
+
+    fn unpack(word: u64) -> Summary {
+        Summary { live: (word as u32) >> 1, busy: word & 1 != 0, banks: (word >> 32) as u32 }
+    }
 }
 
 /// Runs the machine to completion and returns the final cycle number.
@@ -238,6 +252,7 @@ pub(crate) fn run(
     let cfg: &GpuConfig = cfg;
     let banks = hierarchy.num_banks();
     assert_eq!(banks, memory.num_banks(), "timing and store must shard identically");
+    assert!(banks <= lmi_mem::MAX_BANKS, "a summary holds one bit per bank");
     let router = hierarchy.router();
     let machine = Machine {
         cells: hierarchy
@@ -246,14 +261,11 @@ pub(crate) fn run(
             .zip(memory.banks_mut().iter_mut())
             .map(|(timing, store)| Mutex::new(BankCell { timing, store }))
             .collect(),
-        // A worklist holds each slot at most once: sized once per run.
-        work: (0..banks)
-            .map(|_| Mutex::new(BankWork { meta: Vec::new(), slots: Vec::with_capacity(n) }))
-            .collect(),
+        meta: (0..banks).map(|_| Mutex::new(Vec::new())).collect(),
         events: (0..n)
             .map(|_| RwLock::new(CycleEvents::new(banks, cfg.schedulers_per_sm)))
             .collect(),
-        summary: (0..n).map(|_| AtomicU32::new(0)).collect(),
+        summary: (0..n).map(|_| AtomicU64::new(0)).collect(),
         meta_flag: AtomicBool::new(false),
         bank_flag: AtomicBool::new(false),
         router,
@@ -270,6 +282,9 @@ pub(crate) fn run(
         verdict: WarpMemVerdict::default(),
     };
 
+    for (sm, row) in sms.iter_mut().zip(&leader.record.slots) {
+        sm.rules = leader.kernels[row.kernel].mechanism.bit_rules();
+    }
     let mut slots: Vec<SmSlot> = sms.drain(..).zip(l1s).map(|(sm, l1)| SmSlot { sm, l1 }).collect();
     // One contiguous chunk of SMs per thread, with the index of its first
     // slot; the remainder goes to the front chunks.
@@ -304,44 +319,32 @@ pub(crate) fn run(
 
 /// The serial section: visits every slot in ascending order, locking only
 /// the busy ones. A quiet slot deferred nothing, so its issues only
-/// advance its kernel's issue index, by the count phase A published.
+/// advance its kernel's issue index, by the count phase A published. A
+/// bank pass runs iff some slot published a bank.
 fn b_check(machine: &Machine<'_>, now: u64, leader: &mut LeaderCtx<'_, '_>) {
+    let mut banks = 0;
     for (slot_idx, summary) in machine.summary.iter().enumerate() {
-        let (live, busy) = unpack_summary(summary.load(SeqCst));
+        let Summary { live, busy, banks: slot_banks } = Summary::unpack(summary.load(SeqCst));
+        banks |= slot_banks;
         if busy {
             let mut events = machine.events[slot_idx].write().unwrap();
-            apply_cycle(slot_idx, &mut events, now, machine, leader);
+            for (op_idx, ev) in events.live_mut().iter_mut().enumerate() {
+                apply_event(slot_idx, op_idx as u32, ev, now, machine, leader);
+            }
         }
         let (_, k) = leader.site(slot_idx);
         let totals = &mut leader.record.kernels[k];
-        totals.issue_index += live;
-        totals.serial_items += if busy { live } else { 1 };
+        totals.issue_index += u64::from(live);
+        totals.serial_items += if busy { u64::from(live) } else { 1 };
+    }
+    if banks != 0 {
+        machine.bank_flag.store(true, SeqCst);
     }
 }
 
-/// Decides everything busy slot `slot_idx`'s SM deferred this cycle, in
-/// issue order, and puts the slot on the worklist of every bank it has a
-/// queue for.
-fn apply_cycle(
-    slot_idx: usize,
-    events: &mut CycleEvents,
-    now: u64,
-    machine: &Machine<'_>,
-    leader: &mut LeaderCtx<'_, '_>,
-) {
-    for (op_idx, ev) in events.live_mut().iter_mut().enumerate() {
-        apply_event(slot_idx, op_idx as u32, ev, now, machine, leader);
-    }
-    for (q, work) in events.bank_q.iter().zip(&machine.work) {
-        if !q.is_empty() {
-            work.lock().unwrap().slots.push(slot_idx as u32);
-            machine.bank_flag.store(true, SeqCst);
-        }
-    }
-}
-
-/// Writes the verdict on `ev`'s deferred op, if it has one, and emits the
-/// warp's residency span if it retires.
+/// Writes the verdict on `ev`'s deferred op, if it has none yet, and
+/// emits the op's OCU span if its SM settled it and the warp's residency
+/// span if it retires.
 fn apply_event(
     slot_idx: usize,
     op_idx: u32,
@@ -350,19 +353,28 @@ fn apply_event(
     machine: &Machine<'_>,
     leader: &mut LeaderCtx<'_, '_>,
 ) {
-    ev.verdict = match ev.shared {
-        Some(SharedOp::MarkedInt { mask, .. }) => {
-            Some(apply_marked_int(slot_idx, op_idx, ev, mask, now, leader))
-        }
-        Some(SharedOp::Heap { malloc, mask, .. }) => {
-            Some(apply_heap(slot_idx, op_idx, ev, malloc, mask, now, leader))
-        }
-        // The mechanism check runs here (serial, canonical); timing and
-        // data movement were already routed to the banks in phase A and
-        // stay gated on this verdict.
-        Some(SharedOp::Mem(op)) => Some(check_mem(slot_idx, op_idx, ev, &op, machine, leader, now)),
-        None => None,
-    };
+    if ev.verdict.is_none() {
+        ev.verdict = match ev.shared {
+            Some(SharedOp::MarkedInt { mask, .. }) => {
+                Some(apply_marked_int(slot_idx, op_idx, ev, mask, now, leader))
+            }
+            Some(SharedOp::Heap { malloc, mask, .. }) => {
+                Some(apply_heap(slot_idx, op_idx, ev, malloc, mask, now, leader))
+            }
+            // The mechanism check runs here (serial, canonical); timing
+            // and data movement were already routed to the banks in phase
+            // A and stay gated on this verdict.
+            Some(SharedOp::Mem(op)) => {
+                Some(check_mem(slot_idx, op_idx, ev, &op, machine, leader, now))
+            }
+            None => None,
+        };
+    }
+    if ev.ocu_settled && leader.sink.tracer.is_enabled() {
+        let (sm_id, k) = leader.site(slot_idx);
+        let delay = leader.kernels[k].mechanism.marked_int_delay();
+        ocu_span(leader.sink, sm_id, ev, now, delay);
+    }
     let retiring = ev.retired_local || ev.verdict.is_some_and(|v| v.halt);
     if retiring && leader.sink.tracer.is_enabled() {
         // The warp retires this cycle: emit its residency span.
@@ -396,9 +408,7 @@ fn apply_marked_int(
     let slot = &mut leader.kernels[k];
     let poisoned = slot.mechanism.on_marked_int_warp(mask, &ev.inputs, &mut ev.values);
     let extra_delay = slot.mechanism.marked_int_delay();
-    let totals = &mut leader.record.kernels[k];
-    totals.checks += 1;
-    totals.poisoned += u64::from(poisoned.count_ones());
+    leader.record.kernels[k].poisoned += u64::from(poisoned.count_ones());
     let sink = &mut *leader.sink;
     for lane in lanes_of(poisoned) {
         // Delayed termination (§XII-A): remember where the pointer died
@@ -424,17 +434,22 @@ fn apply_marked_int(
         }
     }
     if sink.tracer.is_enabled() {
-        sink.tracer.complete_with(
-            ev.mnemonic(),
-            TraceEventKind::OcuCheck,
-            sm_id,
-            ev.warp,
-            now,
-            extra_delay as u64,
-            &[("pc", ev.pc as u64)],
-        );
+        ocu_span(sink, sm_id, ev, now, extra_delay);
     }
-    Verdict { survivors: mask & !poisoned, halt: false, extra_cycles: extra_delay }
+    Verdict { survivors: mask & !poisoned, halt: false, extra_cycles: extra_delay, meta_fetches: 0 }
+}
+
+/// The `OcuCheck` span of marked op `ev`, as long as its verdict delay.
+fn ocu_span(sink: &mut TelemetrySink, sm_id: usize, ev: &IssueEvent, now: u64, delay: u32) {
+    sink.tracer.complete_with(
+        ev.mnemonic(),
+        TraceEventKind::OcuCheck,
+        sm_id,
+        ev.warp,
+        now,
+        delay as u64,
+        &[("pc", ev.pc as u64)],
+    );
 }
 
 /// Device-heap `malloc`/`free` over the lanes of `mask`, serialized
@@ -499,7 +514,7 @@ fn apply_heap(
         );
     }
     let Some((lane, v)) = violation else {
-        return Verdict { survivors: mask, halt: false, extra_cycles: 0 };
+        return Verdict { survivors: mask, halt: false, extra_cycles: 0, meta_fetches: 0 };
     };
     leader.kernels[k].stats.violations.push(ViolationEvent {
         sm: sm_id,
@@ -508,15 +523,20 @@ fn apply_heap(
         global_tid: ev.base_tid + lane as u64,
         violation: v,
     });
-    Verdict { survivors: mask, halt: leader.cfg.halt_on_violation, extra_cycles: 0 }
+    Verdict {
+        survivors: mask,
+        halt: leader.cfg.halt_on_violation,
+        extra_cycles: 0,
+        meta_fetches: 0,
+    }
 }
 
 /// The mechanism check of a deferred memory access — the only part of a
-/// memory op the leader still runs. One warp-wide mechanism call produces
-/// the verdict the bank passes and phase C consume; the faulting lanes'
-/// violations and forensics follow in ascending lane order. An access the
-/// verdict lets issue is charged its transactions and bank work, and its
-/// metadata fetches are routed to their owning banks.
+/// memory op the leader still runs, and only when its SM could not decide
+/// it. One warp-wide mechanism call produces the verdict the bank passes
+/// and phase C consume; the faulting lanes' violations and forensics
+/// follow in ascending lane order. An access the verdict lets issue has
+/// its metadata fetches routed to their owning banks; phase C charges it.
 fn check_mem(
     slot_idx: usize,
     op_idx: u32,
@@ -583,12 +603,8 @@ fn check_mem(
         // The faulting access never issues: no timing, no data movement,
         // no pc advance — the warp halts. The bank queues' entries for
         // this op are skipped by the verdict gate.
-        return Verdict { survivors, halt: true, extra_cycles };
+        return Verdict { survivors, halt: true, extra_cycles, meta_fetches: 0 };
     }
-
-    let row = &mut record.slots[slot_idx];
-    row.transactions += op.line_count;
-    row.charged += 1;
 
     // Route the mechanism's metadata fetches (bounds must be known before
     // the access may issue — check-before-access; the banks gate the data
@@ -599,7 +615,7 @@ fn check_mem(
     if !metas.is_empty() {
         for &addr in metas.iter() {
             let bank = machine.router.bank_of(addr);
-            machine.work[bank].lock().unwrap().meta.push(MetaReq {
+            machine.meta[bank].lock().unwrap().push(MetaReq {
                 slot: slot_idx as u32,
                 op: op_idx,
                 local: machine.router.localize(addr),
@@ -607,8 +623,7 @@ fn check_mem(
         }
         machine.meta_flag.store(true, SeqCst);
     }
-    record.kernels[k].banked_items += op.bank_items as u64 + metas.len() as u64;
-    Verdict { survivors, halt: false, extra_cycles }
+    Verdict { survivors, halt: false, extra_cycles, meta_fetches: metas.len() as u32 }
 }
 
 // ---------------------------------------------------------------------------
@@ -627,41 +642,48 @@ fn owned_banks(machine: &Machine<'_>, t: usize) -> impl Iterator<Item = usize> {
 /// slot's events once per run of its requests.
 fn meta_pass(machine: &Machine<'_>, now: u64, t: usize) {
     for b in owned_banks(machine, t) {
-        let mut work = machine.work[b].lock().unwrap();
-        if work.meta.is_empty() {
+        let mut meta = machine.meta[b].lock().unwrap();
+        if meta.is_empty() {
             continue;
         }
         let mut cell = machine.cells[b].lock().unwrap();
-        for run in work.meta.chunk_by(|x, y| x.slot == y.slot) {
+        for run in meta.chunk_by(|x, y| x.slot == y.slot) {
             let events = machine.events[run[0].slot as usize].read().unwrap();
             for req in run {
                 let done = cell.timing.access(req.local, now);
                 events.live()[req.op as usize].meta_done.fetch_max(done, SeqCst);
             }
         }
-        work.meta.clear();
+        meta.clear();
     }
 }
 
-/// Bank pass: each bank drains the queues of the slots on its worklist,
-/// slots ascending, queue order within a slot — the canonical order
-/// restricted to this bank's (disjoint) slice of the address space.
+/// Bank pass: each bank drains the queues of the slots whose published
+/// summary names it, slots ascending, queue order within a slot — the
+/// canonical order restricted to this bank's (disjoint) slice of the
+/// address space.
 fn bank_pass(machine: &Machine<'_>, now: u64, t: usize) {
     for b in owned_banks(machine, t) {
-        let mut work = machine.work[b].lock().unwrap();
-        if work.slots.is_empty() {
+        let mut slots = machine
+            .summary
+            .iter()
+            .enumerate()
+            .filter(|(_, summary)| Summary::unpack(summary.load(SeqCst)).banks & 1 << b != 0)
+            .map(|(slot, _)| slot)
+            .peekable();
+        if slots.peek().is_none() {
             continue;
         }
         let mut cell = machine.cells[b].lock().unwrap();
         let BankCell { timing, store } = &mut *cell;
-        for &slot in &work.slots {
-            let events = machine.events[slot as usize].read().unwrap();
+        for slot in slots {
+            let events = machine.events[slot].read().unwrap();
             let issues = events.live();
             for req in &events.bank_q[b] {
                 match *req {
                     BankReq::Fill { op, local } => {
                         let ev = &issues[op as usize];
-                        let v = ev.verdict.expect("mem op verdict set in B-check");
+                        let v = ev.verdict.expect("mem op verdict set by phase A or the B-check");
                         if v.halt {
                             continue;
                         }
@@ -684,7 +706,6 @@ fn bank_pass(machine: &Machine<'_>, now: u64, t: usize) {
                 }
             }
         }
-        work.slots.clear();
     }
 }
 
@@ -693,8 +714,7 @@ fn bank_pass(machine: &Machine<'_>, now: u64, t: usize) {
 /// published.
 fn b_final(machine: &Machine<'_>, leader: &mut LeaderCtx<'_, '_>, now: u64) {
     for (slot_idx, summary) in machine.summary.iter().enumerate() {
-        let (_, busy) = unpack_summary(summary.load(SeqCst));
-        if !busy {
+        if !Summary::unpack(summary.load(SeqCst)).busy {
             continue;
         }
         let events = machine.events[slot_idx].read().unwrap();
@@ -769,17 +789,37 @@ fn advance(now: u64, acc: &CycleAcc) -> Option<u64> {
     Some(next)
 }
 
-/// A reusable sense-reversing spin barrier (simulated cycles are far too
-/// short for `std::sync::Barrier`'s mutex+condvar round trip).
+/// A reusable sense-reversing barrier that spins, then parks. Simulated
+/// cycles are far too short for `std::sync::Barrier`'s mutex+condvar
+/// round trip, so a waiter spins (yielding now and then) for a bounded
+/// while. Only a waiter whose partner has not arrived by then — on a busy
+/// host, a descheduled thread — blocks on the condvar, handing its core to
+/// the thread it waits for. The releaser touches the mutex only while a
+/// sleeper is registered, so an unloaded host keeps the single atomic flip.
 struct SpinBarrier {
     parties: usize,
     count: AtomicUsize,
     sense: AtomicBool,
+    /// Waiters registered to block on `wake`: each one increments it under
+    /// `lock` before it last checks `sense`.
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    wake: Condvar,
 }
+
+/// Spin iterations before a barrier waiter parks; it yields every 64.
+const SPINS_BEFORE_PARK: u32 = 1 << 12;
 
 impl SpinBarrier {
     fn new(parties: usize) -> SpinBarrier {
-        SpinBarrier { parties, count: AtomicUsize::new(0), sense: AtomicBool::new(false) }
+        SpinBarrier {
+            parties,
+            count: AtomicUsize::new(0),
+            sense: AtomicBool::new(false),
+            sleepers: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
     }
 
     fn wait(&self, local_sense: &mut bool) {
@@ -790,17 +830,31 @@ impl SpinBarrier {
             // thread may re-enter the barrier immediately).
             self.count.store(0, SeqCst);
             self.sense.store(target, SeqCst);
-        } else {
-            let mut spins = 0u32;
-            while self.sense.load(std::sync::atomic::Ordering::Acquire) != target {
-                spins = spins.wrapping_add(1);
-                if spins & 0x3F == 0 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
+            // A sleeper registers before its last check of `sense`, and
+            // both sides use `SeqCst`: either it sees the release, or this
+            // load sees it and the notify (under the lock) reaches it.
+            if self.sleepers.load(SeqCst) > 0 {
+                let _guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+                self.wake.notify_all();
+            }
+            return;
+        }
+        for spins in 1..=SPINS_BEFORE_PARK {
+            if self.sense.load(std::sync::atomic::Ordering::Acquire) == target {
+                return;
+            }
+            if spins & 0x3F == 0 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
             }
         }
+        let mut guard = self.lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.sleepers.fetch_add(1, SeqCst);
+        while self.sense.load(SeqCst) != target {
+            guard = self.wake.wait(guard).unwrap_or_else(|e| e.into_inner());
+        }
+        self.sleepers.fetch_sub(1, SeqCst);
     }
 }
 
@@ -864,13 +918,18 @@ fn phase_a_range(
             #[cfg(debug_assertions)]
             sm.check_sleep(now, cfg, &mut events.write().unwrap(), l1, &machine.router);
             next = next.min(sm.doze());
-            summary.store(pack_summary(0, false), SeqCst);
+            summary.store(Summary::default().pack(), SeqCst);
             continue;
         }
         let mut events = events.write().unwrap();
         let outcome = sm.step_phase_a(now, cfg, &mut events, l1, &machine.router);
-        let busy = outcome.deferred_any || (machine.tracer_on && outcome.retired_any);
-        summary.store(pack_summary(events.live().len(), busy), SeqCst);
+        let banks = events.bank_q.iter().rev().fold(0, |m, q| m << 1 | u32::from(!q.is_empty()));
+        let summary_now = Summary {
+            live: events.live().len() as u32,
+            busy: outcome.deferred_any || (machine.tracer_on && outcome.traced_any),
+            banks,
+        };
+        summary.store(summary_now.pack(), SeqCst);
         issued |= outcome.issued_any;
         next = next.min(outcome.next_ready);
     }

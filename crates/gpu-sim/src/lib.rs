@@ -9,14 +9,18 @@
 //! Memory-safety mechanisms plug in through the [`Mechanism`] trait. The
 //! engine checks one warp-instruction at a time, as the hardware does:
 //!
-//! * integer-ALU results of hint-marked instructions pass through
-//!   [`Mechanism::on_marked_int_warp`] — where LMI's OCU lives;
-//! * every memory access passes through [`Mechanism::on_mem_access_warp`]
-//!   — where LMI's EC and GPUShield's RCache live.
+//! * integer-ALU results of hint-marked instructions pass through the OCU
+//!   check — where LMI's OCU lives;
+//! * every memory access passes through the memory check — where LMI's EC
+//!   and GPUShield's RCache live.
 //!
-//! Both warp forms default to a loop over the per-lane hooks
-//! ([`Mechanism::on_marked_int`], [`Mechanism::on_mem_access`]), so a
-//! mechanism may implement just those; the loop is the adapter body.
+//! A check that depends only on register bits ([`Mechanism::bit_rules`]:
+//! LMI's OCU and EC, the null mechanism's) runs on the issuing SM; the
+//! rest run on the engine's leader through [`Mechanism::on_marked_int_warp`]
+//! and [`Mechanism::on_mem_access_warp`]. Both warp forms default to a loop
+//! over the per-lane hooks ([`Mechanism::on_marked_int`],
+//! [`Mechanism::on_mem_access`]), so a mechanism may implement just those;
+//! the loop is the adapter body.
 //!
 //! Software mechanisms (Baggy Bounds, DBI) need no hooks at all: they
 //! rewrite the program and their cost emerges from executing the extra
@@ -55,7 +59,7 @@ pub use config::GpuConfig;
 pub use gpu::{Gpu, KernelOutcome, MemorySnapshot, ResidentKernel, ResidentOutcome};
 pub use launch::{Launch, LaunchError};
 pub use mechanism::{
-    IntCheck, LmiMechanism, Mechanism, MemAccessCtx, MemCheck, NullMechanism, WarpMemAccess,
-    WarpMemVerdict,
+    BitRules, EcRule, IntCheck, LmiMechanism, Mechanism, MemAccessCtx, MemCheck, NullMechanism,
+    OcuRule, WarpMemAccess, WarpMemVerdict,
 };
 pub use stats::{SimStats, StallBreakdown, ViolationEvent};

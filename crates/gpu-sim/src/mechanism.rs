@@ -2,14 +2,22 @@
 //! mechanism itself.
 //!
 //! The engine checks a whole warp-instruction at a time, like the paper's
-//! OCU beside every integer-ALU lane and EC in the LSU: it calls
-//! [`Mechanism::on_marked_int_warp`] and [`Mechanism::on_mem_access_warp`]
-//! once per instruction. Their provided bodies are the per-lane adapter —
-//! an ascending-lane loop over [`Mechanism::on_marked_int`] and
-//! [`Mechanism::on_mem_access`] — so a mechanism that implements only the
-//! per-lane hooks behaves exactly as if the engine called them lane by
-//! lane. A mechanism overrides a warp form only where checking the warp
-//! at once saves work, and must stay equal to that loop.
+//! OCU beside every integer-ALU lane and EC in the LSU. A mechanism whose
+//! verdicts depend only on an op's register bits says so through
+//! [`Mechanism::bit_rules`]: a `Copy` descriptor ([`BitRules`]) of its OCU
+//! rule and its EC rule, which the engine copies onto the SMs of each
+//! kernel that runs under it. The issuing SM then decides such an op in
+//! phase A, as the hardware does beside the ALU and in the LSU, and only an
+//! op with a poisoned or faulting lane goes on to the engine's serial
+//! leader. A rule that is `None` (the default) means the leader path for
+//! every op of that kind: the leader calls [`Mechanism::on_marked_int_warp`]
+//! and [`Mechanism::on_mem_access_warp`] once per instruction. Their
+//! provided bodies are the per-lane adapter — an ascending-lane loop over
+//! [`Mechanism::on_marked_int`] and [`Mechanism::on_mem_access`] — so a
+//! mechanism that implements only the per-lane hooks behaves exactly as if
+//! the engine called them lane by lane. A mechanism overrides a warp form
+//! only where checking the warp at once saves work, and its rules and warp
+//! forms must agree with that loop lane for lane.
 
 use lmi_core::{ExtentChecker, Ocu, PtrConfig, Violation};
 use lmi_isa::MemSpace;
@@ -157,6 +165,107 @@ impl WarpMemVerdict {
     }
 }
 
+/// The OCU rule of a mechanism that decides hint-marked ops from register
+/// bits alone ([`BitRules::ocu`]).
+#[derive(Debug, Clone, Copy)]
+pub enum OcuRule {
+    /// Every marked op passes unchanged, with no verdict delay: the
+    /// mechanism has no OCU.
+    Pass,
+    /// LMI's OCU (paper §VII): [`Ocu::check_marked`] on every lane, with
+    /// the OCU's pipeline delay.
+    Ocu(Ocu),
+}
+
+impl OcuRule {
+    /// The extra verdict latency of a marked op
+    /// ([`Mechanism::marked_int_delay`]).
+    pub fn delay(&self) -> u32 {
+        match self {
+            OcuRule::Pass => 0,
+            OcuRule::Ocu(ocu) => ocu.delay_cycles,
+        }
+    }
+
+    /// One lane's check ([`Mechanism::on_marked_int`]).
+    pub fn check_lane(&self, input: u64, result: u64) -> IntCheck {
+        match self {
+            OcuRule::Pass => IntCheck::pass(result),
+            OcuRule::Ocu(ocu) => {
+                let (value, outcome) = ocu.check_marked(input, result);
+                IntCheck { value, poisoned: !outcome.passed() }
+            }
+        }
+    }
+
+    /// The check of one marked warp-instruction, with the contract of
+    /// [`Mechanism::on_marked_int_warp`]: the lanes of `mask` get their
+    /// checked value written back into `results`; returns the poisoned
+    /// lanes.
+    pub fn check(&self, mask: LaneMask, inputs: &Column64, results: &mut Column64) -> LaneMask {
+        let OcuRule::Ocu(_) = self else { return 0 };
+        let mut poisoned = 0;
+        for lane in lanes_of(mask) {
+            let check = self.check_lane(inputs[lane], results[lane]);
+            results[lane] = check.value;
+            poisoned |= LaneMask::from(check.poisoned) << lane;
+        }
+        poisoned
+    }
+}
+
+/// The EC rule of a mechanism that decides memory accesses from register
+/// bits alone ([`BitRules::ec`]). Neither variant fetches metadata or adds
+/// cycles.
+#[derive(Debug, Clone, Copy)]
+pub enum EcRule {
+    /// Every access is allowed at no cost.
+    Allow,
+    /// LMI's EC (paper §XII-A): a non-constant access faults unless its
+    /// raw pointer's extent is a size ([`ExtentChecker::check_access`]).
+    /// Constant memory is outside the threat model.
+    Extent(ExtentChecker),
+}
+
+impl EcRule {
+    /// One lane's check of an access to `space` through the raw pointer
+    /// `raw` ([`Mechanism::on_mem_access`]).
+    pub fn check_lane(&self, space: MemSpace, raw: u64) -> MemCheck {
+        match self {
+            EcRule::Extent(ec) if space != MemSpace::Const => match ec.check_access(raw) {
+                Ok(_) => MemCheck::allow(),
+                Err(violation) => MemCheck::fault(violation),
+            },
+            _ => MemCheck::allow(),
+        }
+    }
+
+    /// The check of one warp-instruction's access, folded into `verdict`
+    /// (handed in cleared), with the contract of
+    /// [`Mechanism::on_mem_access_warp`].
+    pub fn check(&self, access: &WarpMemAccess<'_>, verdict: &mut WarpMemVerdict) {
+        if let EcRule::Allow = self {
+            verdict.survivors = access.mask;
+            return;
+        }
+        for lane in lanes_of(access.mask) {
+            verdict.push(lane, self.check_lane(access.space, access.raw[lane]));
+        }
+    }
+}
+
+/// The verdicts a mechanism decides from an op's register bits alone,
+/// with no state of its own: the issuing SM applies them in phase A
+/// ([`Mechanism::bit_rules`]). `None` sends every op of that kind to the
+/// engine's leader, which calls the mechanism's warp form.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BitRules {
+    /// The OCU check of hint-marked integer ops.
+    pub ocu: Option<OcuRule>,
+    /// The memory check of loads and stores.
+    pub ec: Option<EcRule>,
+}
+
 /// A hardware memory-safety mechanism plugged into the pipeline.
 pub trait Mechanism {
     /// Mechanism name for reports.
@@ -221,6 +330,18 @@ pub trait Mechanism {
     fn nullifies_on_free(&self) -> bool {
         false
     }
+
+    /// The register-bits rules the SMs apply in phase A in place of the
+    /// warp forms. Each rule must agree lane for lane with the warp form it
+    /// stands for: the checked values, the poisoned mask and the delay of
+    /// [`Mechanism::on_marked_int_warp`] and [`Mechanism::marked_int_delay`],
+    /// and the survivors, faults, metadata and extra cycles of
+    /// [`Mechanism::on_mem_access_warp`]. The default, no rule at all,
+    /// keeps every check on the leader: a mechanism with state, or a
+    /// wrapper that must see every call, returns it.
+    fn bit_rules(&self) -> BitRules {
+        BitRules::default()
+    }
 }
 
 /// The unprotected baseline: no checks, no cost.
@@ -239,11 +360,16 @@ impl Mechanism for NullMechanism {
     fn on_mem_access_warp(&mut self, access: &WarpMemAccess<'_>, verdict: &mut WarpMemVerdict) {
         verdict.survivors = access.mask;
     }
+
+    fn bit_rules(&self) -> BitRules {
+        BitRules { ocu: Some(OcuRule::Pass), ec: Some(EcRule::Allow) }
+    }
 }
 
 /// LMI in hardware: the OCU on integer ALUs and the EC in the LSU. Both
-/// decide from the pointer bits alone, so the mechanism is stateless; the
-/// run counts its poisoned and faulting lanes
+/// decide from the pointer bits alone, so the mechanism is stateless and
+/// its hooks are its [`BitRules`]; the run counts its poisoned and
+/// faulting lanes
 /// ([`crate::SimStats::poisoned`], [`crate::SimStats::violations`]).
 #[derive(Debug, Clone, Copy)]
 pub struct LmiMechanism {
@@ -269,8 +395,7 @@ impl Mechanism for LmiMechanism {
     }
 
     fn on_marked_int(&mut self, input: u64, result: u64) -> IntCheck {
-        let (value, outcome) = self.ocu.check_marked(input, result);
-        IntCheck { value, poisoned: !outcome.passed() }
+        OcuRule::Ocu(self.ocu).check_lane(input, result)
     }
 
     fn marked_int_delay(&self) -> u32 {
@@ -282,15 +407,11 @@ impl Mechanism for LmiMechanism {
     }
 
     fn on_mem_access(&mut self, ctx: &MemAccessCtx) -> MemCheck {
-        // Constant memory is outside the threat model; global/shared/local
-        // and heap pointers all carry extents under LMI.
-        if ctx.space == MemSpace::Const {
-            return MemCheck::allow();
-        }
-        match self.ec.check_access(ctx.raw) {
-            Ok(_) => MemCheck::allow(),
-            Err(violation) => MemCheck::fault(violation),
-        }
+        EcRule::Extent(self.ec).check_lane(ctx.space, ctx.raw)
+    }
+
+    fn bit_rules(&self) -> BitRules {
+        BitRules { ocu: Some(OcuRule::Ocu(self.ocu)), ec: Some(EcRule::Extent(self.ec)) }
     }
 }
 
@@ -331,47 +452,90 @@ mod tests {
         std::array::from_fn(|_| pointer(rng, cfg))
     }
 
+    /// One warp-instruction pair of the stream: a marked op's mask,
+    /// selected inputs and raw results, and a memory access's fields.
+    struct Step {
+        mask: LaneMask,
+        inputs: Column64,
+        results: Column64,
+        space: MemSpace,
+        width: u8,
+        is_store: bool,
+        pc: usize,
+        base_tid: u64,
+        mem_mask: LaneMask,
+        raw: Column64,
+        vaddr: Column64,
+    }
+
+    impl Step {
+        fn next(rng: &mut SplitMix64, cfg: &PtrConfig) -> Step {
+            let marked = mask(rng);
+            let inputs = column(rng, cfg);
+            let results =
+                std::array::from_fn(|l| inputs[l].wrapping_add(rng.below(2048)).wrapping_sub(1024));
+            let space = [MemSpace::Global, MemSpace::Shared, MemSpace::Local, MemSpace::Const]
+                [rng.below(4) as usize];
+            let raw = column(rng, cfg);
+            Step {
+                mask: marked,
+                inputs,
+                results,
+                space,
+                width: 1 << rng.below(4),
+                is_store: rng.below(2) == 0,
+                pc: rng.below(64) as usize,
+                base_tid: rng.below(1 << 16),
+                mem_mask: mask(rng),
+                raw,
+                vaddr: raw.map(|r| DevicePtr::from_raw(r).addr()),
+            }
+        }
+
+        fn access(&self) -> WarpMemAccess<'_> {
+            WarpMemAccess {
+                space: self.space,
+                width: self.width,
+                is_store: self.is_store,
+                pc: self.pc,
+                base_tid: self.base_tid,
+                mask: self.mem_mask,
+                raw: &self.raw,
+                vaddr: &self.vaddr,
+            }
+        }
+    }
+
+    /// The SplitMix64 stream of `seed`, 400 steps long. Debug extents need
+    /// a device limit below the pointer format's.
+    fn stream(seed: u64) -> impl Iterator<Item = Step> {
+        let cfg = PtrConfig::with_device_limit_log2(30);
+        let mut rng = SplitMix64::new(seed);
+        (0..400).map(move |_| Step::next(&mut rng, &cfg))
+    }
+
     /// Drives `warp` through the warp forms and `lane` through the
     /// per-lane hooks on the same SplitMix64 stream of warp-instructions,
     /// asserting equal results, masks and verdicts throughout. Returns the
     /// stream's poisoned and faulting lane counts, for checks on what it
     /// exercised.
     fn assert_warp_forms_match<M: Mechanism>(mut warp: M, mut lane: M, seed: u64) -> (u64, u64) {
-        // Debug extents need a device limit below the pointer format's.
-        let cfg = PtrConfig::with_device_limit_log2(30);
-        let mut rng = SplitMix64::new(seed);
         let mut verdict = WarpMemVerdict::default();
         let (mut poisons, mut faults) = (0, 0);
-        for _ in 0..400 {
-            let m = mask(&mut rng);
-            let inputs = column(&mut rng, &cfg);
-            let raw: Column64 =
-                std::array::from_fn(|l| inputs[l].wrapping_add(rng.below(2048)).wrapping_sub(1024));
-            let mut warp_results = raw;
-            let poisoned = warp.on_marked_int_warp(m, &inputs, &mut warp_results);
-            let mut lane_results = raw;
+        for step in stream(seed) {
+            let mut warp_results = step.results;
+            let poisoned = warp.on_marked_int_warp(step.mask, &step.inputs, &mut warp_results);
+            let mut lane_results = step.results;
             let mut lane_poisoned = 0;
-            for l in lanes_of(m) {
-                let check = lane.on_marked_int(inputs[l], raw[l]);
+            for l in lanes_of(step.mask) {
+                let check = lane.on_marked_int(step.inputs[l], step.results[l]);
                 lane_results[l] = check.value;
                 lane_poisoned |= LaneMask::from(check.poisoned) << l;
             }
             assert_eq!((poisoned, warp_results), (lane_poisoned, lane_results));
             poisons += u64::from(poisoned.count_ones());
 
-            let space = [MemSpace::Global, MemSpace::Shared, MemSpace::Local, MemSpace::Const]
-                [rng.below(4) as usize];
-            let raw = column(&mut rng, &cfg);
-            let access = WarpMemAccess {
-                space,
-                width: 1 << rng.below(4),
-                is_store: rng.below(2) == 0,
-                pc: rng.below(64) as usize,
-                base_tid: rng.below(1 << 16),
-                mask: mask(&mut rng),
-                raw: &raw,
-                vaddr: &raw.map(|r| DevicePtr::from_raw(r).addr()),
-            };
+            let access = step.access();
             verdict.clear();
             warp.on_mem_access_warp(&access, &mut verdict);
             let mut expect = WarpMemVerdict::default();
@@ -396,6 +560,47 @@ mod tests {
             assert_warp_forms_match(NullMechanism, NullMechanism, seed);
             let lmi = LmiMechanism::new(PtrConfig::with_device_limit_log2(30));
             let (poisons, faults) = assert_warp_forms_match(lmi, lmi, seed);
+            assert!(poisons > 0 && faults > 0, "the stream poisons and faults");
+        }
+    }
+
+    /// Drives `mech`'s [`BitRules`] and its warp forms on the same
+    /// SplitMix64 stream, asserting they agree lane for lane: checked
+    /// values, poisoned masks and the OCU delay; survivors, faults, no
+    /// metadata and no extra cycles. Returns the poisoned and faulting
+    /// lanes the rules saw.
+    fn assert_rules_match<M: Mechanism>(mut mech: M, seed: u64) -> (u64, u64) {
+        let BitRules { ocu: Some(ocu), ec: Some(ec) } = mech.bit_rules() else {
+            panic!("{} decides both checks from register bits", mech.name());
+        };
+        assert_eq!(ocu.delay(), mech.marked_int_delay());
+        let (mut verdict, mut expect) = (WarpMemVerdict::default(), WarpMemVerdict::default());
+        let (mut poisons, mut faults) = (0, 0);
+        for step in stream(seed) {
+            let (mut by_rule, mut by_warp) = (step.results, step.results);
+            let poisoned = ocu.check(step.mask, &step.inputs, &mut by_rule);
+            let expect_poisoned = mech.on_marked_int_warp(step.mask, &step.inputs, &mut by_warp);
+            assert_eq!((poisoned, by_rule), (expect_poisoned, by_warp));
+            poisons += u64::from(poisoned.count_ones());
+
+            let access = step.access();
+            verdict.clear();
+            ec.check(&access, &mut verdict);
+            expect.clear();
+            mech.on_mem_access_warp(&access, &mut expect);
+            assert_eq!(verdict, expect);
+            assert!(verdict.metadata_addrs.is_empty() && verdict.extra_cycles == 0);
+            faults += verdict.faults.len() as u64;
+        }
+        (poisons, faults)
+    }
+
+    #[test]
+    fn bit_rules_equal_the_warp_forms() {
+        for seed in 0..4 {
+            assert_eq!(assert_rules_match(NullMechanism, seed), (0, 0));
+            let lmi = LmiMechanism::new(PtrConfig::with_device_limit_log2(30));
+            let (poisons, faults) = assert_rules_match(lmi, seed);
             assert!(poisons > 0 && faults > 0, "the stream poisons and faults");
         }
     }

@@ -14,9 +14,16 @@
 //!   `SmRecord` — per-warp `issued`, instruction classes, marked ops,
 //!   per-space memory instructions, heap calls and lanes, stalls — and
 //!   takes the sampling profiler's census straight into its own profile.
-//!   Operations that must touch genuinely global state (the device heap,
-//!   the mechanism, telemetry) are recorded as `SharedOp`s on the cycle's
-//!   `IssueEvent` slots. A step that issues nothing puts the SM to sleep
+//!   The SM decides every verdict its kernel's mechanism derives from
+//!   register bits alone (`BitRules`, copied onto the SM by the engine):
+//!   a hint-marked op whose lanes all pass the OCU rule writes back right
+//!   here, and a memory op whose lanes all pass the EC rule gets its
+//!   `Verdict` here and goes on to the banks and phase C. Operations that
+//!   must touch genuinely global state (the device heap, a mechanism with
+//!   no rule or with state, an op with a poisoned or faulting lane, whose
+//!   tallies and forensics the leader keeps) are deferred to the leader as
+//!   `SharedOp`s on the cycle's `IssueEvent` slots without a verdict. A
+//!   step that issues nothing puts the SM to sleep
 //!   (`Sleep`) until the earliest cycle one of its candidates could issue:
 //!   the engine skips its phase A on the cycles before that, except census
 //!   cycles, and charges each skipped step the stalls of the step that
@@ -24,18 +31,22 @@
 //!   assert it would have issued nothing, returned the same `next_ready`
 //!   and charged the same stalls (`Sm::check_sleep`).
 //! * **Phase B** (`engine`) — a thin leader step visits, in canonical
-//!   (sm, scheduler) order, the events of every SM whose phase A deferred
-//!   an op (`StepOutcome::deferred_any`) and decides one `Verdict` per
-//!   deferred op: mechanism checks, heap calls, violations, forensics and
-//!   trace events. Then the address-interleaved memory banks apply their
-//!   queues concurrently — each bank in canonical order, so cache hit/miss
-//!   sequences, heap allocation order, counters and forensics are
-//!   independent of both the thread count and the bank count.
+//!   (sm, scheduler) order, the events of every SM whose phase A left it
+//!   work (`StepOutcome::deferred_any`, or any op or retirement while
+//!   tracing) and decides one `Verdict` per deferred op that has none:
+//!   mechanism checks, heap calls, violations, forensics and trace events.
+//!   Then the address-interleaved memory banks apply the queues of the
+//!   SMs that published traffic for them concurrently — each bank in
+//!   canonical order, so cache hit/miss sequences, heap allocation order,
+//!   counters and forensics are independent of both the thread count and
+//!   the bank count.
 //! * **Phase C** (`Sm::apply_results`) — each SM (again concurrently)
 //!   applies every deferred op from its descriptor, its slot's columns,
 //!   its verdict and the config: register writes, scoreboard ready times,
 //!   pc advance, retirement, then barrier release. Memory-op timing is
-//!   assembled here from the bank-written atomics. An SM that issued
+//!   assembled here from the bank-written atomics, and each memory op
+//!   whose verdict let it issue is charged to the SM's record. An SM that
+//!   issued
 //!   nothing this cycle (`Sm::quiet`) skips phase C: it has nothing to
 //!   apply, and barriers release only after an issue.
 //!
@@ -67,9 +78,10 @@
 //! issue here and its results in `Sm::apply_results`. Deferred ops stay
 //! warp-wide columns from phase A to phase C: a marked op, heap call or
 //! memory access leaves its exec mask in a `Copy` descriptor and its lane
-//! columns in its issue slot, the leader's mechanism check is one
-//! warp-form call per instruction on those columns in place, and phase C
-//! writes the result back from the slot with a single `Warp::write64_col`.
+//! columns in its issue slot, a phase-A rule or the leader's mechanism
+//! check is one warp-wide call per instruction on those columns, and
+//! phase C writes the result back from the slot with a single
+//! `Warp::write64_col`.
 
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -86,6 +98,7 @@ use crate::config::{GpuConfig, WARP_SIZE};
 use crate::exec;
 use crate::launch::Launch;
 use crate::lsu::coalesce_into;
+use crate::mechanism::{BitRules, WarpMemAccess, WarpMemVerdict};
 use crate::stats::SmRecord;
 use crate::warp::{lanes_of, Column, Column64, LaneMask, Warp};
 
@@ -169,8 +182,13 @@ pub(crate) struct Sm {
     stream: Arc<DecodedStream>,
     launch: Arc<LaunchCtx>,
     pub warps: Vec<Warp>,
+    /// The register-bits rules of this SM's kernel's mechanism, decided
+    /// in phase A (set by the engine at run start).
+    pub rules: BitRules,
     /// Phase-A scratch: one memory op's coalesced line list.
     lines: Vec<u64>,
+    /// Phase-A scratch: one memory op's verdict under the EC rule.
+    verdict: WarpMemVerdict,
     /// Greedy warp per scheduler (GTO: greedy-then-oldest).
     greedy: Vec<Option<usize>>,
     /// Blocks resident on this SM (for barrier release).
@@ -212,12 +230,13 @@ impl StallReason {
     }
 }
 
-/// A shared-state operation deferred from phase A to phase B: a `Copy`
-/// descriptor of the op. Its lane payloads live in the issuing
-/// [`IssueEvent`]'s own columns and atoms.
+/// An operation phase C applies from its verdict: a `Copy` descriptor of
+/// the op. Its lane payloads live in the issuing [`IssueEvent`]'s own
+/// columns and atoms. One without a verdict is deferred to the leader.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SharedOp {
-    /// A hint-marked wide integer op with at least one active lane: the
+    /// A hint-marked wide integer op with at least one active lane that
+    /// its SM could not settle (no OCU rule, or a poisoned lane): the
     /// mechanism's OCU check runs in phase B over the lanes of `mask`, on
     /// the event's `inputs` (each lane's selected operand) and `values`
     /// (its raw result, checked in place).
@@ -228,13 +247,14 @@ pub(crate) enum SharedOp {
     Heap { dst: Reg, pair: bool, malloc: bool, mask: LaneMask },
     /// A non-constant memory access over the lanes of `mask`; the event's
     /// `inputs` hold each lane's raw address and `values` its stripped
-    /// virtual address.
+    /// virtual address. Its verdict comes from the SM's EC rule when every
+    /// lane passes it, and from the leader otherwise.
     Mem(MemOp),
 }
 
-/// A deferred memory access. Timing and data movement were routed into
-/// the per-bank queues during phase A; the leader's B-check only runs the
-/// mechanism and charges the op.
+/// A memory access. Timing and data movement were routed into the
+/// per-bank queues during phase A; only its verdict may come from the
+/// leader.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MemOp {
     pub dst: Reg,
@@ -244,7 +264,7 @@ pub(crate) struct MemOp {
     pub space: MemSpace,
     pub mask: LaneMask,
     /// Coalesced line count (1 for shared-space ops): the transaction
-    /// count charged by the B-check.
+    /// count charged once its verdict lets it issue.
     pub line_count: u64,
     /// At least one coalesced line hit the SM-local L1 in phase A.
     pub l1_hit: bool,
@@ -271,9 +291,10 @@ pub(crate) enum BankReq {
     Load { op: u32, lane: u8, local: u64, width: u8, shift: u8 },
 }
 
-/// The leader B-check's verdict on one deferred op, consumed by the bank
-/// passes (a memory op's gate) and by phase C, which applies the op from
-/// its descriptor, its slot's columns, this verdict and the config.
+/// The verdict on one [`SharedOp`] — from the SM's phase-A rule or from
+/// the leader's B-check — consumed by the bank passes (a memory op's gate)
+/// and by phase C, which applies the op from its descriptor, its slot's
+/// columns, this verdict and the config.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Verdict {
     /// Lanes that passed the mechanism check (every lane of a heap call).
@@ -284,6 +305,8 @@ pub(crate) struct Verdict {
     /// Extra latency charged by the mechanism: a memory op's completion
     /// delay, a marked op's OCU verdict delay.
     pub extra_cycles: u32,
+    /// Metadata fetches the leader routed to the banks for a memory op.
+    pub meta_fetches: u32,
 }
 
 /// One warp-level issue, recorded in phase A for phase B's canonical walk.
@@ -302,8 +325,13 @@ pub(crate) struct IssueEvent {
     pub start_cycle: u64,
     /// Warp retired during phase A (local exit path).
     pub retired_local: bool,
+    /// A hint-marked op whose lanes all passed the OCU rule: the SM wrote
+    /// it back in phase A and deferred nothing, but a traced run's leader
+    /// still emits its `OcuCheck` span.
+    pub ocu_settled: bool,
     pub shared: Option<SharedOp>,
-    /// B-check verdict on the deferred op (`None` without one).
+    /// The verdict on `shared`: set in phase A by the SM's rule, or by the
+    /// B-check (`None` until then, and without an op).
     pub verdict: Option<Verdict>,
     /// Completion cycle of this op's metadata fetches (`fetch_max`ed by the
     /// banks' metadata pass; 0 when the mechanism fetched none). Atomic
@@ -398,7 +426,7 @@ impl IssueEvent {
     /// Whether the bank passes move `lane`'s data: the warp does not
     /// halt and the lane passed the mechanism check.
     pub fn lane_survives(&self, lane: u8) -> bool {
-        let v = self.verdict.expect("mem op verdict set in B-check");
+        let v = self.verdict.expect("mem op verdict set by phase A or the B-check");
         !v.halt && v.survivors & (1 << lane) != 0
     }
 }
@@ -428,10 +456,11 @@ pub(crate) struct StepOutcome {
     pub issued_any: bool,
     /// Earliest future cycle at which a stalled warp could issue.
     pub next_ready: u64,
-    /// Some issue this cycle deferred an op to the leader.
+    /// Some issue this cycle deferred an op to the leader for its verdict.
     pub deferred_any: bool,
-    /// Some issue this cycle retired its warp in phase A.
-    pub retired_any: bool,
+    /// Some issue this cycle has something a tracer reports: an op phase C
+    /// applies, a marked op settled here, or a warp retired here.
+    pub traced_any: bool,
 }
 
 impl Sm {
@@ -441,7 +470,9 @@ impl Sm {
             stream,
             launch: ctx,
             warps: Vec::new(),
+            rules: BitRules::default(),
             lines: Vec::new(),
+            verdict: WarpMemVerdict::default(),
             greedy: Vec::new(),
             blocks: Vec::new(),
             record: SmRecord::default(),
@@ -539,9 +570,9 @@ impl Sm {
         }
         // Disjoint field borrows: the decoded stream and launch context
         // are read while the warps are mutated.
-        let Sm { stream, launch, warps, lines, greedy, record, .. } = self;
+        let Sm { stream, launch, warps, rules, lines, verdict, greedy, record, .. } = self;
         let overlap = cfg.lsu_verdict_overlap;
-        let (mut issued_any, mut deferred_any, mut retired_any) = (false, false, false);
+        let (mut issued_any, mut deferred_any, mut traced_any) = (false, false, false);
         let mut next_ready = u64::MAX;
         let nwarps = warps.len();
 
@@ -617,16 +648,18 @@ impl Sm {
                         cfg,
                         launch,
                         record,
+                        rules: *rules,
                         bank_q,
                         lines,
+                        verdict,
                         op_idx: *live as u32,
                         l1,
                         router,
                     };
                     let ev = &mut issues[*live];
                     ctx.issue(ev, warp, w, di);
-                    deferred_any |= ev.shared.is_some();
-                    retired_any |= ev.retired_local;
+                    deferred_any |= ev.shared.is_some() && ev.verdict.is_none();
+                    traced_any |= ev.shared.is_some() || ev.ocu_settled || ev.retired_local;
                     *live += 1;
                     *greedy_slot = Some(w);
                     issued_any = true;
@@ -650,7 +683,7 @@ impl Sm {
             let stalls = std::array::from_fn(|i| self.record.stalls[i] - stalls_before[i]);
             Sleep { until: next_ready, stalls }
         };
-        StepOutcome { issued_any, next_ready, deferred_any, retired_any }
+        StepOutcome { issued_any, next_ready, deferred_any, traced_any }
     }
 
     /// Takes one profiler census: classifies every resident warp into this
@@ -692,11 +725,12 @@ impl Sm {
         }
     }
 
-    /// Phase C: applies every deferred op to its warp (in issue order) and
+    /// Phase C: applies every shared op to its warp (in issue order) and
     /// releases block barriers. Each op is applied from its descriptor,
-    /// its slot's columns, the leader's verdict and `cfg`; memory-op
-    /// completion times are assembled from the bank-written atomics
-    /// (SM-local again, so phase C stays fully parallel). `now` stamps
+    /// its slot's columns, its verdict and `cfg`; memory-op completion
+    /// times are assembled from the bank-written atomics (SM-local again,
+    /// so phase C stays fully parallel), and a memory op that issues is
+    /// charged to the SM's record. `now` stamps
     /// `done_cycle` the first time the SM drains.
     pub fn apply_results(&mut self, events: &CycleEvents, now: u64, cfg: &GpuConfig) {
         for ev in events.live() {
@@ -705,7 +739,7 @@ impl Sm {
             // lanes: its readiness memo is stale.
             warp.ready_memo = None;
             let Some(shared) = ev.shared else { continue };
-            let v = ev.verdict.expect("a deferred op carries a B-check verdict");
+            let v = ev.verdict.expect("a shared op carries a verdict by phase C");
             if v.halt {
                 // A violation under `halt_on_violation`: the warp halts in
                 // place (a faulting access never issues).
@@ -733,6 +767,10 @@ impl Sm {
                 // `free` writes nothing back.
                 SharedOp::Heap { malloc: false, .. } => {}
                 SharedOp::Mem(op) => {
+                    let record = &mut self.record;
+                    record.transactions += op.line_count;
+                    record.charged += 1;
+                    record.banked_items += u64::from(op.bank_items + v.meta_fetches);
                     if !op.is_store {
                         let done = ev.mem_done_at(now, cfg).expect("live mem op completes");
                         let values: Column64 = ev.atoms.each_ref().map(|a| a.load(SeqCst));
@@ -870,16 +908,18 @@ fn ready_memo(stream: &DecodedStream, warp: &mut Warp, verdict_overlap: u32) -> 
 }
 
 /// What one issue reads or fills besides the issuing warp and its event
-/// slot: the SM's launch context, record, L1 and line scratch, the
-/// cycle's bank queues, and this issue's index `op_idx` among the cycle's
-/// live events.
+/// slot: the SM's launch context, record, rules, L1, line and verdict
+/// scratch, the cycle's bank queues, and this issue's index `op_idx` among
+/// the cycle's live events.
 struct IssueCtx<'a> {
     now: u64,
     cfg: &'a GpuConfig,
     launch: &'a LaunchCtx,
     record: &'a mut SmRecord,
+    rules: BitRules,
     bank_q: &'a mut [Vec<BankReq>],
     lines: &'a mut Vec<u64>,
+    verdict: &'a mut WarpMemVerdict,
     op_idx: u32,
     l1: &'a mut Cache,
     router: &'a BankRouter,
@@ -904,6 +944,7 @@ impl IssueCtx<'_> {
         ev.base_tid = warp.base_tid;
         ev.block = warp.block;
         ev.start_cycle = warp.start_cycle;
+        ev.ocu_settled = false;
         ev.shared = None;
         ev.verdict = None;
         *ev.meta_done.get_mut() = 0;
@@ -1014,23 +1055,38 @@ impl IssueCtx<'_> {
     ) {
         // No active lane: nothing to compute, check or write — only the
         // scoreboard update below.
+        let mut verdict_delay = 0;
         if exec_mask != 0 {
             if di.wide {
                 let a = self.launch.gather64(warp, &di.srcs[0]);
                 let b = self.launch.gather64(warp, &di.srcs[1]);
                 let c = self.launch.gather64(warp, &di.srcs[2]);
-                let v = exec::alu64_lanes(di.opcode, &a, &b, &c);
+                let mut v = exec::alu64_lanes(di.opcode, &a, &b, &c);
                 if di.hints.activate {
-                    // The OCU check consults the mechanism — shared state —
-                    // so the whole writeback defers to phase B.
-                    ev.inputs = if di.hints.select == 0 { a } else { b };
-                    ev.values = v;
-                    ev.shared = Some(SharedOp::MarkedInt {
-                        dst: di.dst,
-                        pair: di.dst_pair,
-                        mask: exec_mask,
-                    });
-                    return;
+                    self.record.checks += 1;
+                    let inputs = if di.hints.select == 0 { a } else { b };
+                    // The OCU rule settles the op here when every lane
+                    // passes; otherwise (no rule, or a poisoned lane, whose
+                    // forensics the leader keeps) the whole writeback
+                    // defers to phase B.
+                    let mut checked = v;
+                    match self.rules.ocu {
+                        Some(rule) if rule.check(exec_mask, &inputs, &mut checked) == 0 => {
+                            v = checked;
+                            verdict_delay = rule.delay();
+                            ev.ocu_settled = true;
+                        }
+                        _ => {
+                            ev.inputs = inputs;
+                            ev.values = v;
+                            ev.shared = Some(SharedOp::MarkedInt {
+                                dst: di.dst,
+                                pair: di.dst_pair,
+                                mask: exec_mask,
+                            });
+                            return;
+                        }
+                    }
                 }
                 warp.write64_col(di.dst, exec_mask, &v);
             } else {
@@ -1043,12 +1099,15 @@ impl IssueCtx<'_> {
                 warp.write_col(di.dst, exec_mask, &exec::alu32_lanes(di.opcode, &a, &b, &c));
             }
         }
+        // A settled marked op forwards to ALU consumers at the ALU latency,
+        // and the EC waits for its OCU verdict, as phase C would apply it.
         let done_at = self.now + self.cfg.int_latency as u64;
+        let verdict_at = done_at + verdict_delay as u64;
         warp.set_ready_at(di.dst, done_at);
-        warp.set_verdict_at(di.dst, done_at);
+        warp.set_verdict_at(di.dst, verdict_at);
         if di.wide && di.dst_pair {
             warp.set_ready_at(di.dst.pair_high(), done_at);
-            warp.set_verdict_at(di.dst.pair_high(), done_at);
+            warp.set_verdict_at(di.dst.pair_high(), verdict_at);
         }
         warp.pc += 1;
     }
@@ -1213,5 +1272,31 @@ impl IssueCtx<'_> {
             l1_hit,
             bank_items,
         }));
+        // The EC rule decides the op here when every lane passes it; a
+        // faulting lane (or no rule) leaves the verdict to the leader,
+        // which records the violations and forensics.
+        if let Some(rule) = self.rules.ec {
+            let access = WarpMemAccess {
+                space,
+                width: mem.width,
+                is_store,
+                pc: ev.pc,
+                base_tid: ev.base_tid,
+                mask: exec_mask,
+                raw: &ev.inputs,
+                vaddr: &ev.values,
+            };
+            let verdict = &mut *self.verdict;
+            verdict.clear();
+            rule.check(&access, verdict);
+            if verdict.faults.is_empty() {
+                ev.verdict = Some(Verdict {
+                    survivors: verdict.survivors,
+                    halt: false,
+                    extra_cycles: verdict.extra_cycles,
+                    meta_fetches: 0,
+                });
+            }
+        }
     }
 }

@@ -110,10 +110,11 @@ pub struct SimStats {
     pub profile: KernelProfile,
     /// Phase-B work units that must run on the single leader thread: the
     /// steps of its B-check over this kernel's SM slots, every visited
-    /// cycle. A busy slot (one that deferred an op, or retired a warp
-    /// while tracing) costs one step per live issue event, whose verdicts
-    /// it decides; a quiet slot costs one step, which advances the issue
-    /// index by its published count. Counted in deterministic work units
+    /// cycle. A busy slot (one whose SM deferred an op without deciding
+    /// its verdict; while tracing, any slot with an op or a retiring warp)
+    /// costs one step per live issue event, whose verdicts it decides; a
+    /// quiet slot costs one step, which advances the issue index by its
+    /// published count. Counted in deterministic work units
     /// — not wall time — so the value is bit-identical across
     /// `sim_threads` and `mem_banks`.
     pub phase_b_serial_items: u64,
@@ -344,14 +345,18 @@ impl std::fmt::Display for SimStats {
     }
 }
 
-/// One SM's per-run totals, counted by the SM itself in phase A from what
-/// its own issues decide; `issued` per warp lives on each `Warp`.
+/// One SM's per-run totals, counted by the SM itself from what its own
+/// issues decide: in phase A at issue, and in phase C from each memory
+/// op's verdict. `issued` per warp lives on each `Warp`.
 #[derive(Debug, Default)]
 pub(crate) struct SmRecord {
     pub int_issued: u64,
     pub fpu_issued: u64,
     /// Hint-marked (OCU-checked) instructions issued.
     pub marked_issued: u64,
+    /// OCU checks: marked wide ops issued with at least one active lane,
+    /// wherever their verdict is decided.
+    pub checks: u64,
     /// Warp-level loads/stores per space, indexed by `space as usize`
     /// (the [`MemSpace::ALL`] order).
     pub mem: [u64; 4],
@@ -359,23 +364,26 @@ pub(crate) struct SmRecord {
     pub heap_calls: u64,
     pub mallocs: u64,
     pub frees: u64,
+    /// Coalesced memory transactions of the ops whose verdict let them
+    /// issue.
+    pub transactions: u64,
+    /// Memory ops whose verdict let them issue: the registry's
+    /// `transactions` key exists iff one did, even at zero lines.
+    pub charged: u64,
+    /// Bank-pass work units of those ops: their queue entries and their
+    /// metadata fetches.
+    pub banked_items: u64,
     /// Scheduler-slot stall cycles, indexed by `StallReason::index`.
     pub stalls: [u64; 4],
     /// The sampling profiler's census of this SM (empty when off).
     pub profile: SmProfile,
 }
 
-/// The leader's row for one SM slot: the slot's SM id and kernel index,
-/// and the memory charges its verdicts let through.
-#[derive(Clone, Copy, Default)]
+/// The leader's row for one SM slot: the slot's SM id and kernel index.
+#[derive(Clone, Copy)]
 pub(crate) struct SlotRecord {
     pub sm: usize,
     pub kernel: usize,
-    /// Coalesced memory transactions charged.
-    pub transactions: u64,
-    /// Memory ops that reached the transaction charge: the registry's
-    /// `transactions` key exists iff one did, even at zero lines.
-    pub charged: u64,
 }
 
 /// The leader's per-run totals for one kernel.
@@ -389,11 +397,9 @@ pub(crate) struct KernelRecord {
     /// The leader's B-check steps over this kernel's slots: a busy slot's
     /// live events, one step per quiet slot, every visited cycle.
     pub serial_items: u64,
-    /// Bank-pass work units of the ops whose verdict let them issue.
-    pub banked_items: u64,
-    /// Mechanism verdict tallies, counted nowhere else: OCU checks,
-    /// poisoned lanes, faulting (EC) lanes.
-    pub checks: u64,
+    /// Verdict tallies of the ops the leader decides, counted nowhere
+    /// else: poisoned lanes and faulting (EC) lanes. An op the SM decides
+    /// in phase A has neither.
     pub poisoned: u64,
     pub faults: u64,
 }
@@ -402,10 +408,11 @@ pub(crate) struct KernelRecord {
 const STALL_NAMES: [&str; 4] =
     ["stall.scoreboard", "stall.lsu_busy", "stall.ocu_verdict", "stall.no_ready_warp"];
 
-/// What the engine's leader decides in its canonical walk — the
-/// mechanism tallies, the verdict-gated charges and the forensics issue
-/// index — beside the slot-to-kernel map. Everything else a run counts,
-/// each SM counts in its own [`SmRecord`]. [`RunRecord::fold`] sums both,
+/// What the engine's leader decides in its canonical walk — the poison and
+/// fault tallies and the forensics issue index — beside the slot-to-kernel
+/// map. Everything else a run counts, each SM counts in its own
+/// [`SmRecord`], the verdict-gated memory charges and the OCU checks
+/// included. [`RunRecord::fold`] sums both,
 /// once after the cycle loop, into each kernel's [`SimStats`] and the
 /// sink's counter registry.
 pub(crate) struct RunRecord {
@@ -428,7 +435,6 @@ impl RunRecord {
                         .iter()
                         .position(|job| job.partition.contains(&sm.id))
                         .expect("every SM belongs to one partition"),
-                    ..SlotRecord::default()
                 })
                 .collect(),
             kernels: vec![KernelRecord::default(); jobs.len()],
@@ -456,8 +462,8 @@ impl RunRecord {
         for (k, out) in self.kernels.iter().zip(&mut outcome.kernels) {
             out.stats.poisoned = k.poisoned;
             out.stats.phase_b_serial_items = k.serial_items;
-            out.stats.phase_b_banked_items = k.banked_items;
         }
+        let mut checks = vec![0; self.kernels.len()];
         let registry_on = registry.is_enabled();
         if registry_on {
             registry.add(Scope::Gpu, "cycles", outcome.makespan);
@@ -477,7 +483,9 @@ impl RunRecord {
             st.mallocs += rec.mallocs;
             st.frees += rec.frees;
             st.add_mem_counts(&rec.mem);
-            st.transactions += row.transactions;
+            st.transactions += rec.transactions;
+            st.phase_b_banked_items += rec.banked_items;
+            checks[row.kernel] += rec.checks;
             let [scoreboard, lsu_busy, ocu_verdict, no_ready_warp] = rec.stalls;
             st.stalls.scoreboard += scoreboard;
             st.stalls.lsu_busy += lsu_busy;
@@ -502,8 +510,8 @@ impl RunRecord {
                     registry.add(scope, name, n);
                 }
             }
-            if row.charged > 0 {
-                registry.add(scope, "transactions", row.transactions);
+            if rec.charged > 0 {
+                registry.add(scope, "transactions", rec.transactions);
             }
             registry.add(scope, "l1.hits", l1.hits);
             registry.add(scope, "l1.misses", l1.misses);
@@ -516,10 +524,9 @@ impl RunRecord {
         if !registry_on {
             return;
         }
-        for (job, k) in jobs.iter().zip(&self.kernels) {
+        for ((job, k), checks) in jobs.iter().zip(&self.kernels).zip(checks) {
             let scope = Scope::Mechanism(job.mechanism.name());
-            for (name, n) in [("checks", k.checks), ("poisoned", k.poisoned), ("faults", k.faults)]
-            {
+            for (name, n) in [("checks", checks), ("poisoned", k.poisoned), ("faults", k.faults)] {
                 if n > 0 {
                     registry.add(scope, name, n);
                 }

@@ -90,10 +90,24 @@ fn workload(name: &str) -> WorkloadSpec {
 /// Per-bank `(l2_hits, l2_misses, dram_transactions)` breakdown.
 type BankBreakdown = Vec<(u64, u64, u64)>;
 
-/// Runs `launch` with an explicit bank count, asserts that the per-bank
-/// L2/DRAM statistics re-aggregate exactly to the run totals, and returns
-/// the observable image plus the breakdown.
+/// Runs `launch` with an explicit bank count and full telemetry, asserts
+/// that the per-bank L2/DRAM statistics re-aggregate exactly to the run
+/// totals, and returns the observable image plus the breakdown.
 fn run_banked_at(
+    cfg: GpuConfig,
+    threads: usize,
+    banks: usize,
+    launch: &Launch,
+    mechanism: &mut dyn Mechanism,
+    probe: &[u64],
+) -> (RunImage, BankBreakdown) {
+    let sink = TelemetrySink::with_trace_capacity(1 << 14);
+    run_banked_into(sink, cfg, threads, banks, launch, mechanism, probe)
+}
+
+/// [`run_banked_at`] into `sink`.
+fn run_banked_into(
+    mut sink: TelemetrySink,
     cfg: GpuConfig,
     threads: usize,
     banks: usize,
@@ -103,7 +117,6 @@ fn run_banked_at(
 ) -> (RunImage, BankBreakdown) {
     let mut gpu = Gpu::new(cfg.with_sim_threads(threads).with_mem_banks(banks));
     assert_eq!(gpu.mem_banks(), banks, "geometry must support {banks} banks");
-    let mut sink = TelemetrySink::with_trace_capacity(1 << 14);
     let stats = gpu.try_run(launch, mechanism, &mut sink).unwrap();
     let per_bank: BankBreakdown = gpu
         .l2_stats_per_bank()
@@ -426,8 +439,9 @@ fn metadata_fetch_storms_are_bank_invariant() {
 }
 
 /// Implements only the per-lane hooks, like an out-of-tree wrapper (a
-/// timing shim, say): the engine then reaches the wrapped mechanism
-/// through the provided warp-form loop, never through its overrides.
+/// timing shim, say): it returns no [`lmi_sim::BitRules`], so the engine
+/// decides every check on its leader, through the provided warp-form
+/// loop, never through the wrapped mechanism's rules or overrides.
 struct PerLaneOnly<M>(M);
 
 impl<M: Mechanism> Mechanism for PerLaneOnly<M> {
@@ -453,9 +467,13 @@ impl<M: Mechanism> Mechanism for PerLaneOnly<M> {
 }
 
 /// Runs `launch` under a bare mechanism and under [`PerLaneOnly`] around
-/// an identical one, at (1 thread, 1 bank) and (2 threads, 4 banks): the
-/// run images (stats with forensics, counters, traces) and the
-/// mechanisms' own `counters` must be identical.
+/// an identical one, at (1 thread, 1 bank) and (2 threads, 4 banks), with
+/// full telemetry and with counters only: the run images (stats with
+/// forensics, counters, traces) and the mechanisms' own `counters` must be
+/// identical. The one exception is the leader's step count: a bare
+/// mechanism's rules settle ops on their SMs, so untraced, its leader may
+/// visit fewer slots than the wrapper's, never more. Traced, every slot
+/// with an op is busy under both, and the counts agree too.
 fn assert_per_lane_adapter_is_transparent<M: Mechanism>(
     cfg: GpuConfig,
     launch: &Launch,
@@ -464,13 +482,32 @@ fn assert_per_lane_adapter_is_transparent<M: Mechanism>(
     label: &str,
 ) {
     for (threads, banks) in [(1, 1), (2, 4)] {
-        let mut bare = make();
-        let (bare_image, _) = run_banked_at(cfg, threads, banks, launch, &mut bare, &[]);
-        let mut wrapped = PerLaneOnly(make());
-        let (wrapped_image, _) = run_banked_at(cfg, threads, banks, launch, &mut wrapped, &[]);
-        let cell = format!("{label}: {threads} threads x {banks} banks");
-        assert_eq!(bare_image, wrapped_image, "{cell}: the per-lane adapter changed the run");
-        assert_eq!(counters(&bare), counters(&wrapped.0), "{cell}: mechanism counters diverged");
+        for traced in [true, false] {
+            let sink = || match traced {
+                true => TelemetrySink::with_trace_capacity(1 << 14),
+                false => TelemetrySink::counters_only(),
+            };
+            let mut bare = make();
+            let (mut bare_image, _) =
+                run_banked_into(sink(), cfg, threads, banks, launch, &mut bare, &[]);
+            let mut wrapped = PerLaneOnly(make());
+            let (wrapped_image, _) =
+                run_banked_into(sink(), cfg, threads, banks, launch, &mut wrapped, &[]);
+            let cell = format!("{label}: {threads} threads x {banks} banks, traced {traced}");
+            let steps = |image: &RunImage| image.stats.phase_b_serial_items;
+            if traced {
+                assert_eq!(steps(&bare_image), steps(&wrapped_image), "{cell}: leader steps");
+            } else {
+                assert!(steps(&bare_image) <= steps(&wrapped_image), "{cell}: leader steps");
+                bare_image.stats.phase_b_serial_items = steps(&wrapped_image);
+            }
+            assert_eq!(bare_image, wrapped_image, "{cell}: the per-lane adapter changed the run");
+            assert_eq!(
+                counters(&bare),
+                counters(&wrapped.0),
+                "{cell}: mechanism counters diverged"
+            );
+        }
     }
 }
 
@@ -502,6 +539,29 @@ fn per_lane_only_wrappers_match_the_warp_forms() {
     let image = run_at(GpuConfig::small(), 1, &launch, &mut mech, &[]);
     assert!(image.stats.poisoned > 0 && image.stats.violated(), "the kernel poisons and faults");
     assert!(!image.stats.forensics.is_empty(), "faults carry poison provenance");
+
+    // Null and LMI on gaussian: pointer-op dense, so the bare mechanisms'
+    // rules settle most marked ops and memory ops on their SMs.
+    let spec = workload("gaussian").scaled_down(4);
+    let prepared = prepare(&spec, AlignmentPolicy::CudaDefault);
+    let launch = &prepared.launch;
+    let small = GpuConfig::small();
+    assert_per_lane_adapter_is_transparent(
+        small,
+        launch,
+        || NullMechanism,
+        |_| vec![],
+        "gaussian/null",
+    );
+    // Without LSU overlap, LMI's OCU delay stalls the dependent accesses,
+    // so the verdict cycle a settled marked op writes back is observable.
+    let prepared = prepare(&spec, AlignmentPolicy::PowerOfTwo);
+    let mut no_overlap = small;
+    no_overlap.lsu_verdict_overlap = 0;
+    for (cfg, label) in [(small, "gaussian/lmi"), (no_overlap, "gaussian/lmi/no-overlap")] {
+        let lmi = LmiMechanism::default_config;
+        assert_per_lane_adapter_is_transparent(cfg, &prepared.launch, lmi, |_| vec![], label);
+    }
 
     // GPUShield: needle thrashes the per-warp RCaches.
     let prepared = prepare(&workload("needle").scaled_down(4), AlignmentPolicy::CudaDefault);

@@ -360,10 +360,12 @@ fn engine_counters_match_the_golden_registries() {
 #[test]
 fn phase_b_serial_items_count_the_leaders_steps() {
     // The B-check steps once over each quiet slot, and once per live event
-    // of each busy slot (one that deferred an op), every visited cycle.
-    // The ALU-only kernel defers nothing, so every item is a quiet step:
-    // the count is the 8 slots times the visited cycles, not the issues.
-    // The memory-bound kernel's busy slots add their events.
+    // of each busy slot (one with an op deferred without a verdict), every
+    // visited cycle. Neither kernel defers anything under LMI: the
+    // ALU-only kernel has no shared op, and every access of the
+    // memory-bound kernel passes the EC on its SM. So every item is a
+    // quiet step: the count is the 8 slots times the visited cycles, not
+    // the issues.
     for (threads, banks) in [(1, 1), (2, 4)] {
         let at = format!("sim_threads={threads} mem_banks={banks}");
         let run = |kernel: &Function| {
