@@ -110,8 +110,7 @@ impl GlobalAllocator {
         (self.arena_base..self.arena_end).contains(&addr)
     }
 
-    /// A convenience constructor over the standard global arena
-    /// (see `lmi_mem::layout`'s constants — callers pass the base).
+    /// The alignment policy the arena allocates under.
     pub fn policy(&self) -> AlignmentPolicy {
         self.policy
     }

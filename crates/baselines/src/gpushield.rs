@@ -156,6 +156,16 @@ impl GpuShield {
         self.regions.push(Region { base, size });
     }
 
+    /// A GPUShield instance (paper RCache budget) with every `(base, size)`
+    /// kernel-argument buffer registered, in order.
+    pub fn with_buffers(buffers: &[(u64, u64)]) -> GpuShield {
+        let mut shield = GpuShield::new();
+        for &(base, size) in buffers {
+            shield.register_buffer(base, size);
+        }
+        shield
+    }
+
     fn region_index_of(&self, vaddr: u64) -> Option<usize> {
         self.regions.iter().position(|r| vaddr >= r.base && vaddr < r.base + r.size)
     }

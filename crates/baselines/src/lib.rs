@@ -22,6 +22,11 @@
 //! * [`instrument`](mod@instrument) — the shared binary-rewriting engine
 //!   (injection with branch-target remapping) underneath the software
 //!   mechanisms.
+//! * [`registry`] — [`MechanismKind`], the one definition of what each
+//!   kind runs: its alignment policy (hence LMI or baseline build and
+//!   extent-encoded parameters), its program rewrite, a fresh simulator
+//!   mechanism with GPUShield's buffers registered, and its canary guards.
+//!   The figure harness, the conformance oracle and the tests all use it.
 
 pub mod baggy;
 pub mod canary;
@@ -29,6 +34,7 @@ pub mod cucatch;
 pub mod dbi;
 pub mod gpushield;
 pub mod instrument;
+pub mod registry;
 
 pub use baggy::instrument_baggy;
 pub use canary::{CanaryAllocator, CanaryMemory};
@@ -36,3 +42,4 @@ pub use cucatch::CuCatch;
 pub use dbi::{instrument_lmi_dbi, instrument_memcheck, JIT_OVERHEAD};
 pub use gpushield::GpuShield;
 pub use instrument::instrument;
+pub use registry::MechanismKind;

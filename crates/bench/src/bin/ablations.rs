@@ -11,7 +11,7 @@
 
 use lmi_alloc::{AlignmentPolicy, GlobalAllocator};
 use lmi_baselines::GpuShield;
-use lmi_bench::{cycles, print_row, Mechanism};
+use lmi_bench::{cycles, print_row, MechanismKind};
 use lmi_core::{DevicePtr, LivenessTracker, PtrConfig};
 use lmi_mem::layout;
 use lmi_sim::{Gpu, GpuConfig, LmiMechanism};
@@ -34,7 +34,7 @@ fn ablation_verdict_overlap() {
     print_row("workload", &["overlap=3".into(), "overlap=1".into(), "overlap=0".into()]);
     for name in ["LSTM", "gaussian", "bert"] {
         let w = spec(name);
-        let base = cycles(&w, Mechanism::Baseline);
+        let base = cycles(&w, MechanismKind::Null);
         let cols: Vec<String> = [3u32, 1, 0]
             .iter()
             .map(|&overlap| {
@@ -88,7 +88,7 @@ fn ablation_min_alignment() {
 fn ablation_rcache_capacity() {
     println!("== Ablation 3: GPUShield RCache capacity on needle ==\n");
     let w = spec("needle");
-    let base = cycles(&w, Mechanism::Baseline);
+    let base = cycles(&w, MechanismKind::Null);
     print_row("RCache entries", &["normalized time".into(), "miss rate".into()]);
     for entries in [8u64, 16, 28, 40, 64] {
         let prepared = prepare(&w, AlignmentPolicy::CudaDefault);
@@ -167,8 +167,8 @@ fn ablation_statelessness() {
     print_row("workload", &["LMI (stateless)".into(), "bounds table, no cache".into()]);
     for name in ["bert", "bfs", "needle"] {
         let w = spec(name);
-        let base = cycles(&w, Mechanism::Baseline);
-        let lmi = cycles(&w, Mechanism::Lmi);
+        let base = cycles(&w, MechanismKind::Null);
+        let lmi = cycles(&w, MechanismKind::Lmi);
         // The strawman: every global access fetches its bounds entry from
         // memory (GPUShield with a zero-entry RCache).
         let prepared = prepare(&w, AlignmentPolicy::CudaDefault);

@@ -2,7 +2,7 @@
 //! representative workloads so mechanism parameters can be tuned against
 //! the paper's targets before running the full figure harnesses.
 
-use lmi_bench::{normalized, print_row, Mechanism};
+use lmi_bench::{normalized, print_row, MechanismKind};
 use lmi_workloads::all_workloads;
 
 fn main() {
@@ -25,11 +25,11 @@ fn main() {
     );
     for w in picks {
         let cols = [
-            Mechanism::Lmi,
-            Mechanism::GpuShield,
-            Mechanism::BaggySoftware,
-            Mechanism::LmiDbi,
-            Mechanism::Memcheck,
+            MechanismKind::Lmi,
+            MechanismKind::GpuShield,
+            MechanismKind::Baggy,
+            MechanismKind::LmiDbi,
+            MechanismKind::Memcheck,
         ]
         .iter()
         .map(|&m| format!("{:.4}", normalized(w, m)))

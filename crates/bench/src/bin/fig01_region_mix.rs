@@ -4,7 +4,7 @@
 //! loads/stores.
 
 use lmi_bench::report::{self, ReportOpts};
-use lmi_bench::{print_row, run_workload, Mechanism};
+use lmi_bench::{print_row, run_workload, MechanismKind};
 use lmi_isa::MemSpace;
 use lmi_telemetry::Json;
 use lmi_workloads::all_workloads;
@@ -14,7 +14,7 @@ fn main() {
     let rows: Vec<(&'static str, [f64; 3])> = all_workloads()
         .iter()
         .map(|spec| {
-            let stats = run_workload(spec, Mechanism::Baseline);
+            let stats = run_workload(spec, MechanismKind::Null);
             (
                 spec.name,
                 [

@@ -3,7 +3,7 @@
 //! the 28 Table V benchmarks on the simulator.
 
 use lmi_bench::report::{self, ReportOpts};
-use lmi_bench::{geomean, mean, normalized, print_row, Mechanism};
+use lmi_bench::{geomean, mean, normalized, print_row, MechanismKind};
 use lmi_telemetry::Json;
 use lmi_workloads::all_workloads;
 
@@ -14,9 +14,9 @@ fn main() {
         .map(|spec| {
             (
                 spec.name,
-                normalized(spec, Mechanism::BaggySoftware),
-                normalized(spec, Mechanism::GpuShield),
-                normalized(spec, Mechanism::Lmi),
+                normalized(spec, MechanismKind::Baggy),
+                normalized(spec, MechanismKind::GpuShield),
+                normalized(spec, MechanismKind::Lmi),
             )
         })
         .collect();

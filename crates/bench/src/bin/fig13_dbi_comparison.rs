@@ -9,7 +9,7 @@
 
 use lmi_baselines::dbi::check_site_counts;
 use lmi_bench::report::{self, ReportOpts};
-use lmi_bench::{geomean, normalized, print_row, Mechanism};
+use lmi_bench::{geomean, normalized, print_row, MechanismKind};
 use lmi_telemetry::Json;
 use lmi_workloads::{all_workloads, generate, Suite};
 
@@ -19,8 +19,8 @@ fn main() {
         .iter()
         .filter(|spec| spec.suite != Suite::Ad) // excluded in the paper (footnote 1)
         .map(|spec| {
-            let lmi_dbi = normalized(spec, Mechanism::LmiDbi);
-            let memcheck = normalized(spec, Mechanism::Memcheck);
+            let lmi_dbi = normalized(spec, MechanismKind::LmiDbi);
+            let memcheck = normalized(spec, MechanismKind::Memcheck);
             let (sites, mem_sites) = check_site_counts(&generate(spec));
             (spec.name, lmi_dbi, memcheck, sites as f64 / mem_sites as f64)
         })

@@ -3,7 +3,7 @@
 //! from this reproduction's own measurements.
 
 use lmi_bench::report::{self, ReportOpts};
-use lmi_bench::{mean, normalized, print_row, Mechanism};
+use lmi_bench::{mean, normalized, print_row, MechanismKind};
 use lmi_security::table::{coverage, run_matrix};
 use lmi_telemetry::Json;
 use lmi_workloads::all_workloads;
@@ -128,7 +128,7 @@ fn main() {
     let sample: Vec<f64> = all_workloads()
         .iter()
         .filter(|w| ["hotspot", "bert", "lud_cuda", "srad_v1"].contains(&w.name))
-        .map(|w| normalized(w, Mechanism::Lmi) - 1.0)
+        .map(|w| normalized(w, MechanismKind::Lmi) - 1.0)
         .collect();
     rows.push(Row {
         name: "LMI (this repo)",

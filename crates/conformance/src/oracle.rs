@@ -11,14 +11,20 @@
 //!   documented subsets).
 //! * **Engine determinism** — per mechanism, statistics and post-run
 //!   memory are bit-identical at every engine configuration.
+//!
+//! What a column runs — its heap policy, LMI or baseline build with or
+//! without extent-encoded parameters, program rewrite, mechanism instance
+//! and canary scan — comes from the [`MechanismKind`] registry of
+//! `lmi-baselines`, re-exported here.
 
 use lmi_alloc::AlignmentPolicy;
-use lmi_baselines::{instrument_baggy, CanaryAllocator, GpuShield};
+pub use lmi_baselines::MechanismKind;
 use lmi_compiler::ir::Function;
 use lmi_compiler::{compile, CompileError, CompileOptions};
 use lmi_core::{DevicePtr, PtrConfig, TemporalKind, Violation};
+use lmi_isa::Program;
 use lmi_mem::layout;
-use lmi_sim::{Gpu, GpuConfig, Launch, LmiMechanism, MemorySnapshot, NullMechanism, SimStats};
+use lmi_sim::{Gpu, GpuConfig, Launch, MemorySnapshot, SimStats};
 use lmi_telemetry::SplitMix64;
 
 use crate::defect::{Defect, DefectClass};
@@ -32,25 +38,8 @@ const BUFFER_STRIDE: u64 = 0x10_0000;
 /// every allocation 32 threads can make in one case).
 const HEAP_WINDOW: u64 = 0x1_0000;
 
-/// The mechanisms the oracle can differentially compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MechanismKind {
-    /// Unprotected baseline binary.
-    Null,
-    /// LMI build under the OCU/EC mechanism.
-    Lmi,
-    /// Baseline binary under GPUShield's region bounds table.
-    GpuShield,
-    /// LMI build rewritten with Baggy Bounds software checks (semantically
-    /// neutral sequences — it detects nothing at runtime here, it is the
-    /// perf baseline; the oracle asserts it stays transparent).
-    Baggy,
-    /// Baseline binary with canary-guarded global buffers scanned at the
-    /// kernel-end synchronization point.
-    Canary,
-}
-
-/// Every mechanism, in the matrix' stable order.
+/// The oracle's mechanism columns, in the matrix' stable order (the DBI
+/// tools are perf baselines only).
 pub const ALL_MECHANISMS: [MechanismKind; 5] = [
     MechanismKind::Null,
     MechanismKind::Lmi,
@@ -58,19 +47,6 @@ pub const ALL_MECHANISMS: [MechanismKind; 5] = [
     MechanismKind::Baggy,
     MechanismKind::Canary,
 ];
-
-impl MechanismKind {
-    /// Stable label (reports, corpus JSON).
-    pub fn label(self) -> &'static str {
-        match self {
-            MechanismKind::Null => "null",
-            MechanismKind::Lmi => "lmi",
-            MechanismKind::GpuShield => "gpushield",
-            MechanismKind::Baggy => "baggy",
-            MechanismKind::Canary => "canary",
-        }
-    }
-}
 
 /// One engine configuration of the determinism matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,7 +135,11 @@ pub fn expectation(kind: MechanismKind, defect: Option<&Defect>, recipe: &Recipe
             let op = &recipe.ops[d.op];
             match kind {
                 MechanismKind::Lmi => Expect::Detect,
-                MechanismKind::Null | MechanismKind::Baggy => Expect::Miss,
+                // The software rewrites only cost cycles here.
+                MechanismKind::Null
+                | MechanismKind::Baggy
+                | MechanismKind::LmiDbi
+                | MechanismKind::Memcheck => Expect::Miss,
                 // Region bounds tables catch escapes from registered
                 // global buffers; shared is unprotected and heap/local are
                 // single coarse regions.
@@ -272,45 +252,21 @@ struct RunResult {
     canary_hit: bool,
 }
 
-fn run_one(
-    kind: MechanismKind,
-    point: EnginePoint,
-    recipe: &Recipe,
-    base_program: &lmi_isa::Program,
-    lmi_program: &lmi_isa::Program,
-    baggy_program: &lmi_isa::Program,
-    image: &MemorySnapshot,
-) -> RunResult {
-    let mut cfg =
-        GpuConfig::small().with_sim_threads(point.sim_threads).with_mem_banks(point.mem_banks);
-    cfg.halt_on_violation = true;
+/// `(base, size)` of each global buffer.
+fn global_buffers(globals: &[BufSpec]) -> Vec<(u64, u64)> {
+    let bases = global_bases(globals.len());
+    globals.iter().zip(bases).map(|(buf, base)| (base, u64::from(buf.elems) * 4)).collect()
+}
 
-    let policy = match kind {
-        MechanismKind::Lmi | MechanismKind::Baggy => AlignmentPolicy::PowerOfTwo,
-        _ => AlignmentPolicy::CudaDefault,
-    };
-    let mut gpu = Gpu::with_heap_policy(cfg, policy);
-    gpu.restore(image);
-
-    let bases = global_bases(recipe.globals.len());
-    let mut canary = CanaryAllocator::new();
-    if kind == MechanismKind::Canary {
-        for (buf, &base) in recipe.globals.iter().zip(&bases) {
-            canary.guard(&mut gpu.memory, base, u64::from(buf.elems) * 4);
-        }
-    }
-
-    let program = match kind {
-        MechanismKind::Lmi => lmi_program,
-        MechanismKind::Baggy => baggy_program,
-        _ => base_program,
-    };
-    let mut launch = Launch::new(program.clone()).grid(1).block(THREADS as usize);
+/// The case's launch of `program` under `kind`: one parameter per global
+/// buffer, extent-encoded when the kind runs the LMI build.
+fn launch(kind: MechanismKind, program: Program, buffers: &[(u64, u64)]) -> Launch {
+    let encode = kind.policy() == AlignmentPolicy::PowerOfTwo;
     let ptr_cfg = PtrConfig::default();
-    let encode_params = matches!(kind, MechanismKind::Lmi | MechanismKind::Baggy);
-    for (buf, &base) in recipe.globals.iter().zip(&bases) {
-        let raw = if encode_params {
-            DevicePtr::encode(base, u64::from(buf.elems) * 4, &ptr_cfg)
+    let mut launch = Launch::new(program).grid(1).block(THREADS as usize);
+    for &(base, size) in buffers {
+        let raw = if encode {
+            DevicePtr::encode(base, size, &ptr_cfg)
                 .expect("aligned power-of-two buffer encodes")
                 .raw()
         } else {
@@ -318,37 +274,36 @@ fn run_one(
         };
         launch = launch.param(raw);
     }
+    launch
+}
 
-    let stats = match kind {
-        MechanismKind::Lmi => {
-            let mut mech = LmiMechanism::default_config();
-            gpu.run(&launch, &mut mech)
-        }
-        MechanismKind::GpuShield => {
-            let mut mech = GpuShield::new();
-            for (buf, &base) in recipe.globals.iter().zip(&bases) {
-                mech.register_buffer(base, u64::from(buf.elems) * 4);
-            }
-            gpu.run(&launch, &mut mech)
-        }
-        _ => gpu.run(&launch, &mut NullMechanism),
-    };
+/// The small GPU at `point`, halting on the first violation.
+fn engine_config(point: EnginePoint) -> GpuConfig {
+    let mut cfg =
+        GpuConfig::small().with_sim_threads(point.sim_threads).with_mem_banks(point.mem_banks);
+    cfg.halt_on_violation = true;
+    cfg
+}
 
-    let global_ranges: Vec<(u64, u64)> = recipe
-        .globals
-        .iter()
-        .zip(&bases)
-        .map(|(buf, &base)| (base, u64::from(buf.elems) * 4))
-        .collect();
-    let mut full_ranges = global_ranges.clone();
+fn run_one(
+    kind: MechanismKind,
+    point: EnginePoint,
+    launch: &Launch,
+    buffers: &[(u64, u64)],
+    image: &MemorySnapshot,
+) -> RunResult {
+    let mut gpu = Gpu::with_heap_policy(engine_config(point), kind.policy());
+    gpu.restore(image);
+    let canaries = kind.guard(&mut gpu.memory, buffers);
+    let stats = gpu.run(launch, kind.instance(buffers).as_mut());
+
+    let mut full_ranges = buffers.to_vec();
     full_ranges.push((layout::HEAP_BASE, HEAP_WINDOW));
-
-    let canary_hit = kind == MechanismKind::Canary && !canary.scan(&gpu.memory).is_empty();
     RunResult {
         full_image: gpu.snapshot(&full_ranges),
-        global_image: gpu.snapshot(&global_ranges),
+        global_image: gpu.snapshot(buffers),
         stats,
-        canary_hit,
+        canary_hit: !canaries.scan(&gpu.memory).is_empty(),
     }
 }
 
@@ -395,23 +350,23 @@ pub fn run_case(
         .map_err(|e| fail(None, format!("baseline compile failed: {e}")))?;
     let lmi_bin = compile(&func, CompileOptions::default())
         .map_err(|e| fail(None, format!("lmi compile failed: {e}")))?;
-    let baggy_program = instrument_baggy(&lmi_bin.program);
+    let buffers = global_buffers(&recipe.globals);
     let image = seed_image(recipe);
 
     let mut reports = Vec::new();
     let mut safe_reference: Option<(MechanismKind, MemorySnapshot)> = None;
     for &kind in &cfg.mechanisms {
+        // Built (and rewritten) once per kind, outside the engine points.
+        let build = if kind.policy() == AlignmentPolicy::PowerOfTwo {
+            &lmi_bin.program
+        } else {
+            &base_bin.program
+        };
+        let program = kind.rewrite(build).unwrap_or_else(|| build.clone());
+        let launch = launch(kind, program, &buffers);
         let mut reference: Option<RunResult> = None;
         for &point in &cfg.points {
-            let run = run_one(
-                kind,
-                point,
-                recipe,
-                &base_bin.program,
-                &lmi_bin.program,
-                &baggy_program,
-                &image,
-            );
+            let run = run_one(kind, point, &launch, &buffers, &image);
             match &reference {
                 None => reference = Some(run),
                 Some(r) => {
@@ -541,21 +496,10 @@ pub fn lmi_run(
     point: EnginePoint,
 ) -> Result<SimStats, CompileError> {
     let bin = compile(func, CompileOptions::default())?;
-    let mut cfg =
-        GpuConfig::small().with_sim_threads(point.sim_threads).with_mem_banks(point.mem_banks);
-    cfg.halt_on_violation = true;
-    let mut gpu = Gpu::new(cfg);
-    let bases = global_bases(globals.len());
-    let ptr_cfg = PtrConfig::default();
-    let mut launch = Launch::new(bin.program).grid(1).block(THREADS as usize);
-    for (buf, &base) in globals.iter().zip(&bases) {
-        let raw = DevicePtr::encode(base, u64::from(buf.elems) * 4, &ptr_cfg)
-            .expect("aligned power-of-two buffer encodes")
-            .raw();
-        launch = launch.param(raw);
-    }
-    let mut mech = LmiMechanism::default_config();
-    Ok(gpu.run(&launch, &mut mech))
+    let buffers = global_buffers(globals);
+    let launch = launch(MechanismKind::Lmi, bin.program, &buffers);
+    let mut gpu = Gpu::new(engine_config(point));
+    Ok(gpu.run(&launch, MechanismKind::Lmi.instance(&buffers).as_mut()))
 }
 
 #[cfg(test)]

@@ -29,7 +29,6 @@ pub const TENANT_HEAP_GROUP_SPAN: u64 = 16 * 1024 * 1024;
 /// whether LMI guards its kernels.
 pub struct Tenant {
     id: usize,
-    protected: bool,
     /// Host-side `cudaMalloc` arena (tenant-tagged slice).
     pub allocator: GlobalAllocator,
     /// Device-side `malloc` heap (tenant-tagged slice).
@@ -54,7 +53,6 @@ impl Tenant {
             layout::HEAP_BASE + id as u64 * TENANT_HEAP_GROUPS as u64 * TENANT_HEAP_GROUP_SPAN;
         Tenant {
             id,
-            protected: policy == AlignmentPolicy::PowerOfTwo,
             allocator: GlobalAllocator::new(cfg, policy, global_base, TENANT_GLOBAL_SPAN)
                 .with_tenant(id),
             heap: DeviceHeap::new(
@@ -73,9 +71,10 @@ impl Tenant {
         self.id
     }
 
-    /// `true` if the tenant's kernels run under LMI.
+    /// `true` if the tenant's kernels run under LMI: its allocations
+    /// carry extents exactly when its arena is 2ⁿ-aligned.
     pub fn is_protected(&self) -> bool {
-        self.protected
+        self.allocator.policy() == AlignmentPolicy::PowerOfTwo
     }
 
     /// `cudaMalloc` in this tenant's arena slice.

@@ -28,13 +28,13 @@
 //! engine's own workers, which belong to the measured run. Arguments
 //! (test-name filters and the like) are ignored.
 
-use lmi_baselines::GpuShield;
+use lmi_baselines::MechanismKind;
 use lmi_bench::alloc_audit::CountingAlloc;
 use lmi_core::{DevicePtr, PtrConfig};
 use lmi_isa::instr::CmpOp;
 use lmi_isa::{abi, HintBits, Instruction, MemRef, PredReg, ProgramBuilder, Reg};
 use lmi_mem::layout;
-use lmi_sim::{Gpu, GpuConfig, Launch, LmiMechanism, Mechanism, NullMechanism, SimStats};
+use lmi_sim::{Gpu, GpuConfig, Launch, SimStats};
 use lmi_telemetry::TelemetrySink;
 
 #[global_allocator]
@@ -75,19 +75,6 @@ fn audit_launch(iters: i32) -> Launch {
     Launch::new(b.build()).grid(16).block(64).param(buffer.raw())
 }
 
-/// A fresh mechanism by name (set up before the measured window).
-fn mechanism(name: &str) -> Box<dyn Mechanism> {
-    match name {
-        "null" => Box::new(NullMechanism),
-        "lmi" => Box::new(LmiMechanism::default_config()),
-        _ => {
-            let mut gs = GpuShield::new();
-            gs.register_buffer(BUFFER, BUFFER_BYTES);
-            Box::new(gs)
-        }
-    }
-}
-
 /// How an audited run is driven.
 #[derive(Clone, Copy)]
 enum Leg {
@@ -112,13 +99,20 @@ impl Leg {
 
 /// Runs the audit kernel as `leg` drives it and returns `(heap
 /// allocations, stats)`.
-fn measured_run(mech: &str, threads: usize, banks: usize, iters: i32, leg: Leg) -> (u64, SimStats) {
+fn measured_run(
+    kind: MechanismKind,
+    threads: usize,
+    banks: usize,
+    iters: i32,
+    leg: Leg,
+) -> (u64, SimStats) {
     let mut cfg = GpuConfig::small().with_sim_threads(threads).with_mem_banks(banks);
     if let Leg::Sampled = leg {
         cfg = cfg.with_sample_period(64);
     }
     let mut gpu = Gpu::new(cfg);
-    let mut mech = mechanism(mech);
+    // A fresh mechanism, set up before the measured window.
+    let mut mech = kind.instance(&[(BUFFER, BUFFER_BYTES)]);
     let launch = audit_launch(iters);
     let mut sink = TelemetrySink::counters_only();
     let before = CountingAlloc::allocations();
@@ -144,18 +138,20 @@ fn assert_cycle_loop_allocation_free(leg: Leg) {
     // The banked configurations exercise the per-SM per-bank queues: their
     // capacity must survive every cycle like the line scratch's, so
     // sharding adds launch-time allocations only, never per-cycle ones.
-    for (mech, threads, banks) in ["null", "lmi", "gpushield"]
-        .into_iter()
-        .flat_map(|m| [(m, 1, 1), (m, 2, 1), (m, 1, 4), (m, 2, 4)])
+    for (kind, threads, banks) in
+        [MechanismKind::Null, MechanismKind::Lmi, MechanismKind::GpuShield]
+            .into_iter()
+            .flat_map(|m| [(m, 1, 1), (m, 2, 1), (m, 1, 4), (m, 2, 4)])
     {
+        let mech = kind.label();
         // Warm-up: absorbs lazy process-wide state (thread stacks, TLS,
         // allocator internals) so the measured pair sees identical setup.
         // One trip reaches every code path; state it left lazy would make
         // the pair unequal, never equal.
-        let _ = measured_run(mech, threads, banks, 1, leg);
+        let _ = measured_run(kind, threads, banks, 1, leg);
 
-        let (allocs_n, stats_n) = measured_run(mech, threads, banks, N, leg);
-        let (allocs_2n, stats_2n) = measured_run(mech, threads, banks, 2 * N, leg);
+        let (allocs_n, stats_n) = measured_run(kind, threads, banks, N, leg);
+        let (allocs_2n, stats_2n) = measured_run(kind, threads, banks, 2 * N, leg);
 
         assert!(
             !stats_n.violated() && !stats_2n.violated(),

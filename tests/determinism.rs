@@ -11,7 +11,7 @@
 //! be identical across thread counts at a fixed bank count).
 
 use lmi_alloc::AlignmentPolicy;
-use lmi_baselines::GpuShield;
+use lmi_baselines::{GpuShield, MechanismKind};
 use lmi_compiler::ir::FunctionBuilder;
 use lmi_compiler::{compile, CompileOptions};
 use lmi_core::PtrConfig;
@@ -185,33 +185,15 @@ fn seeded_workloads_are_bit_identical_across_thread_counts() {
     // mechanism, at every thread × bank cell.
     for name in ["hotspot", "needle", "gaussian", "bfs"] {
         let spec = workload(name).scaled_down(4);
-        for mech in ["null", "lmi", "gpushield"] {
-            // LMI needs 2ⁿ-aligned, extent-carrying pointers.
-            let policy = match mech {
-                "lmi" => AlignmentPolicy::PowerOfTwo,
-                _ => AlignmentPolicy::CudaDefault,
-            };
-            let prepared = prepare(&spec, policy);
+        for kind in [MechanismKind::Null, MechanismKind::Lmi, MechanismKind::GpuShield] {
+            let prepared = prepare(&spec, kind.policy());
             let probe: Vec<u64> = prepared.buffers.iter().map(|&(base, _)| base).collect();
-            let mechanism = || -> Box<dyn Mechanism> {
-                match mech {
-                    "null" => Box::new(NullMechanism),
-                    "lmi" => Box::new(LmiMechanism::default_config()),
-                    _ => {
-                        let mut gs = GpuShield::new();
-                        for &(base, size) in &prepared.buffers {
-                            gs.register_buffer(base, size);
-                        }
-                        Box::new(gs)
-                    }
-                }
-            };
             assert_bank_invariant(
                 GpuConfig::small(),
                 &prepared.launch,
-                mechanism,
+                || kind.instance(&prepared.buffers),
                 &probe,
-                &format!("{name}/{mech}"),
+                &format!("{name}/{}", kind.label()),
             );
         }
     }
@@ -565,13 +547,7 @@ fn per_lane_only_wrappers_match_the_warp_forms() {
 
     // GPUShield: needle thrashes the per-warp RCaches.
     let prepared = prepare(&workload("needle").scaled_down(4), AlignmentPolicy::CudaDefault);
-    let shield = || {
-        let mut gs = GpuShield::new();
-        for &(base, size) in &prepared.buffers {
-            gs.register_buffer(base, size);
-        }
-        gs
-    };
+    let shield = || GpuShield::with_buffers(&prepared.buffers);
     let gs = |g: &GpuShield| vec![g.rcache_hits, g.rcache_misses];
     assert_per_lane_adapter_is_transparent(
         GpuConfig::small(),

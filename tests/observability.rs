@@ -311,10 +311,7 @@ fn lmi_heap_violation_registry(threads: usize, banks: usize) -> String {
 fn gpushield_workload_registry(threads: usize, banks: usize) -> String {
     let spec = all_workloads().into_iter().find(|w| w.name == "bfs").expect("bfs").scaled_down(4);
     let prepared = prepare(&spec, AlignmentPolicy::CudaDefault);
-    let mut shield = GpuShield::new();
-    for &(base, size) in &prepared.buffers {
-        shield.register_buffer(base, size);
-    }
+    let mut shield = GpuShield::with_buffers(&prepared.buffers);
     let mut gpu = Gpu::new(engine_point(threads, banks));
     let mut sink = TelemetrySink::counters_only();
     let stats = gpu.try_run(&prepared.launch, &mut shield, &mut sink).unwrap();

@@ -49,10 +49,7 @@ fn fig1_callouts_hold_dynamically() {
 fn needle_thrashes_the_rcache_dynamically() {
     let w = spec("needle");
     let prepared = prepare(&w, AlignmentPolicy::CudaDefault);
-    let mut shield = GpuShield::new();
-    for &(b, s) in &prepared.buffers {
-        shield.register_buffer(b, s);
-    }
+    let mut shield = GpuShield::with_buffers(&prepared.buffers);
     let mut gpu = Gpu::new(GpuConfig::small());
     let stats = gpu.run(&prepared.launch, &mut shield);
     assert!(stats.violations.is_empty());
