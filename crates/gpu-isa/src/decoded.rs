@@ -1,27 +1,26 @@
 //! Pre-decoded instruction streams: the launch-time lowering that keeps
 //! decode work out of the simulator's per-cycle issue loop.
 //!
-//! A [`crate::Program`] is a faithful, assembler-friendly representation;
-//! the issue loop of a cycle simulator wants none of its flexibility. It
-//! wants flat, fixed-size records with every per-instruction decision
-//! already made: which registers the scoreboard must consult, whether the
-//! opcode is wide/store/memory, which comparison an `ISETP` performs,
-//! which special register an `S2R` reads. [`DecodedStream::lower`] makes
-//! all of those decisions exactly once per kernel launch and produces a
-//! cache-friendly `Vec<DecodedInstr>` that is shared `Arc`-style across
-//! every warp and SM of the launch — the hot loop then borrows
-//! `&DecodedInstr` and never touches the allocator or a decoder again.
+//! [`DecodedStream::lower`] turns each [`Instruction`] of a
+//! [`crate::Program`] into one typed [`Op`], once per launch. The variant
+//! is the functional unit and carries only what that unit reads: the
+//! integer-ALU ops ([`AluOp`], [`WideOp`], `ISETP`'s [`CmpOp`]) beside
+//! which the paper places the OCU, a load/store with its space and
+//! [`MemRef`] for the LSU that carries the EC, and the FPU, heap, control
+//! and special-register ops. The [`DecodedInstr`] record around it keeps
+//! only what every op has. The simulator dispatches once, exhaustively, on
+//! the op; the stream is shared by every SM of the launch and borrowed,
+//! never decoded or allocated, on the hot path.
 //!
-//! Lowering is also where corrupt microcode surfaces: a bad `ISETP`
-//! comparison immediate, an unknown `S2R` selector or a memory reference
-//! on the wrong opcode is a typed [`DecodeError`] at launch, not a
-//! silently misexecuted instruction (or a host panic) at cycle three
-//! million.
+//! Corrupt microcode surfaces here: an `ISETP` comparison, `S2R` selector
+//! or `BRA` target that is not a valid immediate, or a memory reference on
+//! the wrong opcode, is a typed [`DecodeError`] at launch, not a silently
+//! misexecuted instruction (or a host panic) at cycle three million.
 
 use std::fmt;
 
 use crate::instr::{CmpOp, HintBits, Instruction, MemRef, Operand, Predicate};
-use crate::op::{Opcode, OpcodeClass, SpecialReg};
+use crate::op::{Opcode, SpecialReg};
 use crate::program::Program;
 use crate::reg::Reg;
 use crate::space::MemSpace;
@@ -37,10 +36,8 @@ pub const MAX_SRC_REGS: usize = 6;
 ///
 /// These are microcode-integrity errors: the instruction shape is valid to
 /// *store* (the [`Instruction`] struct cannot express them as type errors)
-/// but has no defined execution. The seed simulator silently patched them
-/// (`CmpOp::decode(v).unwrap_or(CmpOp::Eq)`), which turned corrupt
-/// microcode into a wrong-but-plausible compare; lowering rejects them at
-/// launch instead.
+/// but has no defined execution, and patching it into a plausible one would
+/// hide the corruption.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// An `ISETP` comparison immediate outside the [`CmpOp`] encoding.
@@ -50,10 +47,13 @@ pub enum DecodeError {
         /// The unencodable immediate.
         value: i32,
     },
-    /// An `ISETP` whose comparison slot is not an immediate at all.
-    NonImmediateCmp {
-        /// Instruction index of the offending `ISETP`.
+    /// An `ISETP` comparison, `S2R` selector or `BRA` target slot that
+    /// holds no immediate.
+    NonImmediate {
+        /// Instruction index of the offending instruction.
         pc: usize,
+        /// Its opcode.
+        opcode: Opcode,
     },
     /// An `S2R` selector that names no special register.
     BadSpecialSelector {
@@ -84,8 +84,8 @@ impl fmt::Display for DecodeError {
             DecodeError::BadCmpImmediate { pc, value } => {
                 write!(f, "ISETP at pc {pc} carries invalid comparison immediate {value:#x}")
             }
-            DecodeError::NonImmediateCmp { pc } => {
-                write!(f, "ISETP at pc {pc} comparison operand is not an immediate")
+            DecodeError::NonImmediate { pc, opcode } => {
+                write!(f, "{} at pc {pc} has a non-immediate control operand", opcode.mnemonic())
             }
             DecodeError::BadSpecialSelector { pc, selector } => {
                 write!(f, "S2R at pc {pc} reads unknown special-register selector {selector}")
@@ -102,52 +102,111 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// One fully pre-decoded instruction: every field the issue loop consults
-/// per cycle, resolved once at lowering time. All fields are `Copy`; the
-/// record is borrowed, never cloned, on the hot path.
+/// A 32-bit integer-ALU operation; each variant is the [`Opcode`] of the
+/// same name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum AluOp {
+    Iadd3,
+    Imad,
+    Mov,
+    Imnmx,
+    Shl,
+    Shr,
+    And,
+    Or,
+    Xor,
+    Lop3,
+    Popc,
+}
+
+/// A 64-bit register-pair integer operation ([`Opcode`] of the same name).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum WideOp {
+    Iadd64,
+    Mov64,
+    Lea64,
+}
+
+/// A floating-point-unit operation ([`Opcode`] of the same name).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FpuOp {
+    Fadd,
+    Fmul,
+    Ffma,
+    Mufu,
+}
+
+/// A device-heap intrinsic ([`Opcode`] of the same name).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum HeapOp {
+    Malloc,
+    Free,
+}
+
+/// What one instruction does, narrowed to its functional unit and carrying
+/// the operands only that unit reads. Every variant is reachable from
+/// valid microcode, so a `match` on it needs no fallback arm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Op {
+    /// 32-bit integer ALU.
+    Int32(AluOp),
+    /// 64-bit integer ALU on register pairs.
+    Int64(WideOp),
+    /// Integer compare into the predicate `dst.0 & 7`.
+    Isetp(CmpOp),
+    /// Floating-point unit.
+    Fpu(FpuOp),
+    /// A global, shared or local load/store through the LSU.
+    Mem {
+        /// Memory space (never [`MemSpace::Const`]).
+        space: MemSpace,
+        /// A store (else a load).
+        store: bool,
+        /// Address, offset and width.
+        mem: MemRef,
+        /// `mem.addr` is a pair base: the OCU-verdict wait covers `addr + 1`.
+        addr_pair: bool,
+    },
+    /// A constant-bank load, resolved against the launch context.
+    Ldc(MemRef),
+    /// A device-heap call.
+    Heap(HeapOp),
+    /// A branch to an absolute instruction index.
+    Bra(usize),
+    /// Block-wide barrier.
+    Bar,
+    /// Special-register read.
+    S2r(SpecialReg),
+    /// Terminate the active lanes.
+    Exit,
+    /// No operation.
+    Nop,
+}
+
+/// One fully pre-decoded instruction: the typed [`Op`] plus the fields
+/// every op has, resolved once at lowering time. All fields are `Copy`;
+/// the record is borrowed, never cloned, on the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodedInstr {
-    /// Operation.
+    /// The operation.
+    pub op: Op,
+    /// The stored opcode, kept for the tracer's mnemonic.
     pub opcode: Opcode,
-    /// Functional-unit class (pre-resolved from the opcode).
-    pub class: OpcodeClass,
     /// Destination register (predicate index for `ISETP`, in `dst.0`).
     pub dst: Reg,
     /// Source operands.
     pub srcs: [Operand; 3],
     /// Guard predicate, if any.
     pub pred: Option<Predicate>,
-    /// Memory reference of a load/store.
-    pub mem: Option<MemRef>,
     /// LMI hint bits.
     pub hints: HintBits,
-    /// Scoreboard sources, expanded to individual 32-bit registers
-    /// (pair-high halves included). Only `src_regs[..src_reg_count]` is
-    /// meaningful.
+    /// Scoreboard sources ([`Instruction::source_regs`]). Only
+    /// `src_regs[..src_reg_count]` is meaningful.
     pub src_regs: [Reg; MAX_SRC_REGS],
     /// Number of valid entries in `src_regs`.
     pub src_reg_count: u8,
-    /// Pre-decoded `ISETP` comparison (meaningful only for `ISETP`;
-    /// validated by lowering).
-    pub cmp: CmpOp,
-    /// Pre-decoded `S2R` special register (meaningful only for `S2R`;
-    /// validated by lowering).
-    pub special: SpecialReg,
-    /// Memory space of a load/store opcode.
-    pub mem_space: Option<MemSpace>,
-    /// `opcode.is_store()`.
-    pub is_store: bool,
-    /// `opcode.is_wide()` — 64-bit register-pair integer op.
-    pub wide: bool,
     /// `dst.is_valid_pair_base()`, the guard every pair write needs.
     pub dst_pair: bool,
-    /// For a non-`LDC` memory op: the address register is a valid pair
-    /// base, so the scoreboard/verdict wait covers `addr+1` too.
-    pub mem_addr_pair: bool,
-    /// Branch target of a `BRA` (absolute instruction index). For the
-    /// degenerate non-immediate target the lowering pins the fall-through
-    /// `pc + 1`, matching the interpreter it replaces.
-    pub bra_target: usize,
 }
 
 impl DecodedInstr {
@@ -158,87 +217,80 @@ impl DecodedInstr {
     }
 
     fn lower(pc: usize, ins: &Instruction) -> Result<DecodedInstr, DecodeError> {
+        use Opcode::*;
         let opcode = ins.opcode;
-        match (opcode.mem_space(), ins.mem) {
-            (Some(_), None) => return Err(DecodeError::MissingMemRef { pc, opcode }),
-            (None, Some(_)) => return Err(DecodeError::StrayMemRef { pc, opcode }),
-            _ => {}
+        if ins.mem.is_some() && opcode.mem_space().is_none() {
+            return Err(DecodeError::StrayMemRef { pc, opcode });
         }
+        let mem_ref = ins.mem.ok_or(DecodeError::MissingMemRef { pc, opcode });
+        let mem = |space, store| {
+            mem_ref.map(|mem| Op::Mem {
+                space,
+                store,
+                mem,
+                addr_pair: mem.addr.is_valid_pair_base(),
+            })
+        };
+        let imm = |slot: usize| match ins.srcs[slot] {
+            Operand::Imm(v) => Ok(v),
+            _ => Err(DecodeError::NonImmediate { pc, opcode }),
+        };
+        let op = match opcode {
+            Iadd3 => Op::Int32(AluOp::Iadd3),
+            Imad => Op::Int32(AluOp::Imad),
+            Mov => Op::Int32(AluOp::Mov),
+            Imnmx => Op::Int32(AluOp::Imnmx),
+            Shl => Op::Int32(AluOp::Shl),
+            Shr => Op::Int32(AluOp::Shr),
+            And => Op::Int32(AluOp::And),
+            Or => Op::Int32(AluOp::Or),
+            Xor => Op::Int32(AluOp::Xor),
+            Lop3 => Op::Int32(AluOp::Lop3),
+            Popc => Op::Int32(AluOp::Popc),
+            Iadd64 => Op::Int64(WideOp::Iadd64),
+            Mov64 => Op::Int64(WideOp::Mov64),
+            Lea64 => Op::Int64(WideOp::Lea64),
+            Isetp => {
+                let value = imm(2)?;
+                Op::Isetp(CmpOp::decode(value).ok_or(DecodeError::BadCmpImmediate { pc, value })?)
+            }
+            Fadd => Op::Fpu(FpuOp::Fadd),
+            Fmul => Op::Fpu(FpuOp::Fmul),
+            Ffma => Op::Fpu(FpuOp::Ffma),
+            Mufu => Op::Fpu(FpuOp::Mufu),
+            Ldg => mem(MemSpace::Global, false)?,
+            Stg => mem(MemSpace::Global, true)?,
+            Lds => mem(MemSpace::Shared, false)?,
+            Sts => mem(MemSpace::Shared, true)?,
+            Ldl => mem(MemSpace::Local, false)?,
+            Stl => mem(MemSpace::Local, true)?,
+            Ldc => Op::Ldc(mem_ref?),
+            Malloc => Op::Heap(HeapOp::Malloc),
+            Free => Op::Heap(HeapOp::Free),
+            Bra => Op::Bra(imm(0)?.max(0) as usize),
+            Bar => Op::Bar,
+            S2r => {
+                let selector = i64::from(imm(0)?);
+                let special = SpecialReg::from_selector(selector);
+                Op::S2r(special.ok_or(DecodeError::BadSpecialSelector { pc, selector })?)
+            }
+            Exit => Op::Exit,
+            Nop => Op::Nop,
+        };
+        // Without a stray memory reference no instruction reads more than
+        // `MAX_SRC_REGS` registers.
         let mut src_regs = [Reg::RZ; MAX_SRC_REGS];
-        let mut n = 0usize;
-        let pair_slots = ins.pair_source_slots();
-        for (i, src) in ins.srcs.iter().enumerate() {
-            if let Operand::Reg(r) = src {
-                if r.is_zero_reg() {
-                    continue;
-                }
-                src_regs[n] = *r;
-                n += 1;
-                if pair_slots[i] && r.is_valid_pair_base() {
-                    src_regs[n] = r.pair_high();
-                    n += 1;
-                }
-            }
-        }
-        if let Some(mem) = &ins.mem {
-            if !mem.addr.is_zero_reg() {
-                src_regs[n] = mem.addr;
-                n += 1;
-                if ins.opcode != Opcode::Ldc && mem.addr.is_valid_pair_base() {
-                    src_regs[n] = mem.addr.pair_high();
-                    n += 1;
-                }
-            }
-        }
-
-        let cmp = if ins.opcode == Opcode::Isetp {
-            match ins.srcs[2] {
-                Operand::Imm(v) => {
-                    CmpOp::decode(v).ok_or(DecodeError::BadCmpImmediate { pc, value: v })?
-                }
-                _ => return Err(DecodeError::NonImmediateCmp { pc }),
-            }
-        } else {
-            CmpOp::Eq
-        };
-
-        let special = if ins.opcode == Opcode::S2r {
-            let sel = match ins.srcs[0] {
-                Operand::Imm(v) => v as i64,
-                _ => 0,
-            };
-            SpecialReg::from_selector(sel)
-                .ok_or(DecodeError::BadSpecialSelector { pc, selector: sel })?
-        } else {
-            SpecialReg::TidX
-        };
-
-        let bra_target = match (ins.opcode, ins.srcs[0]) {
-            (Opcode::Bra, Operand::Imm(t)) => t.max(0) as usize,
-            _ => pc + 1,
-        };
-
+        let n = src_regs.iter_mut().zip(ins.source_regs()).map(|(slot, r)| *slot = r).count();
         Ok(DecodedInstr {
-            opcode: ins.opcode,
-            class: ins.opcode.class(),
+            op,
+            opcode,
             dst: ins.dst,
             srcs: ins.srcs,
             pred: ins.pred,
-            mem: ins.mem,
             hints: ins.hints,
             src_regs,
             src_reg_count: n as u8,
-            cmp,
-            special,
-            mem_space: ins.opcode.mem_space(),
-            is_store: ins.opcode.is_store(),
-            wide: ins.opcode.is_wide(),
             dst_pair: ins.dst.is_valid_pair_base(),
-            mem_addr_pair: ins
-                .mem
-                .map(|m| ins.opcode != Opcode::Ldc && m.addr.is_valid_pair_base())
-                .unwrap_or(false),
-            bra_target,
         })
     }
 }
@@ -299,12 +351,17 @@ mod tests {
         assert_eq!(stream.len(), p.len());
         for (pc, ins) in p.instructions.iter().enumerate() {
             let di = stream.get(pc).unwrap();
-            assert_eq!(di.source_regs(), ins.source_regs().as_slice(), "pc {pc}");
+            assert_eq!(di.source_regs(), ins.source_regs().collect::<Vec<_>>(), "pc {pc}");
             assert_eq!(di.opcode, ins.opcode);
-            assert_eq!(di.wide, ins.opcode.is_wide());
-            assert_eq!(di.is_store, ins.opcode.is_store());
-            assert_eq!(di.mem_space, ins.opcode.mem_space());
         }
+        let global = |store| Op::Mem {
+            space: MemSpace::Global,
+            store,
+            mem: MemRef::new(Reg(4), 0, 4),
+            addr_pair: true,
+        };
+        let ops: Vec<Op> = (0..p.len()).map(|pc| stream.get(pc).unwrap().op).collect();
+        assert_eq!(ops, [Op::Int64(WideOp::Iadd64), global(false), global(true), Op::Exit]);
     }
 
     #[test]
@@ -313,7 +370,7 @@ mod tests {
         b.push(Instruction::isetp(PredReg(0), Reg(2), CmpOp::Lt, 10));
         b.push(Instruction::exit());
         let stream = DecodedStream::lower(&b.build()).unwrap();
-        assert_eq!(stream.get(0).unwrap().cmp, CmpOp::Lt);
+        assert_eq!(stream.get(0).unwrap().op, Op::Isetp(CmpOp::Lt));
     }
 
     #[test]
@@ -328,7 +385,10 @@ mod tests {
             Err(DecodeError::BadCmpImmediate { pc: 0, value: 99 })
         );
         p.instructions[0].srcs[2] = Operand::Reg(Reg(3));
-        assert_eq!(DecodedStream::lower(&p), Err(DecodeError::NonImmediateCmp { pc: 0 }));
+        assert_eq!(
+            DecodedStream::lower(&p),
+            Err(DecodeError::NonImmediate { pc: 0, opcode: Opcode::Isetp })
+        );
     }
 
     #[test]
@@ -341,6 +401,11 @@ mod tests {
         assert_eq!(
             DecodedStream::lower(&p),
             Err(DecodeError::BadSpecialSelector { pc: 0, selector: 42 })
+        );
+        p.instructions[0].srcs[0] = Operand::Reg(Reg(3));
+        assert_eq!(
+            DecodedStream::lower(&p),
+            Err(DecodeError::NonImmediate { pc: 0, opcode: Opcode::S2r })
         );
     }
 
@@ -376,9 +441,13 @@ mod tests {
         let mut b = ProgramBuilder::new("t");
         b.push(Instruction::bra(0));
         b.push(Instruction::exit());
-        let stream = DecodedStream::lower(&b.build()).unwrap();
-        assert_eq!(stream.get(0).unwrap().bra_target, 0);
-        assert_eq!(stream.get(1).unwrap().bra_target, 2, "non-branch pins fall-through");
+        let mut p = b.build();
+        assert_eq!(DecodedStream::lower(&p).unwrap().get(0).unwrap().op, Op::Bra(0));
+        p.instructions[0].srcs[0] = Operand::Reg(Reg(3));
+        assert_eq!(
+            DecodedStream::lower(&p),
+            Err(DecodeError::NonImmediate { pc: 0, opcode: Opcode::Bra })
+        );
     }
 
     #[test]
@@ -387,8 +456,8 @@ mod tests {
         // value register plus a 64-bit address pair is 3. Nothing exceeds
         // MAX_SRC_REGS.
         let i = Instruction::iadd64(Reg(4), Reg(6), Reg(2));
-        assert!(i.source_regs().len() <= MAX_SRC_REGS);
+        assert!(i.source_regs().count() <= MAX_SRC_REGS);
         let s = Instruction::stg(MemRef::new(Reg(4), 0, 8), Reg(8));
-        assert!(s.source_regs().len() <= MAX_SRC_REGS);
+        assert!(s.source_regs().count() <= MAX_SRC_REGS);
     }
 }

@@ -459,32 +459,15 @@ impl Instruction {
     }
 
     /// The registers read by this instruction (for scoreboarding),
-    /// expanded to individual 32-bit registers.
-    pub fn source_regs(&self) -> Vec<Reg> {
-        let mut regs = Vec::with_capacity(4);
-        let pair_slots = self.pair_source_slots();
-        for (i, src) in self.srcs.iter().enumerate() {
-            if let Operand::Reg(r) = src {
-                if r.is_zero_reg() {
-                    continue;
-                }
-                regs.push(*r);
-                if pair_slots[i] && r.is_valid_pair_base() {
-                    regs.push(r.pair_high());
-                }
-            }
-        }
-        if let Some(mem) = &self.mem {
-            // Address registers are 64-bit pairs in every space except
-            // constant-bank addressing.
-            if !mem.addr.is_zero_reg() {
-                regs.push(mem.addr);
-                if self.opcode != Opcode::Ldc && mem.addr.is_valid_pair_base() {
-                    regs.push(mem.addr.pair_high());
-                }
-            }
-        }
-        regs
+    /// expanded to individual 32-bit registers. Address registers are
+    /// 64-bit pairs in every space except constant-bank addressing.
+    pub fn source_regs(&self) -> impl Iterator<Item = Reg> + '_ {
+        let slots = self.srcs.iter().zip(self.pair_source_slots());
+        let slots = slots.filter_map(|(src, pair)| Some((src.as_reg()?, pair)));
+        let addr = self.mem.map(|m| (m.addr, self.opcode != Opcode::Ldc));
+        slots.chain(addr).filter(|(r, _)| !r.is_zero_reg()).flat_map(|(r, pair)| {
+            std::iter::once(r).chain((pair && r.is_valid_pair_base()).then(|| r.pair_high()))
+        })
     }
 
     /// The registers written by this instruction.
@@ -601,7 +584,7 @@ mod tests {
     #[test]
     fn wide_op_reads_full_pair() {
         let i = Instruction::iadd64(Reg(4), Reg(6), Reg(2));
-        let srcs = i.source_regs();
+        let srcs: Vec<_> = i.source_regs().collect();
         assert!(srcs.contains(&Reg(6)));
         assert!(srcs.contains(&Reg(7)), "pair high of first operand");
         assert!(srcs.contains(&Reg(2)));
@@ -613,7 +596,7 @@ mod tests {
     #[test]
     fn global_load_reads_address_pair() {
         let i = Instruction::ldg(Reg(8), MemRef::new(Reg(4), 0, 4));
-        let srcs = i.source_regs();
+        let srcs: Vec<_> = i.source_regs().collect();
         assert!(srcs.contains(&Reg(4)));
         assert!(srcs.contains(&Reg(5)));
         assert_eq!(i.dest_regs(), vec![Reg(8)]);
@@ -622,7 +605,7 @@ mod tests {
     #[test]
     fn shared_load_address_is_also_a_pair() {
         let i = Instruction::lds(Reg(8), MemRef::new(Reg(4), 0, 4));
-        let srcs = i.source_regs();
+        let srcs: Vec<_> = i.source_regs().collect();
         assert!(srcs.contains(&Reg(4)));
         assert!(srcs.contains(&Reg(5)), "shared addresses are full VAs here");
     }
@@ -630,10 +613,10 @@ mod tests {
     #[test]
     fn iadd64_reads_both_register_sources_as_pairs() {
         let i = Instruction::iadd64(Reg(8), Reg(4), Reg(6));
-        let srcs = i.source_regs();
+        let srcs: Vec<_> = i.source_regs().collect();
         assert!(srcs.contains(&Reg(6)) && srcs.contains(&Reg(7)));
         let lea = Instruction::lea64(Reg(8), Reg(4), Reg(6), 2);
-        let srcs = lea.source_regs();
+        let srcs: Vec<_> = lea.source_regs().collect();
         assert!(srcs.contains(&Reg(6)) && !srcs.contains(&Reg(7)), "LEA index is 32-bit");
     }
 
@@ -647,7 +630,7 @@ mod tests {
     fn store_has_no_dest() {
         let i = Instruction::stg(MemRef::new(Reg(4), 0, 4), Reg(8));
         assert!(i.dest_regs().is_empty());
-        assert!(i.source_regs().contains(&Reg(8)));
+        assert!(i.source_regs().any(|r| r == Reg(8)));
     }
 
     #[test]
@@ -655,7 +638,7 @@ mod tests {
         let m = Instruction::malloc(Reg(4), Reg(0));
         assert_eq!(m.dest_regs(), vec![Reg(4), Reg(5)]);
         let f = Instruction::free(Reg(4));
-        let srcs = f.source_regs();
+        let srcs: Vec<_> = f.source_regs().collect();
         assert!(srcs.contains(&Reg(4)) && srcs.contains(&Reg(5)));
         assert!(f.dest_regs().is_empty());
     }

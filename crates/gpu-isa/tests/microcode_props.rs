@@ -5,11 +5,13 @@
 //! external property-testing framework, so the workspace builds offline;
 //! fixed seeds keep failures reproducible.
 
+use lmi_isa::decoded::Op;
 use lmi_isa::instr::CmpOp;
 use lmi_isa::op::SpecialReg;
 use lmi_isa::reg::PredReg;
 use lmi_isa::{
-    ComputeCapability, HintBits, Instruction, MemRef, Microcode, Opcode, Operand, Predicate, Reg,
+    ComputeCapability, DecodedStream, HintBits, Instruction, MemRef, MemSpace, Microcode, Opcode,
+    OpcodeClass, Operand, Predicate, ProgramBuilder, Reg,
 };
 use lmi_telemetry::SplitMix64;
 
@@ -154,12 +156,52 @@ fn hint_bits_never_leak_into_other_fields() {
     }
 }
 
+/// Lowers `ins` as a one-instruction program: an error is a typed
+/// `DecodeError`, and a lowered op agrees with its opcode's class, memory
+/// space, store bit and width. Returns whether it lowered.
+fn lowers_consistently(ins: Instruction) -> bool {
+    let opcode = ins.opcode;
+    let mut b = ProgramBuilder::new("one");
+    b.push(ins);
+    let Ok(stream) = DecodedStream::lower(&b.build()) else { return false };
+    let op = stream.get(0).map(|di| di.op);
+    let class = match op {
+        Some(Op::Int32(_) | Op::Int64(_) | Op::Isetp(_)) => OpcodeClass::IntAlu,
+        Some(Op::Fpu(_)) => OpcodeClass::Fpu,
+        Some(Op::Mem { .. } | Op::Ldc(_) | Op::Heap(_)) => OpcodeClass::Mem,
+        Some(Op::Bra(_) | Op::Bar | Op::S2r(_) | Op::Exit | Op::Nop) => OpcodeClass::Control,
+        None => panic!("{opcode} lowered to an empty stream"),
+    };
+    let (space, store) = match op {
+        Some(Op::Mem { space, store, .. }) => (Some(space), store),
+        Some(Op::Ldc(_)) => (Some(MemSpace::Const), false),
+        _ => (None, false),
+    };
+    assert_eq!(class, opcode.class(), "{opcode} lowered to {op:?}");
+    assert_eq!(space, opcode.mem_space(), "{opcode} lowered to {op:?}");
+    assert_eq!(store, opcode.is_store(), "{opcode} lowered to {op:?}");
+    assert_eq!(matches!(op, Some(Op::Int64(_))), opcode.is_wide(), "{opcode} lowered to {op:?}");
+    true
+}
+
 #[test]
 fn decode_of_arbitrary_bits_never_panics() {
     let mut rng = SplitMix64::new(0xDEC0DE);
+    let mut lowered = 0;
     for _ in 0..5000 {
         let raw = (rng.next_u64() as u128) << 64 | rng.next_u64() as u128;
         let cc = *rng.choose(&CCS);
-        let _ = Microcode(raw).decode(cc);
+        if let Ok(ins) = Microcode(raw).decode(cc) {
+            lowered += usize::from(lowers_consistently(ins));
+        }
+    }
+    assert!(lowered > 0, "no arbitrary word lowered");
+    // The valid instructions `encode_decode_round_trips` encodes all lower.
+    let mut rng = SplitMix64::new(0xC0DEC);
+    for case in 0..2000 {
+        let ins = instruction(&mut rng);
+        let _cc = rng.choose(&CCS);
+        let shown = ins.to_string();
+        assert!(lowers_consistently(ins), "case {case}: {shown} did not lower");
     }
 }

@@ -2,15 +2,15 @@
 //! tests.
 //!
 //! The scalar functions ([`alu32`], [`alu64`], [`fpu`]) define the
-//! semantics. The `*_lanes` forms are what phase A executes: one opcode
-//! dispatch per warp-instruction around a 32-lane loop whose body is the
-//! scalar function specialised to that opcode, so both forms are one
-//! definition. They compute every lane — the operations are total and
-//! cannot panic on any value — and the caller writes back through the
-//! exec mask.
+//! semantics. The `*_lanes` forms are what phase A executes: one dispatch
+//! per warp-instruction around a 32-lane loop whose body is the scalar
+//! function specialised to that operation, so both forms are one
+//! definition. Each takes its unit's own operation enum, so every form is
+//! total: they compute every lane — no operation can panic on any value —
+//! and the caller writes back through the exec mask.
 
+use lmi_isa::decoded::{AluOp, FpuOp, WideOp};
 use lmi_isa::instr::CmpOp;
-use lmi_isa::Opcode;
 
 use crate::config::WARP_SIZE;
 use crate::warp::{Column, Column64, LaneMask};
@@ -26,44 +26,38 @@ fn map_lanes<T: Copy>(
     std::array::from_fn(|l| f(a[l], b[l], c[l]))
 }
 
-/// Matches `$op` once against the listed opcodes; each arm maps the scalar
-/// `$scalar` with its opcode fixed, which the compiler folds into a
-/// straight-line lane loop.
+/// Matches `$op` once against every variant of `$ty`; each arm maps the
+/// scalar `$scalar` with its operation fixed, which the compiler folds
+/// into a straight-line lane loop.
 macro_rules! dispatch_lanes {
-    ($scalar:ident, $op:expr, $a:expr, $b:expr, $c:expr, [$($name:ident),+ $(,)?]) => {
+    ($scalar:ident, $ty:ident, $op:expr, $a:expr, $b:expr, $c:expr, [$($name:ident),+ $(,)?]) => {
         match $op {
-            $(Opcode::$name => map_lanes($a, $b, $c, |x, y, z| $scalar(Opcode::$name, x, y, z)),)+
-            other => panic!(concat!("{} has no ", stringify!($scalar), " semantics"), other),
+            $($ty::$name => map_lanes($a, $b, $c, |x, y, z| $scalar($ty::$name, x, y, z)),)+
         }
     };
 }
 
 /// Computes a 32-bit integer-ALU result.
-///
-/// # Panics
-///
-/// Panics on opcodes that are not 32-bit integer operations.
 #[inline]
-pub fn alu32(op: Opcode, a: u32, b: u32, c: u32) -> u32 {
+pub fn alu32(op: AluOp, a: u32, b: u32, c: u32) -> u32 {
     match op {
-        Opcode::Iadd3 => a.wrapping_add(b).wrapping_add(c),
-        Opcode::Imad => a.wrapping_mul(b).wrapping_add(c),
-        Opcode::Mov => a,
-        Opcode::Imnmx => {
+        AluOp::Iadd3 => a.wrapping_add(b).wrapping_add(c),
+        AluOp::Imad => a.wrapping_mul(b).wrapping_add(c),
+        AluOp::Mov => a,
+        AluOp::Imnmx => {
             if c == 0 {
                 (a as i32).min(b as i32) as u32
             } else {
                 (a as i32).max(b as i32) as u32
             }
         }
-        Opcode::Shl => a.wrapping_shl(b & 31),
-        Opcode::Shr => a.wrapping_shr(b & 31),
-        Opcode::And => a & b,
-        Opcode::Or => a | b,
-        Opcode::Xor => a ^ b,
-        Opcode::Lop3 => a ^ b ^ c,
-        Opcode::Popc => a.count_ones(),
-        other => panic!("{other} is not a 32-bit integer op"),
+        AluOp::Shl => a.wrapping_shl(b & 31),
+        AluOp::Shr => a.wrapping_shr(b & 31),
+        AluOp::And => a & b,
+        AluOp::Or => a | b,
+        AluOp::Xor => a ^ b,
+        AluOp::Lop3 => a ^ b ^ c,
+        AluOp::Popc => a.count_ones(),
     }
 }
 
@@ -72,47 +66,42 @@ pub fn alu32(op: Opcode, a: u32, b: u32, c: u32) -> u32 {
 /// * `IADD64`: `a + b`;
 /// * `MOV64`: `a`;
 /// * `LEA64`: `a + (sext(b as i32) << c)`.
-///
-/// # Panics
-///
-/// Panics on non-wide opcodes.
 #[inline]
-pub fn alu64(op: Opcode, a: u64, b: u64, c: u64) -> u64 {
+pub fn alu64(op: WideOp, a: u64, b: u64, c: u64) -> u64 {
     match op {
-        Opcode::Iadd64 => a.wrapping_add(b),
-        Opcode::Mov64 => a,
-        Opcode::Lea64 => a.wrapping_add(((b as u32 as i32) as i64 as u64).wrapping_shl(c as u32)),
-        other => panic!("{other} is not a wide integer op"),
+        WideOp::Iadd64 => a.wrapping_add(b),
+        WideOp::Mov64 => a,
+        WideOp::Lea64 => a.wrapping_add(((b as u32 as i32) as i64 as u64).wrapping_shl(c as u32)),
     }
 }
 
-/// Computes an FPU result on f32 bit patterns.
-///
-/// # Panics
-///
-/// Panics on non-FPU opcodes.
+/// The canonical NaN an NVIDIA GPU writes for every f32 NaN result.
+pub const CANONICAL_NAN: u32 = 0x7FFF_FFFF;
+
+/// Computes an FPU result on f32 bit patterns. A NaN result is
+/// [`CANONICAL_NAN`], whatever its inputs: Rust leaves NaN payloads
+/// unspecified, and they would depend on how the compiler orders operands.
 #[inline]
-pub fn fpu(op: Opcode, a: u32, b: u32, c: u32) -> u32 {
+pub fn fpu(op: FpuOp, a: u32, b: u32, c: u32) -> u32 {
     let (fa, fb, fc) = (f32::from_bits(a), f32::from_bits(b), f32::from_bits(c));
     let r = match op {
-        Opcode::Fadd => fa + fb,
-        Opcode::Fmul => fa * fb,
-        Opcode::Ffma => fa.mul_add(fb, fc),
-        Opcode::Mufu => 1.0 / fa,
-        other => panic!("{other} is not an FPU op"),
+        FpuOp::Fadd => fa + fb,
+        FpuOp::Fmul => fa * fb,
+        FpuOp::Ffma => fa.mul_add(fb, fc),
+        FpuOp::Mufu => 1.0 / fa,
     };
-    r.to_bits()
+    if r.is_nan() {
+        CANONICAL_NAN
+    } else {
+        r.to_bits()
+    }
 }
 
 /// [`alu32`] on all 32 lanes.
-///
-/// # Panics
-///
-/// Panics on opcodes that are not 32-bit integer operations, whatever the
-/// exec mask: callers skip instructions with no active lane.
-pub fn alu32_lanes(op: Opcode, a: &Column, b: &Column, c: &Column) -> Column {
+pub fn alu32_lanes(op: AluOp, a: &Column, b: &Column, c: &Column) -> Column {
     dispatch_lanes!(
         alu32,
+        AluOp,
         op,
         a,
         b,
@@ -122,21 +111,13 @@ pub fn alu32_lanes(op: Opcode, a: &Column, b: &Column, c: &Column) -> Column {
 }
 
 /// [`alu64`] on all 32 lanes.
-///
-/// # Panics
-///
-/// Panics on non-wide opcodes (see [`alu32_lanes`]).
-pub fn alu64_lanes(op: Opcode, a: &Column64, b: &Column64, c: &Column64) -> Column64 {
-    dispatch_lanes!(alu64, op, a, b, c, [Iadd64, Mov64, Lea64])
+pub fn alu64_lanes(op: WideOp, a: &Column64, b: &Column64, c: &Column64) -> Column64 {
+    dispatch_lanes!(alu64, WideOp, op, a, b, c, [Iadd64, Mov64, Lea64])
 }
 
 /// [`fpu`] on all 32 lanes.
-///
-/// # Panics
-///
-/// Panics on non-FPU opcodes (see [`alu32_lanes`]).
-pub fn fpu_lanes(op: Opcode, a: &Column, b: &Column, c: &Column) -> Column {
-    dispatch_lanes!(fpu, op, a, b, c, [Fadd, Fmul, Ffma, Mufu])
+pub fn fpu_lanes(op: FpuOp, a: &Column, b: &Column, c: &Column) -> Column {
+    dispatch_lanes!(fpu, FpuOp, op, a, b, c, [Fadd, Fmul, Ffma, Mufu])
 }
 
 /// `ISETP` on all 32 lanes: bit `l` of the result is [`CmpOp::eval`] on
@@ -160,40 +141,42 @@ pub fn isetp_lanes(cmp: CmpOp, a: &Column, b: &Column) -> LaneMask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmi_isa::OpcodeClass;
     use lmi_telemetry::SplitMix64;
 
     #[test]
     fn integer_semantics() {
-        assert_eq!(alu32(Opcode::Iadd3, 1, 2, 3), 6);
-        assert_eq!(alu32(Opcode::Imad, 3, 4, 5), 17);
-        assert_eq!(alu32(Opcode::Iadd3, u32::MAX, 1, 0), 0, "wrapping");
-        assert_eq!(alu32(Opcode::Imnmx, 5, 3, 0), 3);
-        assert_eq!(alu32(Opcode::Imnmx, 5, 3, 1), 5);
-        assert_eq!(alu32(Opcode::Imnmx, (-5i32) as u32, 3, 0), (-5i32) as u32);
-        assert_eq!(alu32(Opcode::Shl, 1, 4, 0), 16);
-        assert_eq!(alu32(Opcode::Shr, 0x80000000, 31, 0), 1);
-        assert_eq!(alu32(Opcode::And, 0b1100, 0b1010, 0), 0b1000);
-        assert_eq!(alu32(Opcode::Popc, 0xFF, 0, 0), 8);
+        assert_eq!(alu32(AluOp::Iadd3, 1, 2, 3), 6);
+        assert_eq!(alu32(AluOp::Imad, 3, 4, 5), 17);
+        assert_eq!(alu32(AluOp::Iadd3, u32::MAX, 1, 0), 0, "wrapping");
+        assert_eq!(alu32(AluOp::Imnmx, 5, 3, 0), 3);
+        assert_eq!(alu32(AluOp::Imnmx, 5, 3, 1), 5);
+        assert_eq!(alu32(AluOp::Imnmx, (-5i32) as u32, 3, 0), (-5i32) as u32);
+        assert_eq!(alu32(AluOp::Shl, 1, 4, 0), 16);
+        assert_eq!(alu32(AluOp::Shr, 0x80000000, 31, 0), 1);
+        assert_eq!(alu32(AluOp::And, 0b1100, 0b1010, 0), 0b1000);
+        assert_eq!(alu32(AluOp::Popc, 0xFF, 0, 0), 8);
     }
 
     #[test]
     fn wide_semantics() {
-        assert_eq!(alu64(Opcode::Iadd64, 0x1_0000_0000, 0xFFFF_FFFF, 0), 0x1_FFFF_FFFF);
-        assert_eq!(alu64(Opcode::Mov64, 42, 0, 0), 42);
-        assert_eq!(alu64(Opcode::Lea64, 0x1000, 4, 3), 0x1000 + 32);
+        assert_eq!(alu64(WideOp::Iadd64, 0x1_0000_0000, 0xFFFF_FFFF, 0), 0x1_FFFF_FFFF);
+        assert_eq!(alu64(WideOp::Mov64, 42, 0, 0), 42);
+        assert_eq!(alu64(WideOp::Lea64, 0x1000, 4, 3), 0x1000 + 32);
         // Negative LEA index sign-extends.
-        assert_eq!(alu64(Opcode::Lea64, 0x1000, (-1i32) as u32 as u64, 2), 0x1000 - 4);
+        assert_eq!(alu64(WideOp::Lea64, 0x1000, (-1i32) as u32 as u64, 2), 0x1000 - 4);
     }
 
     #[test]
     fn fpu_semantics() {
         let two = 2.0f32.to_bits();
         let three = 3.0f32.to_bits();
-        assert_eq!(f32::from_bits(fpu(Opcode::Fadd, two, three, 0)), 5.0);
-        assert_eq!(f32::from_bits(fpu(Opcode::Fmul, two, three, 0)), 6.0);
-        assert_eq!(f32::from_bits(fpu(Opcode::Ffma, two, three, two)), 8.0);
-        assert_eq!(f32::from_bits(fpu(Opcode::Mufu, two, 0, 0)), 0.5);
+        assert_eq!(f32::from_bits(fpu(FpuOp::Fadd, two, three, 0)), 5.0);
+        assert_eq!(f32::from_bits(fpu(FpuOp::Fmul, two, three, 0)), 6.0);
+        assert_eq!(f32::from_bits(fpu(FpuOp::Ffma, two, three, two)), 8.0);
+        assert_eq!(f32::from_bits(fpu(FpuOp::Mufu, two, 0, 0)), 0.5);
+        let (nan, neg_nan) = (0x7F80_0001, 0xFFC0_0001);
+        assert_eq!(fpu(FpuOp::Fadd, nan, neg_nan, 0), CANONICAL_NAN, "either payload would do");
+        assert_eq!(fpu(FpuOp::Mufu, neg_nan, 0, 0), CANONICAL_NAN);
     }
 
     /// Edge-case f32 bit patterns: NaNs (quiet, signalling, negative),
@@ -235,9 +218,21 @@ mod tests {
         })
     }
 
-    fn ops_of(class: OpcodeClass) -> impl Iterator<Item = Opcode> {
-        Opcode::ALL.into_iter().filter(move |op| op.class() == class && *op != Opcode::Isetp)
-    }
+    const ALU: [AluOp; 11] = [
+        AluOp::Iadd3,
+        AluOp::Imad,
+        AluOp::Mov,
+        AluOp::Imnmx,
+        AluOp::Shl,
+        AluOp::Shr,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Lop3,
+        AluOp::Popc,
+    ];
+    const WIDE: [WideOp; 3] = [WideOp::Iadd64, WideOp::Mov64, WideOp::Lea64];
+    const FPU: [FpuOp; 4] = [FpuOp::Fadd, FpuOp::Fmul, FpuOp::Ffma, FpuOp::Mufu];
 
     #[test]
     fn lane_forms_match_the_scalar_semantics_bit_for_bit() {
@@ -250,26 +245,25 @@ mod tests {
             // those and arbitrary bits.
             let c64: [u64; WARP_SIZE] =
                 std::array::from_fn(|l| if l % 2 == 0 { rng.below(8) } else { rng.next_u64() });
-            for op in ops_of(OpcodeClass::IntAlu) {
-                if op.is_wide() {
-                    let got = alu64_lanes(op, &a64, &b64, &c64);
-                    for l in 0..WARP_SIZE {
-                        assert_eq!(got[l], alu64(op, a64[l], b64[l], c64[l]), "{op} lane {l}");
-                    }
-                    int64 += 1;
-                } else {
-                    let got = alu32_lanes(op, &a, &b, &c);
-                    for l in 0..WARP_SIZE {
-                        assert_eq!(got[l], alu32(op, a[l], b[l], c[l]), "{op} lane {l}");
-                    }
-                    int32 += 1;
+            for op in ALU {
+                let got = alu32_lanes(op, &a, &b, &c);
+                for l in 0..WARP_SIZE {
+                    assert_eq!(got[l], alu32(op, a[l], b[l], c[l]), "{op:?} lane {l}");
                 }
+                int32 += 1;
             }
-            for op in ops_of(OpcodeClass::Fpu) {
+            for op in WIDE {
+                let got = alu64_lanes(op, &a64, &b64, &c64);
+                for l in 0..WARP_SIZE {
+                    assert_eq!(got[l], alu64(op, a64[l], b64[l], c64[l]), "{op:?} lane {l}");
+                }
+                int64 += 1;
+            }
+            for op in FPU {
                 let got = fpu_lanes(op, &a, &b, &c);
                 for l in 0..WARP_SIZE {
                     // Bit equality, so NaN payloads must agree too.
-                    assert_eq!(got[l], fpu(op, a[l], b[l], c[l]), "{op} lane {l}");
+                    assert_eq!(got[l], fpu(op, a[l], b[l], c[l]), "{op:?} lane {l}");
                 }
                 fp += 1;
             }
@@ -281,13 +275,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!((int32, int64, fp), (64 * 11, 64 * 3, 64 * 4), "every opcode covered");
-    }
-
-    #[test]
-    #[should_panic(expected = "has no alu64 semantics")]
-    fn lane_forms_reject_foreign_opcodes() {
-        let z = [0; WARP_SIZE];
-        alu64_lanes(Opcode::Iadd3, &z, &z, &z);
+        assert_eq!((int32, int64, fp), (64 * 11, 64 * 3, 64 * 4), "every operation covered");
     }
 }

@@ -71,7 +71,7 @@
 //! ## Warp-wide execution
 //!
 //! Phase A resolves each source operand once into a 32-lane column of the
-//! register-major register file and dispatches on the opcode once per
+//! register-major register file and dispatches on the decoded op once per
 //! warp-instruction (`exec::*_lanes`), writing results back through the
 //! exec mask. Scheduler readiness is memoized per warp
 //! (`Warp::ready_memo`) and cleared wherever the warp's state changes: its
@@ -87,10 +87,10 @@ use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
 use lmi_core::ptr::ADDR_MASK;
+use lmi_isa::decoded::{FpuOp, HeapOp, Op, WideOp};
+use lmi_isa::instr::MemRef;
 use lmi_isa::op::SpecialReg;
-use lmi_isa::{
-    abi, DecodedInstr, DecodedStream, MemSpace, Opcode, OpcodeClass, Operand, PredReg, Reg,
-};
+use lmi_isa::{abi, DecodedInstr, DecodedStream, MemSpace, Opcode, Operand, PredReg, Reg};
 use lmi_mem::{layout, BankRouter, Cache};
 use lmi_telemetry::WarpState;
 
@@ -118,26 +118,30 @@ pub(crate) struct LaunchCtx {
 }
 
 impl LaunchCtx {
-    fn const_read(&self, block: usize, gtid: u64, offset: u16, width: u8) -> u64 {
-        let value = match offset {
-            abi::STACK_TOP_OFFSET => {
-                layout::local_window_base(gtid + self.layout_tid_base, self.stack_bytes)
-                    + self.stack_bytes
+    /// Reads `width` bytes at constant-bank `offset` for all 32 lanes of
+    /// `warp`.
+    fn const_col(&self, warp: &Warp, offset: u16, width: u8) -> Column64 {
+        std::array::from_fn(|l| {
+            let value = match offset {
+                abi::STACK_TOP_OFFSET => {
+                    let gtid = warp.base_tid + l as u64 + self.layout_tid_base;
+                    layout::local_window_base(gtid, self.stack_bytes) + self.stack_bytes
+                }
+                abi::SHARED_BASE_OFFSET => {
+                    layout::shared_window_base(warp.block as u64 + self.layout_block_base)
+                }
+                o if o >= abi::PARAM_BASE_OFFSET => {
+                    let index = ((o - abi::PARAM_BASE_OFFSET) / 8) as usize;
+                    self.params.get(index).copied().unwrap_or(0)
+                }
+                _ => 0,
+            };
+            if width <= 4 {
+                value & 0xFFFF_FFFF
+            } else {
+                value
             }
-            abi::SHARED_BASE_OFFSET => {
-                layout::shared_window_base(block as u64 + self.layout_block_base)
-            }
-            o if o >= abi::PARAM_BASE_OFFSET => {
-                let index = ((o - abi::PARAM_BASE_OFFSET) / 8) as usize;
-                self.params.get(index).copied().unwrap_or(0)
-            }
-            _ => 0,
-        };
-        if width <= 4 {
-            value & 0xFFFF_FFFF
-        } else {
-            value
-        }
+        })
     }
 
     /// Resolves a 32-bit source operand for all 32 lanes of `warp`.
@@ -146,9 +150,7 @@ impl LaunchCtx {
             Operand::None => [0; WARP_SIZE],
             Operand::Reg(r) => *warp.column(r),
             Operand::Imm(v) => [v as u32; WARP_SIZE],
-            Operand::Const { offset, .. } => std::array::from_fn(|l| {
-                self.const_read(warp.block, warp.base_tid + l as u64, offset, 4) as u32
-            }),
+            Operand::Const { offset, .. } => self.const_col(warp, offset, 4).map(|v| v as u32),
         }
     }
 
@@ -159,9 +161,7 @@ impl LaunchCtx {
             Operand::None => [0; WARP_SIZE],
             Operand::Reg(r) => warp.column64(r),
             Operand::Imm(v) => [v as i64 as u64; WARP_SIZE],
-            Operand::Const { offset, .. } => std::array::from_fn(|l| {
-                self.const_read(warp.block, warp.base_tid + l as u64, offset, 8)
-            }),
+            Operand::Const { offset, .. } => self.const_col(warp, offset, 8),
         }
     }
 }
@@ -853,12 +853,15 @@ fn ready_info(stream: &DecodedStream, warp: &Warp, verdict_overlap: u32) -> (u64
             };
         }
     }
-    if di.opcode.is_mem() && di.opcode != Opcode::Ldc {
+    // The guard predicate and `ISETP`'s destination both bind as
+    // `Scoreboard`, so the latest of them is the one hazard they add.
+    let mut pred_ready = di.pred.map_or(0, |p| warp.pred_ready_at(p.reg));
+    match di.op {
         // The LSU's EC consumes the final (possibly poisoned) extent, so
         // it must wait for the OCU verdict on the address registers.
-        if let Some(mem) = &di.mem {
+        Op::Mem { mem, addr_pair, .. } => {
             let mut verdict = warp.verdict_at(mem.addr);
-            if di.mem_addr_pair {
+            if addr_pair {
                 verdict = verdict.max(warp.verdict_at(mem.addr.pair_high()));
             }
             let v = verdict.saturating_sub(verdict_overlap as u64);
@@ -867,21 +870,14 @@ fn ready_info(stream: &DecodedStream, warp: &Warp, verdict_overlap: u32) -> (u64
                 reason = StallReason::OcuVerdict;
             }
         }
-    }
-    if let Some(p) = &di.pred {
-        let t = warp.pred_ready_at(p.reg);
-        if t > ready {
-            ready = t;
-            reason = StallReason::Scoreboard;
-        }
-    }
-    if di.opcode == Opcode::Isetp {
         // WAW on the destination predicate.
-        let t = warp.pred_ready_at(PredReg(di.dst.0 & 7));
-        if t > ready {
-            ready = t;
-            reason = StallReason::Scoreboard;
-        }
+        Op::Isetp(_) => pred_ready = pred_ready.max(warp.pred_ready_at(PredReg(di.dst.0 & 7))),
+        // No other op waits on more than its sources and guard.
+        _ => {}
+    }
+    if pred_ready > ready {
+        ready = pred_ready;
+        reason = StallReason::Scoreboard;
     }
     (ready, reason)
 }
@@ -956,11 +952,6 @@ impl IssueCtx<'_> {
         };
         warp.last_issue = now;
         ev.opcode = Some(di.opcode);
-        match di.opcode.class() {
-            OpcodeClass::IntAlu => self.record.int_issued += 1,
-            OpcodeClass::Fpu => self.record.fpu_issued += 1,
-            _ => {}
-        }
         self.record.marked_issued += u64::from(di.hints.activate);
 
         // Guard predicate, warp-wide. Unpredicated instructions (the common
@@ -971,21 +962,20 @@ impl IssueCtx<'_> {
             Some(p) => warp.mask & warp.pred_mask(p.reg),
         };
 
-        match di.opcode {
-            Opcode::Exit => {
+        match di.op {
+            Op::Exit => {
                 if exec_mask == 0 {
                     warp.pc += 1;
                 } else {
                     warp.retire_lanes(exec_mask);
                 }
             }
-            Opcode::Nop => warp.pc += 1,
-            Opcode::Bar => {
+            Op::Nop => warp.pc += 1,
+            Op::Bar => {
                 warp.at_barrier = true;
                 warp.pc += 1;
             }
-            Opcode::Bra => {
-                let target = di.bra_target;
+            Op::Bra(target) => {
                 let active = warp.mask;
                 if exec_mask == 0 {
                     warp.pc += 1;
@@ -998,11 +988,11 @@ impl IssueCtx<'_> {
                     warp.pc = target;
                 }
             }
-            Opcode::S2r => {
+            Op::S2r(special) => {
                 let tpb = self.launch.threads_per_block as u64;
                 let values: Column = std::array::from_fn(|l| {
                     let gtid = warp.base_tid + l as u64;
-                    let v = match di.special {
+                    let v = match special {
                         SpecialReg::TidX => gtid % tpb,
                         SpecialReg::CtaIdX => gtid / tpb,
                         SpecialReg::NtidX => tpb,
@@ -1015,168 +1005,159 @@ impl IssueCtx<'_> {
                 warp.set_ready_at(di.dst, now + 2);
                 warp.pc += 1;
             }
-            Opcode::Isetp => {
+            Op::Isetp(cmp) => {
+                self.record.int_issued += 1;
                 let pred = PredReg(di.dst.0 & 7);
                 let a = self.launch.gather32(warp, &di.srcs[0]);
                 let b = self.launch.gather32(warp, &di.srcs[1]);
-                warp.write_pred_mask(pred, exec_mask, exec::isetp_lanes(di.cmp, &a, &b));
+                warp.write_pred_mask(pred, exec_mask, exec::isetp_lanes(cmp, &a, &b));
                 warp.set_pred_ready_at(pred, now + 2);
                 warp.pc += 1;
             }
-            Opcode::Malloc | Opcode::Free => self.issue_heap(warp, di, exec_mask, ev),
-            op if op.class() == OpcodeClass::IntAlu => self.issue_int(warp, di, exec_mask, ev),
-            op if op.class() == OpcodeClass::Fpu => {
+            Op::Int32(op) => {
+                self.record.int_issued += 1;
+                // 32-bit marked ops (hand-written programs) are not
+                // checked: the compiler marks wide ops exclusively.
                 if exec_mask != 0 {
                     let a = self.launch.gather32(warp, &di.srcs[0]);
                     let b = self.launch.gather32(warp, &di.srcs[1]);
                     let c = self.launch.gather32(warp, &di.srcs[2]);
-                    warp.write_col(di.dst, exec_mask, &exec::fpu_lanes(di.opcode, &a, &b, &c));
+                    warp.write_col(di.dst, exec_mask, &exec::alu32_lanes(op, &a, &b, &c));
                 }
-                let lat = if di.opcode == Opcode::Mufu {
-                    self.cfg.fpu_latency * 2
-                } else {
-                    self.cfg.fpu_latency
+                self.int_done(warp, di.dst, false, 0);
+            }
+            Op::Int64(op) => {
+                self.record.int_issued += 1;
+                self.issue_wide(warp, di, op, exec_mask, ev);
+            }
+            Op::Fpu(op) => {
+                self.record.fpu_issued += 1;
+                if exec_mask != 0 {
+                    let a = self.launch.gather32(warp, &di.srcs[0]);
+                    let b = self.launch.gather32(warp, &di.srcs[1]);
+                    let c = self.launch.gather32(warp, &di.srcs[2]);
+                    warp.write_col(di.dst, exec_mask, &exec::fpu_lanes(op, &a, &b, &c));
+                }
+                let lat = match op {
+                    FpuOp::Mufu => self.cfg.fpu_latency * 2,
+                    FpuOp::Fadd | FpuOp::Fmul | FpuOp::Ffma => self.cfg.fpu_latency,
                 };
                 warp.set_ready_at(di.dst, now + lat as u64);
                 warp.pc += 1;
             }
-            op if op.is_mem() => self.issue_mem(warp, di, exec_mask, ev),
-            other => panic!("unhandled opcode {other}"),
+            Op::Heap(heap) => {
+                // Heap calls always defer (even with no active lane the call
+                // counts and the pc advances in phase C).
+                let (lanes, malloc) = (u64::from(exec_mask.count_ones()), heap == HeapOp::Malloc);
+                self.record.heap_calls += 1;
+                if malloc {
+                    self.record.mallocs += lanes;
+                    ev.values = self.launch.gather32(warp, &di.srcs[0]).map(u64::from);
+                } else {
+                    self.record.frees += lanes;
+                    ev.values = self.launch.gather64(warp, &di.srcs[0]);
+                }
+                let (dst, pair) = (di.dst, di.dst_pair);
+                ev.shared = Some(SharedOp::Heap { dst, pair, malloc, mask: exec_mask });
+            }
+            Op::Ldc(mem) => self.issue_ldc(warp, di, mem, exec_mask),
+            Op::Mem { space, store, mem, .. } => {
+                self.issue_mem(warp, di, space, store, mem, exec_mask, ev)
+            }
         }
         ev.retired_local = warp.done;
     }
 
-    fn issue_int(
-        &mut self,
-        warp: &mut Warp,
-        di: &DecodedInstr,
-        exec_mask: LaneMask,
-        ev: &mut IssueEvent,
-    ) {
-        // No active lane: nothing to compute, check or write — only the
-        // scoreboard update below.
-        let mut verdict_delay = 0;
-        if exec_mask != 0 {
-            if di.wide {
-                let a = self.launch.gather64(warp, &di.srcs[0]);
-                let b = self.launch.gather64(warp, &di.srcs[1]);
-                let c = self.launch.gather64(warp, &di.srcs[2]);
-                let mut v = exec::alu64_lanes(di.opcode, &a, &b, &c);
-                if di.hints.activate {
-                    self.record.checks += 1;
-                    let inputs = if di.hints.select == 0 { a } else { b };
-                    // The OCU rule settles the op here when every lane
-                    // passes; otherwise (no rule, or a poisoned lane, whose
-                    // forensics the leader keeps) the whole writeback
-                    // defers to phase B.
-                    let mut checked = v;
-                    match self.rules.ocu {
-                        Some(rule) if rule.check(exec_mask, &inputs, &mut checked) == 0 => {
-                            v = checked;
-                            verdict_delay = rule.delay();
-                            ev.ocu_settled = true;
-                        }
-                        _ => {
-                            ev.inputs = inputs;
-                            ev.values = v;
-                            ev.shared = Some(SharedOp::MarkedInt {
-                                dst: di.dst,
-                                pair: di.dst_pair,
-                                mask: exec_mask,
-                            });
-                            return;
-                        }
-                    }
-                }
-                warp.write64_col(di.dst, exec_mask, &v);
-            } else {
-                // 32-bit marked ops (hand-written programs) are not checked:
-                // the compiler marks wide ops exclusively, so the OCU path
-                // above is the one that matters.
-                let a = self.launch.gather32(warp, &di.srcs[0]);
-                let b = self.launch.gather32(warp, &di.srcs[1]);
-                let c = self.launch.gather32(warp, &di.srcs[2]);
-                warp.write_col(di.dst, exec_mask, &exec::alu32_lanes(di.opcode, &a, &b, &c));
-            }
-        }
-        // A settled marked op forwards to ALU consumers at the ALU latency,
-        // and the EC waits for its OCU verdict, as phase C would apply it.
+    /// An integer op's scoreboard, as phase C would apply it: the result
+    /// forwards to ALU consumers at the ALU latency, and the EC waits
+    /// `verdict_delay` more for its OCU verdict.
+    fn int_done(&self, warp: &mut Warp, dst: Reg, pair: bool, verdict_delay: u32) {
         let done_at = self.now + self.cfg.int_latency as u64;
-        let verdict_at = done_at + verdict_delay as u64;
-        warp.set_ready_at(di.dst, done_at);
-        warp.set_verdict_at(di.dst, verdict_at);
-        if di.wide && di.dst_pair {
-            warp.set_ready_at(di.dst.pair_high(), done_at);
-            warp.set_verdict_at(di.dst.pair_high(), verdict_at);
+        for reg in dst_regs(dst, pair) {
+            warp.set_ready_at(reg, done_at);
+            warp.set_verdict_at(reg, done_at + verdict_delay as u64);
         }
         warp.pc += 1;
     }
 
-    fn issue_heap(
+    fn issue_wide(
         &mut self,
-        warp: &Warp,
+        warp: &mut Warp,
         di: &DecodedInstr,
+        op: WideOp,
         exec_mask: LaneMask,
         ev: &mut IssueEvent,
     ) {
-        // Heap calls always defer (even with no active lane the call counts
-        // and the pc advances in phase C).
-        let malloc = di.opcode == Opcode::Malloc;
-        let lanes = u64::from(exec_mask.count_ones());
-        self.record.heap_calls += 1;
-        if malloc {
-            self.record.mallocs += lanes;
-        } else {
-            self.record.frees += lanes;
+        // No active lane: nothing to compute, check or write — only the
+        // scoreboard update.
+        let mut verdict_delay = 0;
+        if exec_mask != 0 {
+            let a = self.launch.gather64(warp, &di.srcs[0]);
+            let b = self.launch.gather64(warp, &di.srcs[1]);
+            let c = self.launch.gather64(warp, &di.srcs[2]);
+            let mut v = exec::alu64_lanes(op, &a, &b, &c);
+            if di.hints.activate {
+                self.record.checks += 1;
+                let inputs = if di.hints.select == 0 { a } else { b };
+                // The OCU rule settles the op here when every lane passes;
+                // otherwise (no rule, or a poisoned lane, whose forensics
+                // the leader keeps) the whole writeback defers to phase B.
+                let mut checked = v;
+                match self.rules.ocu {
+                    Some(rule) if rule.check(exec_mask, &inputs, &mut checked) == 0 => {
+                        v = checked;
+                        verdict_delay = rule.delay();
+                        ev.ocu_settled = true;
+                    }
+                    _ => {
+                        ev.inputs = inputs;
+                        ev.values = v;
+                        ev.shared = Some(SharedOp::MarkedInt {
+                            dst: di.dst,
+                            pair: di.dst_pair,
+                            mask: exec_mask,
+                        });
+                        return;
+                    }
+                }
+            }
+            warp.write64_col(di.dst, exec_mask, &v);
         }
-        ev.values = if malloc {
-            self.launch.gather32(warp, &di.srcs[0]).map(u64::from)
-        } else {
-            self.launch.gather64(warp, &di.srcs[0])
-        };
-        ev.shared =
-            Some(SharedOp::Heap { dst: di.dst, pair: di.dst_pair, malloc, mask: exec_mask });
+        self.int_done(warp, di.dst, di.dst_pair, verdict_delay);
     }
 
+    /// A constant load: resolved against the launch context, fully local.
+    fn issue_ldc(&mut self, warp: &mut Warp, di: &DecodedInstr, mem: MemRef, exec_mask: LaneMask) {
+        self.record.mem[MemSpace::Const as usize] += 1;
+        let values = self.launch.const_col(warp, mem.offset as u16, mem.width);
+        if mem.width == 8 {
+            warp.write64_col(di.dst, exec_mask, &values);
+        } else {
+            warp.write_col(di.dst, exec_mask, &values.map(|v| v as u32));
+        }
+        let done_at = self.now + self.cfg.const_latency as u64;
+        for reg in dst_regs(di.dst, mem.width == 8 && di.dst_pair) {
+            warp.set_ready_at_mem(reg, done_at);
+        }
+        warp.pc += 1;
+    }
+
+    #[allow(clippy::too_many_arguments)] // takes the `Op::Mem` fields unpacked
     fn issue_mem(
         &mut self,
         warp: &mut Warp,
         di: &DecodedInstr,
+        space: MemSpace,
+        is_store: bool,
+        mem: MemRef,
         exec_mask: LaneMask,
         ev: &mut IssueEvent,
     ) {
-        let mem = di.mem.expect("lowering admits a load/store only with a MemRef");
-        let space = di.mem_space.unwrap_or(MemSpace::Global);
         self.record.mem[space as usize] += 1;
         let cfg = self.cfg;
 
-        // Constant loads resolve against the launch context — fully local.
-        if di.opcode == Opcode::Ldc {
-            let values: Column64 = std::array::from_fn(|l| {
-                self.launch.const_read(
-                    warp.block,
-                    warp.base_tid + l as u64,
-                    mem.offset as u16,
-                    mem.width,
-                )
-            });
-            if mem.width == 8 {
-                warp.write64_col(di.dst, exec_mask, &values);
-            } else {
-                warp.write_col(di.dst, exec_mask, &values.map(|v| v as u32));
-            }
-            let done_at = self.now + cfg.const_latency as u64;
-            warp.set_ready_at_mem(di.dst, done_at);
-            if mem.width == 8 && di.dst_pair {
-                warp.set_ready_at_mem(di.dst.pair_high(), done_at);
-            }
-            warp.pc += 1;
-            return;
-        }
-
         // Address generation and store-data collection are warp-wide local
         // work; the mechanism check, timing and data movement defer.
-        let is_store = di.is_store;
         let addrs = warp.column64(mem.addr);
         let store_values: Column64 = match di.srcs[0] {
             Operand::Reg(r) if is_store && mem.width == 8 => warp.column64(r),
